@@ -32,7 +32,7 @@ from .core import (
     fin_luk,
     lex_omega,
 )
-from .classes import ClassExpr, match_assignments, member
+from .classes import ClassExpr, component_member, match_assignments, member
 from .maps import (
     ChainMap,
     Essentialization,
@@ -130,6 +130,11 @@ def make_span(
     rights = enumerate_embeddings(apex, right_target, scale_cap)
     if not lefts or not rights:
         raise ValueError("no embedding for the requested span leg")
+    for side, legs, i in (("left", lefts, left_index), ("right", rights, right_index)):
+        if not 0 <= i < len(legs):
+            raise ValueError(
+                f"{side} embedding index {i} is out of range 0..{len(legs) - 1}"
+            )
     return Span(apex=apex, left=lefts[left_index], right=rights[right_index])
 
 
@@ -151,41 +156,17 @@ def spans_commute(s: Span, am: Amalgam, caps: int = 3) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _atom_closure_kinds(atom_kind: Kind, max_k: int) -> list:
-    t = atom_kind.tag
-    if t == FIN:
-        return [fin_luk(d) for d in range(1, atom_kind.k + 1) if atom_kind.k % d == 0]
-    if t == LEX:
-        divisors = [d for d in range(1, atom_kind.k + 1) if atom_kind.k % d == 0]
-        return (
-            [fin_luk(d) for d in divisors]
-            + [lex_omega(d) for d in divisors]
-            + [CANC_Z]
-        )
-    if t == CANC:
-        return [CANC_Z]
-    if t == UNIT:
-        return (
-            [fin_luk(k) for k in range(1, max_k + 1)]
-            + [lex_omega(k) for k in range(1, max_k + 1)]
-            + [CANC_Z, STD_UNIT]
-        )
-    return []
-
-
 def universe_chains(e: ClassExpr, max_index: int, max_k: int) -> list:
     """Members of a class with bounded index and parameters, in search order:
     by index, then componentwise by kind."""
-    kinds = []
-    seen = set()
-    for s in e.sums:
-        for item in s.items:
-            for atom in item.atoms:
-                for k in _atom_closure_kinds(atom.kind, max_k):
-                    if k.k <= max_k and k not in seen:
-                        seen.add(k)
-                        kinds.append(k)
-    kinds.sort(key=lambda k: k.sort_key())
+    atoms = [atom.kind for s in e.sums for item in s.items for atom in item.atoms]
+    # already in Kind.sort_key order
+    candidates = (
+        [fin_luk(k) for k in range(1, max_k + 1)]
+        + [lex_omega(k) for k in range(1, max_k + 1)]
+        + [CANC_Z, STD_UNIT]
+    )
+    kinds = [k for k in candidates if any(component_member(k, a) for a in atoms)]
     out = []
     if not e.bl_mode:
         out.append(chain((), bottom=False))

@@ -12,11 +12,11 @@ table over the representable kinds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, Optional
 
 from .core import CANC, FIN, LEX, TRIV, UNIT, Chain, Kind, chain
-from .maps import filters, quotient_by_filter
+from .maps import filters, position_choices, quotient_by_filter
 
 
 class ModeMismatchError(ValueError):
@@ -106,12 +106,8 @@ def component_member(kind: Kind, gen: Kind) -> bool:
     return False  # gen trivial holds only trivial
 
 
-def _atom_matches(comp: Kind, atom: Atom) -> bool:
-    return component_member(comp, atom.kind)
-
-
 def _item_matches(comp: Kind, item: Item) -> bool:
-    return any(_atom_matches(comp, a) for a in item.atoms)
+    return any(component_member(comp, a.kind) for a in item.atoms)
 
 
 def _match(comps: tuple, items: tuple, ci: int, ii: int, asg: list) -> Iterator[tuple]:
@@ -143,7 +139,7 @@ def match_assignments(c: Chain, s: SumClass) -> Iterator[tuple]:
     if items[0].atoms[0].bottom:
         if c.is_trivial:
             return
-        if not _atom_matches(comps[0], items[0].atoms[0]):
+        if not component_member(comps[0], items[0].atoms[0].kind):
             return
         for rest in _match(comps[1:], items[1:], 0, 0, []):
             yield (0,) + tuple(i + 1 for i in rest)
@@ -216,15 +212,9 @@ def _embeds_shape(x: Chain, h: Chain) -> bool:
     membership (first-to-first when bounds are designated)."""
     if x.index > h.index:
         return False
-    if x.bottom:
-        if x.is_trivial:
-            return True
-        position_choices = (
-            (0,) + rest for rest in combinations(range(1, h.index), x.index - 1)
-        )
-    else:
-        position_choices = combinations(range(h.index), x.index)
-    for positions in position_choices:
+    if x.is_trivial:
+        return True
+    for positions in position_choices(x, h):
         if all(
             component_member(x.components[i], h.components[p])
             for i, p in enumerate(positions)

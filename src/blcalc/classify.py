@@ -73,10 +73,6 @@ def _expr(*sums: SumClass) -> ClassExpr:
     return class_expr(sums)
 
 
-def _kind_name(kind: Kind) -> str:
-    return repr(kind)
-
-
 def interval(name: str, parameter: Optional[Kind] = None) -> IntervalPoset:
     """Interval posets of the amalgamation classes.
 
@@ -92,7 +88,7 @@ def interval(name: str, parameter: Optional[Kind] = None) -> IntervalPoset:
         if a.tag not in (FIN, CANC, UNIT):
             raise ValueError(f"I(A) is defined for W/Z/U generators, not {a}")
         return IntervalPoset(
-            name=f"I({_kind_name(a)})",
+            name=f"I({a!r})",
             nodes=(_expr(_sum(_plain(a))), _expr(_sum(_star(a)))),
             covers=((0, 1),),
         )
@@ -140,7 +136,7 @@ def interval(name: str, parameter: Optional[Kind] = None) -> IntervalPoset:
             (9, 10), (9, 11),
             (10, 12), (11, 12),
         )
-        return IntervalPoset(name=f"I({_kind_name(w)},Z)", nodes=nodes, covers=covers)
+        return IntervalPoset(name=f"I({w!r},Z)", nodes=nodes, covers=covers)
     raise ValueError(f"unknown interval {name!r}")
 
 
@@ -260,7 +256,7 @@ def classify_ap_mv(v: VarietyInput) -> Verdict:
         return Verdict(
             ap=True,
             canonical=_expr(_sum(_plain(a, bottom=True))),
-            interval=f"MV({_kind_name(a)})",
+            interval=f"MV({a!r})",
         )
     return Verdict(ap=False, witness=chain((kinds[0],), bottom=True))
 
@@ -276,14 +272,14 @@ def classify_ap_wh(v: VarietyInput) -> Verdict:
         return Verdict(
             ap=True,
             canonical=_expr(_sum(_plain(a))),
-            interval=f"WH({_kind_name(a)})",
+            interval=f"WH({a!r})",
         )
     if len(kinds) == 2 and {k.tag for k in kinds} == {FIN, CANC}:
         w = next(k for k in kinds if k.tag == FIN)
         return Verdict(
             ap=True,
             canonical=_expr(_sum(_plain(w)), _sum(_plain(CANC_Z))),
-            interval=f"WH({_kind_name(w)},Z)",
+            interval=f"WH({w!r},Z)",
         )
     return Verdict(ap=False, witness=chain((kinds[0],)))
 
@@ -423,7 +419,7 @@ def classify_ap_bl(v: VarietyInput) -> Verdict:
             return Verdict(
                 ap=True,
                 canonical=shape,
-                interval=f"{case}({_kind_name(heads[0])};{tail})",
+                interval=f"{case}({heads[0]!r};{tail})",
             )
         if verdict == "v_strictly_smaller" and best_witness is None:
             best_witness = witness
@@ -473,6 +469,6 @@ def enumerate_catalog(mode: str, n_max: int, m_max: Optional[int] = None) -> lis
                     ):
                         continue
                     seen.append((shape, case, f"{iname}:{pos}"))
-                    out.append((shape, f"{case}({_kind_name(a)})", f"{iname}:{pos}"))
+                    out.append((shape, f"{case}({a!r})", f"{iname}:{pos}"))
         return out
     raise ValueError(f"unknown mode {mode!r}")

@@ -125,9 +125,7 @@ def value_in_range(kind: Kind, v: LocalValue) -> bool:
 
 
 def local_le(kind: Kind, a: LocalValue, b: LocalValue) -> bool:
-    if kind.tag == LEX:
-        return a <= b  # tuple comparison is lexicographic
-    return a <= b
+    return a <= b  # lexicographic values are tuples, compared lexicographically
 
 
 def _lex_clamp_max(v: tuple, lo: tuple) -> tuple:
@@ -381,13 +379,13 @@ class RawChain:
 
     def __post_init__(self):
         n = self.size
-        if n < 1:
-            raise ValueError("size must be >= 1")
+        if not isinstance(n, int) or n < 1:
+            raise ValueError("size must be an integer >= 1")
         for name, tab in (("mul", self.mul), ("imp", self.imp)):
             if len(tab) != n or any(len(row) != n for row in tab):
                 raise ValueError(f"{name} table is not {n}x{n}")
-            if any(not (0 <= v < n) for row in tab for v in row):
-                raise ValueError(f"{name} table has out-of-range entries")
+            if any(not (isinstance(v, int) and 0 <= v < n) for row in tab for v in row):
+                raise ValueError(f"{name} table has entries outside the indices 0..{n - 1}")
 
     @property
     def top(self) -> int:
@@ -403,12 +401,17 @@ class RawChain:
 
     @staticmethod
     def from_json(data: dict) -> "RawChain":
-        return RawChain(
-            size=data["size"],
-            mul=tuple(tuple(r) for r in data["mul"]),
-            imp=tuple(tuple(r) for r in data["imp"]),
-            bottom=bool(data.get("bottom_designated", False)),
-        )
+        if not isinstance(data, dict) or not {"size", "mul", "imp"} <= data.keys():
+            raise ValueError("table JSON must be an object with size, mul and imp")
+        try:
+            return RawChain(
+                size=data["size"],
+                mul=tuple(tuple(r) for r in data["mul"]),
+                imp=tuple(tuple(r) for r in data["imp"]),
+                bottom=bool(data.get("bottom_designated", False)),
+            )
+        except TypeError:
+            raise ValueError("table JSON mul and imp must be lists of rows") from None
 
 
 @dataclass(frozen=True)

@@ -245,14 +245,17 @@ def parse_element(c: Chain, text: str) -> Element:
     except ValueError:
         raise DSLError(f"bad component index {ci_text!r}", 0) from None
     val_text = val_text.strip()
-    if "," in val_text:
-        a, b = val_text.split(",", 1)
-        value = (int(a), int(b))
-    elif "/" in val_text:
-        p, q = val_text.split("/", 1)
-        value = Fraction(int(p), int(q))
-    else:
-        value = int(val_text)
+    try:
+        if "," in val_text:
+            a, b = val_text.split(",", 1)
+            value = (int(a), int(b))
+        elif "/" in val_text:
+            p, q = val_text.split("/", 1)
+            value = Fraction(int(p), int(q))
+        else:
+            value = int(val_text)
+    except (ValueError, ZeroDivisionError):
+        raise DSLError(f"bad element value {val_text!r}", 0) from None
     return element(c, ci, value)
 
 

@@ -8,6 +8,15 @@ lying between the premise and the conclusion is an interpolant, and its
 construction trace is the returned formula.  For varieties generated by
 finite chains this closure is finite, so exhausting it without a hit
 certifies that no interpolant exists.
+
+A term function is a vector over the points, the valuations of the shared
+variables into the generators.  One sweep per formula gives two point sets:
+``must_top``, where the premise is top on some extension of the point, and
+``may_top``, where the conclusion is top on every extension.  The consequence
+holds exactly when ``must_top`` is a subset of ``may_top``, and a vector is an
+interpolant exactly when it is top on ``must_top`` and not top off
+``may_top``.  ``term_closure`` is the one closure loop: ``find_interpolant``
+walks it and ``closure_size`` counts the same elements.
 """
 
 from __future__ import annotations
@@ -215,36 +224,60 @@ class NotLocallyFiniteError(ValueError):
     pass
 
 
-def _point_tables(premise, conclusion, shared, gens):
-    """Per-chain valuation sweeps projected onto shared-variable points.
+def _valuation_points(shared: Sequence[str], gens: Sequence[Chain]) -> list:
+    """The (generator index, shared-variable values) pairs, in generator order
+    and then product order; position p of every closure vector is the value
+    at the p-th pair."""
+    return [
+        (gi, combo)
+        for gi, g in enumerate(gens)
+        for combo in product(finite_elements(g), repeat=len(shared))
+    ]
 
-    Returns the point count, the projection vectors of the shared variables,
-    and for each formula a list of (point index, formula is top) pairs over
-    all full valuations.
+
+def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
+    """Yield (vector, term) once for each term function in the shared
+    variables, smallest-first.
+
+    The seeds are 1, then 0 when the generators are bounded, then the
+    projections in the given variable order.  After them, for each i and each
+    j <= i, come mul, meet, join, imp(i, j) and imp(j, i) of the i-th and j-th
+    yielded vectors.  The first term reaching a vector is the one yielded.
     """
-    shared = list(shared)
-    points = []
-    point_index = {}
-    projections = [[] for _ in shared]
-    for gi, g in enumerate(gens):
-        for combo in product(finite_elements(g), repeat=len(shared)):
-            point_index[(gi, combo)] = len(points)
-            points.append((gi, combo))
-            for vi, x in enumerate(combo):
-                projections[vi].append(x)
+    points = _valuation_points(shared, gens)
+    chains = [gens[gi] for gi, _ in points]
+    seeds = [(tuple(TOP for _ in points), Const("1"))]
+    if gens and gens[0].bottom:
+        seeds.append((tuple(bottom_element(g) for g in chains), Const("0")))
+    for vi, name in enumerate(shared):
+        seeds.append((tuple(combo[vi] for _, combo in points), Var(name)))
 
-    def sweep(f: Formula):
-        out = []
-        names = sorted(formula_vars(f) | set(shared))
-        spos = [names.index(s) for s in shared]
-        for gi, g in enumerate(gens):
-            for combo in product(finite_elements(g), repeat=len(names)):
-                val = dict(zip(names, combo))
-                pt = point_index[(gi, tuple(combo[p] for p in spos))]
-                out.append((pt, eval_formula(f, g, val) == TOP))
-        return out
-
-    return points, [tuple(p) for p in projections], sweep(premise), sweep(conclusion)
+    queue = []
+    seen = set()
+    for vec, term in seeds:
+        if vec not in seen:
+            seen.add(vec)
+            queue.append((vec, term))
+            yield vec, term
+    i = 0
+    while i < len(queue):
+        vec_i, term_i = queue[i]
+        for j in range(i + 1):
+            vec_j, term_j = queue[j]
+            for op, a, b, ta, tb in (
+                ("mul", vec_i, vec_j, term_i, term_j),
+                ("meet", vec_i, vec_j, term_i, term_j),
+                ("join", vec_i, vec_j, term_i, term_j),
+                ("imp", vec_i, vec_j, term_i, term_j),
+                ("imp", vec_j, vec_i, term_j, term_i),
+            ):
+                vec = tuple(chain_op(g, op, x, y) for g, x, y in zip(chains, a, b))
+                if vec not in seen:
+                    seen.add(vec)
+                    term = BinOp(op, ta, tb)
+                    queue.append((vec, term))
+                    yield vec, term
+        i += 1
 
 
 def find_interpolant(
@@ -256,113 +289,48 @@ def find_interpolant(
     """Interpolant in the shared variables, or None when provably none exists.
 
     Requires the consequence to hold and every generator to be fully finite.
-    The closure is generated in a fixed smallest-first order, so the returned
-    formula is deterministic.
+    The closure is walked in the fixed order of ``term_closure``, so the
+    returned formula is deterministic.
     """
     for g in gens:
         if not g.is_finite:
             raise NotLocallyFiniteError(
                 "unsupported: not locally finite (symbolic generator)"
             )
-    if not consequence(premise, conclusion, gens).holds:
-        raise ValueError("premise does not entail conclusion on the generators")
     shared = sorted(formula_vars(premise) & formula_vars(conclusion))
-    points, projections, prem_sweep, conc_sweep = _point_tables(
-        premise, conclusion, shared, gens
-    )
+    point_index = {pt: p for p, pt in enumerate(_valuation_points(shared, gens))}
 
-    def qualifies(vec) -> bool:
-        for pt, prem_top in prem_sweep:
-            if prem_top and vec[pt] != TOP:
-                return False
-        for pt, conc_top in conc_sweep:
-            if vec[pt] == TOP and not conc_top:
-                return False
-        return True
+    def sweep(f: Formula):
+        # (point, f is top) for every valuation of f's and the shared variables
+        names = sorted(formula_vars(f) | set(shared))
+        spos = [names.index(s) for s in shared]
+        for gi, g in enumerate(gens):
+            for combo in product(finite_elements(g), repeat=len(names)):
+                pt = point_index[(gi, tuple(combo[p] for p in spos))]
+                yield pt, eval_formula(f, g, dict(zip(names, combo))) == TOP
 
-    def combine(op, a, b):
-        return tuple(
-            chain_op(gens[points[p][0]], op, a[p], b[p]) for p in range(len(points))
-        )
-
-    queue = []
-    seen = {}
-
-    def push(vec, term) -> Optional[Formula]:
-        if vec in seen:
-            return None
-        seen[vec] = term
-        queue.append((vec, term))
-        if len(queue) > limit:
+    # A joint valuation is a point plus independent premise-only and
+    # conclusion-only parts, so the consequence holds exactly when must_top is
+    # a subset of may_top, the complement of not_may_top.
+    must_top = {pt for pt, top in sweep(premise) if top}
+    not_may_top = {pt for pt, top in sweep(conclusion) if not top}
+    if not must_top.isdisjoint(not_may_top):
+        raise ValueError("premise does not entail conclusion on the generators")
+    for n, (vec, term) in enumerate(term_closure(shared, gens), 1):
+        if n > limit:
             raise ClosureLimitError(f"closure exceeded {limit} elements")
-        return term if qualifies(vec) else None
-
-    top_vec = tuple(TOP for _ in points)
-    hit = push(top_vec, Const("1"))
-    if hit is not None:
-        return hit
-    if gens and gens[0].bottom:
-        bot_vec = tuple(bottom_element(gens[points[p][0]]) for p in range(len(points)))
-        hit = push(bot_vec, Const("0"))
-        if hit is not None:
-            return hit
-    for vi, name in enumerate(shared):
-        hit = push(projections[vi], Var(name))
-        if hit is not None:
-            return hit
-
-    i = 0
-    while i < len(queue):
-        vec_i, term_i = queue[i]
-        for j in range(i + 1):
-            vec_j, term_j = queue[j]
-            for op in ("mul", "meet", "join"):
-                hit = push(combine(op, vec_i, vec_j), BinOp(op, term_i, term_j))
-                if hit is not None:
-                    return hit
-            for a, ta, b, tb in (
-                (vec_i, term_i, vec_j, term_j),
-                (vec_j, term_j, vec_i, term_i),
-            ):
-                hit = push(combine("imp", a, b), BinOp("imp", ta, tb))
-                if hit is not None:
-                    return hit
-        i += 1
+        if all(vec[p] == TOP for p in must_top) and not any(
+            vec[p] == TOP for p in not_may_top
+        ):
+            return term
     return None
 
 
 def closure_size(premise, conclusion, gens) -> int:
-    """Size of the full shared-variable term-function closure (diagnostic)."""
+    """Size of the shared-variable term-function closure that
+    ``find_interpolant`` walks (diagnostic)."""
     shared = sorted(formula_vars(premise) & formula_vars(conclusion))
-    points, projections, _, _ = _point_tables(premise, conclusion, shared, gens)
-
-    def combine(op, a, b):
-        return tuple(
-            chain_op(gens[points[p][0]], op, a[p], b[p]) for p in range(len(points))
-        )
-
-    seen = set()
-    queue = []
-
-    def push(vec):
-        if vec not in seen:
-            seen.add(vec)
-            queue.append(vec)
-
-    push(tuple(TOP for _ in points))
-    if gens and gens[0].bottom:
-        push(tuple(bottom_element(gens[points[p][0]]) for p in range(len(points))))
-    for proj in projections:
-        push(proj)
-    i = 0
-    while i < len(queue):
-        for j in range(i + 1):
-            for op in ("mul", "meet", "join"):
-                push(combine(op, queue[i], queue[j]))
-            push(combine("imp", queue[i], queue[j]))
-            push(combine("imp", queue[j], queue[i]))
-        i += 1
-    return len(seen)
+    return sum(1 for _ in term_closure(shared, gens))
 
 
 def dip_report(v) -> dict:

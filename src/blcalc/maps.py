@@ -160,14 +160,10 @@ def compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
 def _compose_local(lm2: LocalMap, lm1: LocalMap) -> LocalMap:
     if lm1.dst != lm2.src:
         raise ValueError("local maps do not compose")
-    s, mid, d = lm1.src.tag, lm1.dst.tag, lm2.dst.tag
     # scales multiply on the cancellative coordinate; the W-multipliers are
-    # implicit in the kind parameters
-    scale = lm1.scale * lm2.scale
-    if s == FIN and mid == LEX and d == LEX:
-        scale = 1  # the b-coordinate of the image is 0 throughout
-    if s == FIN:
-        scale = 1
+    # implicit in the kind parameters, and a finite source has no
+    # cancellative coordinate
+    scale = 1 if lm1.src.tag == FIN else lm1.scale * lm2.scale
     return LocalMap(lm1.src, lm2.dst, scale=scale)
 
 
@@ -195,6 +191,14 @@ def verify_embedding(m: ChainMap, caps: int = 3) -> bool:
     return True
 
 
+def position_choices(a: Chain, b: Chain):
+    """Increasing tuples of b's component positions for a's components,
+    first-to-first when bounds are designated (a non-trivial)."""
+    if a.bottom:
+        return ((0,) + rest for rest in combinations(range(1, b.index), a.index - 1))
+    return combinations(range(b.index), a.index)
+
+
 def enumerate_embeddings(a: Chain, b: Chain, scale_cap: int = 4) -> list:
     """All embeddings of a into b (cancellative scales capped), sorted by
     position choice then by local scales."""
@@ -207,15 +211,7 @@ def enumerate_embeddings(a: Chain, b: Chain, scale_cap: int = 4) -> list:
     if a.index > b.index:
         return []
     out = []
-    if a.bottom:
-        if b.is_trivial:
-            return []
-        position_choices = (
-            (0,) + rest for rest in combinations(range(1, b.index), a.index - 1)
-        )
-    else:
-        position_choices = combinations(range(b.index), a.index)
-    for positions in position_choices:
+    for positions in position_choices(a, b):
         per_comp = [
             local_embeddings(a.components[i], b.components[p], scale_cap)
             for i, p in enumerate(positions)

@@ -62,6 +62,26 @@ def test_chain_bad_input_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "chain", "eval", "W2", "--op", "mul",
                          "--x", "0:9", "--y", "0:1")
     assert code == 2
+    code, out, err = run(capsys, "chain", "eval", "L2", "--op", "mul",
+                         "--x", "0:1/0", "--y", "0:1")
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    for name, table in (
+        ("no_imp", {"size": 2, "mul": [[0, 0], [0, 1]]}),
+        ("float", {"size": 2, "mul": [[0, 0], [0, 1.0]], "imp": [[1, 0], [0, 1]]}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(table))
+        code, out, err = run(capsys, "chain", "check", "--table", str(path))
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_amalgam_leg_index_out_of_range_exit_2(capsys):
+    for leg in (["--right", "W2", "--left-embedding", "5"],
+                ["--right", "W2+W1", "--right-embedding", "-1"]):
+        code, out, err = run(capsys, "amalgam", "search", "--apex", "W1",
+                             "--left", "W2", "--universe", "[W2*]", *leg)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_amalgam_search(capsys):

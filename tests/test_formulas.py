@@ -24,6 +24,7 @@ from blcalc.formulas import (
     mine_valid_consequences,
     parse_formula,
     pretty_formula,
+    random_formula,
 )
 
 
@@ -184,6 +185,53 @@ def test_mined_interpolants_verify():
         assert formula_vars(chi) <= (formula_vars(prem) & formula_vars(conc))
         assert consequence(prem, chi, [L2]).holds
         assert consequence(chi, conc, [L2]).holds
+
+
+# Non-constant interpolants of 40 mined pairs per generator set, in mining
+# order.  They pin the closure's traversal order: a change to it shows here.
+PINNED_INTERPOLANTS = {
+    "L2": ["p", "p", "r", "q", "q"],
+    "L3": ["p", "r", "q", "p", "q", "r * q", "r"],
+    "W2": ["r", "r", "q * p \\/ r", "r", "p", "r", "r", "p", "r", "p", "p",
+           "r * p", "q", "q", "q * p", "r", "q * p * r"],
+    "W3": ["r", "r", "q", "p", "r", "p", "q -> r", "q", "q", "r", "p",
+           "q * p", "p", "q * p", "q"],
+    "L1+W1": ["r", "p", "r", "r", "q", "r", "r", "q"],
+    "L2,L3": ["r", "p", "r", "q", "p"],
+}
+
+
+def test_mined_interpolants_pinned():
+    rng = random.Random(2)
+    for text, expected in PINNED_INTERPOLANTS.items():
+        gens = [parse_chain(t) for t in text.split(",")]
+        got = []
+        for prem, conc in mine_valid_consequences(gens, 40, ["p", "q", "r"], rng):
+            chi = find_interpolant(prem, conc, gens)
+            text_chi = None if chi is None else pretty_formula(chi)
+            if text_chi not in ("0", "1"):
+                got.append(text_chi)
+        assert got == expected, text
+
+
+def test_find_interpolant_rejects_exactly_non_consequences():
+    rng = random.Random(5)
+    rejected = 0
+    for text in ("L2", "W2", "L1+W1", "L2,L3"):
+        gens = [parse_chain(t) for t in text.split(",")]
+        allow_zero = bool(gens[0].bottom)
+        for _ in range(40):
+            prem = random_formula(rng, ["p", "q", "r"], 3, allow_zero)
+            conc = random_formula(rng, ["p", "q", "r"], 3, allow_zero)
+            holds = consequence(prem, conc, gens).holds
+            try:
+                find_interpolant(prem, conc, gens)
+            except ValueError:
+                assert not holds, (text, prem, conc)
+                rejected += 1
+            else:
+                assert holds, (text, prem, conc)
+    assert rejected > 0
 
 
 def test_fold_premises():
