@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .core import (
     CANC,
@@ -156,9 +156,11 @@ def spans_commute(s: Span, am: Amalgam, caps: int = 3) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def universe_chains(e: ClassExpr, max_index: int, max_k: int) -> list:
-    """Members of a class with bounded index and parameters, in search order:
-    by index, then componentwise by kind."""
+def universe_chains(e: ClassExpr, max_index: int, max_k: int) -> Iterator[Chain]:
+    """Members of a class with bounded index and parameters, yielded lazily
+    in search order: the trivial chain first in hoop mode, then by index,
+    then componentwise by kind.  A consumer that stops early builds no chain
+    past the one it stopped at."""
     atoms = [atom.kind for s in e.sums for item in s.items for atom in item.atoms]
     # already in Kind.sort_key order
     candidates = (
@@ -167,17 +169,15 @@ def universe_chains(e: ClassExpr, max_index: int, max_k: int) -> list:
         + [CANC_Z, STD_UNIT]
     )
     kinds = [k for k in candidates if any(component_member(k, a) for a in atoms)]
-    out = []
     if not e.bl_mode:
-        out.append(chain((), bottom=False))
+        yield chain((), bottom=False)
     for length in range(1, max_index + 1):
         for combo in product(kinds, repeat=length):
             if e.bl_mode and not combo[0].bounded:
                 continue
             c = chain(combo, bottom=e.bl_mode)
             if member(c, e):
-                out.append(c)
-    return out
+                yield c
 
 
 def find_amalgam_bruteforce(
@@ -190,13 +190,19 @@ def find_amalgam_bruteforce(
 ) -> Optional[Amalgam]:
     """Exhaustive search for a commuting completion inside the universe.
 
-    ``None`` means none within the stated bounds; for universes whose kind
-    inventory is finite the kind-level embedding rules make the search
-    exhaustive up to the scale cap.
+    Targets are drawn lazily from ``universe_chains`` and the search stops at
+    the first commuting completion in (target, left leg, right leg) order, so
+    no target past it is built.  ``None`` means the whole bounded universe was
+    walked without a hit; for universes whose kind inventory is finite the
+    kind-level embedding rules make that exhaustive up to the scale cap.
     """
     for target in universe_chains(universe, max_index, max_k):
-        for psi1 in enumerate_embeddings(s.left.target, target, scale_cap):
-            for psi2 in enumerate_embeddings(s.right.target, target, scale_cap):
+        lefts = enumerate_embeddings(s.left.target, target, scale_cap)
+        if not lefts:
+            continue
+        rights = enumerate_embeddings(s.right.target, target, scale_cap)
+        for psi1 in lefts:
+            for psi2 in rights:
                 am = Amalgam(target=target, left=psi1, right=psi2)
                 if spans_commute(s, am, caps):
                     return am

@@ -99,6 +99,10 @@ def cmd_chain(args) -> int:
 
 
 def cmd_amalgam(args) -> int:
+    # A bound below 1 is an input error, not an empty search.
+    for flag in ("max_index", "max_k", "scale_cap"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
     apex = parse_chain(args.apex)
     left = parse_chain(args.left)
     right = parse_chain(args.right)

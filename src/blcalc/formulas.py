@@ -85,8 +85,28 @@ _FORMULA_TOKEN = re.compile(
 )
 
 
+# Deepest accepted nesting, of parentheses and of connectives alike.  The
+# parser recurses a few frames per parenthesis and the evaluators one frame
+# per connective, so every formula that parses stays well inside Python's
+# default recursion limit.
+MAX_FORMULA_DEPTH = 100
+
+
+def _formula_depth(f: Formula) -> int:
+    """Nesting depth of connectives, computed without recursion."""
+    deepest, stack = 0, [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(g, BinOp):
+            stack += [(g.left, d + 1), (g.right, d + 1)]
+    return deepest
+
+
 def parse_formula(text: str) -> Formula:
-    """Parse with precedence * over -> over the lattice connectives."""
+    """Parse with precedence * over -> over the lattice connectives; ``->``
+    associates to the right.  Formulas nested deeper than
+    ``MAX_FORMULA_DEPTH`` are rejected with a ``FormulaError``."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -99,6 +119,10 @@ def parse_formula(text: str) -> Formula:
         tokens.append((kind, m.group(kind), m.start()))
         pos = m.end()
     i = 0
+    open_parens = 0
+
+    def too_deep():
+        return FormulaError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
 
     def peek():
         return tokens[i][1] if i < len(tokens) else None
@@ -110,6 +134,7 @@ def parse_formula(text: str) -> Formula:
         return tok
 
     def parse_atom() -> Formula:
+        nonlocal open_parens
         if i >= len(tokens):
             raise FormulaError("unexpected end of formula")
         kind, val, pos = take()
@@ -118,10 +143,14 @@ def parse_formula(text: str) -> Formula:
         if kind == "const":
             return Const(val)
         if val == "(":
+            open_parens += 1
+            if open_parens > MAX_FORMULA_DEPTH:
+                raise too_deep()
             f = parse_lattice()
             if peek() != ")":
                 raise FormulaError(f"missing ')' at {pos}")
             take()
+            open_parens -= 1
             return f
         raise FormulaError(f"unexpected {val!r} at {pos}")
 
@@ -133,10 +162,13 @@ def parse_formula(text: str) -> Formula:
         return f
 
     def parse_imp() -> Formula:
-        f = parse_mul()
-        if peek() == "->":
+        operands = [parse_mul()]
+        while peek() == "->":
             take()
-            return BinOp("imp", f, parse_imp())
+            operands.append(parse_mul())
+        f = operands.pop()
+        while operands:
+            f = BinOp("imp", operands.pop(), f)
         return f
 
     def parse_lattice() -> Formula:
@@ -149,6 +181,8 @@ def parse_formula(text: str) -> Formula:
     f = parse_lattice()
     if i != len(tokens):
         raise FormulaError(f"trailing input {tokens[i][1]!r} at {tokens[i][2]}")
+    if _formula_depth(f) > MAX_FORMULA_DEPTH:
+        raise too_deep()
     return f
 
 

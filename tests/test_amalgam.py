@@ -2,6 +2,7 @@
 one-sided route through essentialization."""
 
 import math
+from itertools import islice
 
 import pytest
 
@@ -71,12 +72,77 @@ def test_bruteforce_none_within_bounds():
 
 
 def test_universe_enumeration_order():
-    chains = universe_chains(parse_class_expr("[(W2 Z)*]"), 2, 2)
+    chains = list(universe_chains(parse_class_expr("[(W2 Z)*]"), 2, 2))
     names = [pretty_chain(c) for c in chains]
     assert names[0] == "T"
     assert names.index("W1") < names.index("W2") < names.index("Z")
     assert all(c.index <= 2 for c in chains)
     assert "W1+Z" in names and "Z+W2" in names
+
+
+def test_universe_enumeration_is_lazy():
+    # index 6 would build 16**6 candidates if the walk were eager
+    universe = parse_class_expr("[U*]")
+    first = list(islice(universe_chains(universe, 6, 7), 50))
+    assert first == list(universe_chains(universe, 2, 7))[:50]
+
+
+# One span per distinct target among the default-leg spans over the benchmark's
+# chains, searched in [U*] with max_index=3, max_k=7: apex, left, right, then
+# the target and each leg's index map and local maps (src>dst, *scale if not 1).
+PINNED_BRUTEFORCE = (
+    ("T", "T", "T", "T", (), "", (), ""),
+    ("T", "W1", "T", "W1", (0,), "W1>W1", (), ""),
+    ("T", "W2", "T", "W2", (0,), "W2>W2", (), ""),
+    ("T", "W2", "W3", "W6", (0,), "W2>W6", (0,), "W3>W6"),
+    ("T", "W3", "T", "W3", (0,), "W3>W3", (), ""),
+    ("T", "W3", "Z", "Wo3", (0,), "W3>Wo3", (0,), "Z>Wo3"),
+    ("T", "W3", "Wo2", "Wo6", (0,), "W3>Wo6", (0,), "Wo2>Wo6"),
+    ("T", "Z", "T", "Wo1", (0,), "Z>Wo1", (), ""),
+    ("T", "Z", "W2", "Wo2", (0,), "Z>Wo2", (0,), "W2>Wo2"),
+    ("T", "W1+Z", "T", "W1+Wo1", (0, 1), "W1>W1 Z>Wo1", (), ""),
+    ("T", "W1+Z", "W2", "W1+Wo2", (0, 1), "W1>W1 Z>Wo2", (1,), "W2>Wo2"),
+    ("T", "W1+Z", "W3", "W1+Wo3", (0, 1), "W1>W1 Z>Wo3", (1,), "W3>Wo3"),
+    ("T", "W2+W1", "T", "W2+W1", (0, 1), "W2>W2 W1>W1", (), ""),
+    ("T", "W2+W1", "W3", "W2+W3", (0, 1), "W2>W2 W1>W3", (1,), "W3>W3"),
+    ("T", "W2+W1", "Wo2", "W2+Wo2", (0, 1), "W2>W2 W1>Wo2", (1,), "Wo2>Wo2"),
+    ("T", "W2+W1", "W1+Z", "W2+Wo1", (0, 1), "W2>W2 W1>Wo1", (0, 1), "W1>W2 Z>Wo1"),
+    ("T", "Z+W2", "T", "Wo1+W2", (0, 1), "Z>Wo1 W2>W2", (), ""),
+    ("T", "Z+W2", "W3", "Wo1+W6", (0, 1), "Z>Wo1 W2>W6", (1,), "W3>W6"),
+    ("T", "Z+W2", "Wo2", "Wo1+Wo2", (0, 1), "Z>Wo1 W2>Wo2", (1,), "Wo2>Wo2"),
+    ("T", "Z+W2", "W2+W1", "Wo2+W2", (0, 1), "Z>Wo2 W2>W2", (0, 1), "W2>Wo2 W1>W2"),
+    ("T", "W3+Z", "W1", "W3+Wo1", (0, 1), "W3>W3 Z>Wo1", (0,), "W1>W3"),
+    ("T", "W3+Z", "W2", "W3+Wo2", (0, 1), "W3>W3 Z>Wo2", (1,), "W2>Wo2"),
+    ("T", "W3+Z", "W2+W1", "W6+Wo1", (0, 1), "W3>W6 Z>Wo1", (0, 1), "W2>W6 W1>Wo1"),
+    ("T", "W3+Z", "Z+W2", "Wo3+Wo2", (0, 1), "W3>Wo3 Z>Wo2", (0, 1), "Z>Wo3 W2>Wo2"),
+    ("W1", "Wo1", "W1+Z", "Wo1+Wo1", (0,), "Wo1>Wo1", (0, 1), "W1>Wo1 Z>Wo1"),
+    ("W1", "Wo2", "W1+Z", "Wo2+Wo1", (0,), "Wo2>Wo2", (0, 1), "W1>Wo2 Z>Wo1"),
+    ("W1", "W2+W1", "W3", "W6+W1", (0, 1), "W2>W6 W1>W1", (0,), "W3>W6"),
+    ("W1", "Z+W2", "W1+Z", "Wo1+W2+Wo1", (0, 1), "Z>Wo1 W2>W2", (1, 2), "W1>W2 Z>Wo1"),
+    ("W1", "Z+W2", "W2+W1", "Wo1+W2+W1", (0, 1), "Z>Wo1 W2>W2", (1, 2), "W2>W2 W1>W1"),
+    ("W1", "Z+W2", "W3+Z", "Wo1+W6+Wo1", (0, 1), "Z>Wo1 W2>W6", (1, 2), "W3>W6 Z>Wo1"),
+    ("W1", "W3+Z", "Wo1", "Wo3+Wo1", (0, 1), "W3>Wo3 Z>Wo1", (0,), "Wo1>Wo3"),
+    ("W1", "W3+Z", "Wo2", "Wo6+Wo1", (0, 1), "W3>Wo6 Z>Wo1", (0,), "Wo2>Wo6"),
+    ("W2", "Wo2", "W2+W1", "Wo2+W1", (0,), "Wo2>Wo2", (0, 1), "W2>Wo2 W1>W1"),
+    ("Z", "Z+W2", "W1+Z", "W1+Wo1+W2", (1, 2), "Z>Wo1 W2>W2", (0, 1), "W1>W1 Z>Wo1"),
+    ("Z", "W3+Z", "Z+W2", "W3+Wo1+W2", (0, 1), "W3>W3 Z>Wo1", (1, 2), "Z>Wo1 W2>W2"),
+)
+
+
+def _leg(m):
+    locs = " ".join(
+        f"{l.src!r}>{l.dst!r}" + ("" if l.scale == 1 else f"*{l.scale}") for l in m.locals
+    )
+    return m.index_map, locs
+
+
+def test_bruteforce_answers_pinned():
+    universe = parse_class_expr("[U*]")
+    for a, b, c, target, *legs in PINNED_BRUTEFORCE:
+        s = make_span(parse_chain(a), parse_chain(b), parse_chain(c))
+        am = find_amalgam_bruteforce(s, universe, max_index=3, max_k=7)
+        got = (pretty_chain(am.target), *_leg(am.left), *_leg(am.right))
+        assert got == (target, *legs), (a, b, c)
 
 
 def test_constructive_lcm():

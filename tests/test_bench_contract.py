@@ -1,18 +1,38 @@
-"""The benchmark's per-layer trace names functions of blcalc; a rename or a
-removal there must fail here, not only in the benchmark's own self-test."""
+"""The benchmark's per-layer trace names functions of blcalc, and its
+workloads check every answer; a rename, a removal or a wrong answer must fail
+here, not only in the benchmark's own self-test."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_layer_functions_exist():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("bench_tracer", TRACER)
     assert tracer.LAYER_FUNCTIONS
     for name in tracer.LAYER_FUNCTIONS:
         module, func = name.split(".")
         assert callable(getattr(importlib.import_module(f"blcalc.{module}"), func, None)), name
+
+
+def test_amalgam_workload_answers_check(tmp_path):
+    # both routes agree, legs are embeddings, the square commutes, the target
+    # is in the universe, and the spans with no amalgam give None
+    workloads = _load("bench_workloads", BENCH / "workloads.py")
+    queries = list(workloads.Amalgam(seed=1, tiny=True, workdir=tmp_path).queries())
+    assert len(queries) == 12
+    for q in queries:
+        assert q.check(q.call()), q.label

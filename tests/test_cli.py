@@ -5,6 +5,7 @@ import json
 from blcalc.cli import main
 from blcalc.decompose import flatten
 from blcalc.dsl import parse_chain
+from blcalc.formulas import MAX_FORMULA_DEPTH
 
 
 def run(capsys, *argv):
@@ -82,6 +83,17 @@ def test_amalgam_leg_index_out_of_range_exit_2(capsys):
                              "--left", "W2", "--universe", "[W2*]", *leg)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_amalgam_bounds_below_one_exit_2(capsys):
+    for mode in ("search", "construct", "one-sided"):
+        for flag in ("--max-index", "--max-k", "--scale-cap"):
+            for value in ("0", "-1"):
+                code, out, err = run(capsys, "amalgam", mode, "--apex", "T",
+                                     "--left", "W1", "--right", "Z",
+                                     "--universe", "[W1]|[Z]", flag, value)
+                assert code == 2 and out == "", (mode, flag, value)
+                assert err == f"error: {flag} must be at least 1\n"
 
 
 def test_amalgam_search(capsys):
@@ -163,6 +175,20 @@ def test_logic_commands(capsys):
     assert code == 0 and data["report"]["deductive_interpolation"] is True
     code, data, _ = run_json(capsys, "logic", "dip", "--class", "[L1 W1 W1]")
     assert code == 1
+
+
+def test_logic_formula_depth(capsys):
+    n = MAX_FORMULA_DEPTH
+    # at the limit in both parentheses and connectives: still answered
+    deepest = "(p -> " * n + "p" + ")" * n
+    code, data, err = run_json(capsys, "logic", "consequence", "--premise", deepest,
+                               "--conclusion", deepest, "--gens", "L2")
+    assert code == 0 and data["holds"] is True and err == ""
+    for premise in ("(" * 3000 + "p" + ")" * 3000, " -> ".join(["p"] * 3000)):
+        code, out, err = run(capsys, "logic", "consequence", "--premise", premise,
+                             "--conclusion", "p", "--gens", "L2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_logic_certified_none(capsys):

@@ -12,6 +12,7 @@ from blcalc.formulas import (
     BinOp,
     ClosureLimitError,
     Const,
+    MAX_FORMULA_DEPTH,
     FormulaError,
     NotLocallyFiniteError,
     Var,
@@ -57,6 +58,20 @@ def test_parse_errors():
         parse_formula("(p")
     with pytest.raises(FormulaError):
         parse_formula("p & q")
+
+
+def test_parse_depth_limit():
+    n = MAX_FORMULA_DEPTH
+    parens = "(" * n + "p" + ")" * n
+    arrows = " -> ".join(["p"] * (n + 1))
+    products = " * ".join(["p"] * (n + 1))
+    assert parse_formula(parens) == Var("p")
+    for text in (arrows, products):
+        assert parse_formula(pretty_formula(parse_formula(text))) == parse_formula(text)
+    for text in ("(" + parens + ")", arrows + " -> p", products + " * p",
+                 "(" * 3000 + "p" + ")" * 3000, " -> ".join(["p"] * 3000)):
+        with pytest.raises(FormulaError, match="nests deeper"):
+            parse_formula(text)
 
 
 def test_eval():
