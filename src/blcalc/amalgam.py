@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .core import (
     CANC,
@@ -28,7 +28,6 @@ from .core import (
     Element,
     Kind,
     chain,
-    enumerate_elements,
     fin_luk,
     lex_omega,
 )
@@ -39,10 +38,13 @@ from .maps import (
     Filter,
     LocalMap,
     apply_map,
+    collapse_after,
+    compose,
     enumerate_embeddings,
     essentialize,
     identity_map,
     is_essential_embedding,
+    quotient_by_filter,
 )
 
 
@@ -78,7 +80,6 @@ class CollapsingMap:
     source: Chain
     collapse: Filter
     embed: ChainMap
-    project: Callable[[Element], Element]
 
     def to_json(self) -> dict:
         return {
@@ -94,7 +95,8 @@ Completion = Union[ChainMap, CollapsingMap]
 
 def apply_completion(m: Completion, x: Element) -> Element:
     if isinstance(m, CollapsingMap):
-        return apply_map(m.embed, m.project(x))
+        _, project = quotient_by_filter(m.source, m.collapse)
+        return apply_map(m.embed, project(x))
     return apply_map(m, x)
 
 
@@ -142,13 +144,21 @@ def is_essential_span(s: Span) -> bool:
     return is_essential_embedding(s.right)
 
 
-def spans_commute(s: Span, am: Amalgam, caps: int = 3) -> bool:
-    for x in enumerate_elements(s.apex, caps):
-        if apply_map(am.left, apply_map(s.left, x)) != apply_completion(
-            am.right, apply_map(s.right, x)
-        ):
+def spans_commute(s: Span, am: Amalgam) -> bool:
+    """Whether the completed square commutes, decided exactly.
+
+    Both composites are embeddings given by an index map and rigid local
+    maps (scale 1 on finite sources), so they agree as functions exactly
+    when they agree as data.  A collapsing right completion first collapses
+    the right leg; when that identifies image points the square cannot
+    commute, because the left composite is injective.
+    """
+    leg, right = s.right, am.right
+    if isinstance(right, CollapsingMap):
+        leg, right = collapse_after(leg, right.collapse), right.embed
+        if leg is None:
             return False
-    return True
+    return compose(am.left, s.left) == compose(right, leg)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +196,6 @@ def find_amalgam_bruteforce(
     max_index: int = 3,
     max_k: int = 7,
     scale_cap: int = 4,
-    caps: int = 3,
 ) -> Optional[Amalgam]:
     """Exhaustive search for a commuting completion inside the universe.
 
@@ -204,7 +213,7 @@ def find_amalgam_bruteforce(
         for psi1 in lefts:
             for psi2 in rights:
                 am = Amalgam(target=target, left=psi1, right=psi2)
-                if spans_commute(s, am, caps):
+                if spans_commute(s, am):
                     return am
     return None
 
@@ -377,10 +386,15 @@ def one_sided_amalgam(
     max_index: int = 3,
     max_k: int = 7,
     scale_cap: int = 4,
-) -> Amalgam:
+) -> Optional[Amalgam]:
     """Collapse the right codomain along its largest image-avoiding filter,
     amalgamate the resulting essential span, and compose the collapse into
-    the right completion."""
+    the right completion.
+
+    ``None`` means the essential span has no amalgam within the bounds, as
+    for ``find_amalgam_bruteforce``.  Raises UnsupportedShapeError when the
+    quotient lies outside the universe.
+    """
     ess: Essentialization = essentialize(s.right)
     if not member(ess.quotient, universe):
         raise UnsupportedShapeError(
@@ -395,17 +409,11 @@ def one_sided_amalgam(
             espan, universe, max_index=max_index, max_k=max_k, scale_cap=scale_cap
         )
         if core is None:
-            raise ValueError("essential span has no amalgam within bounds")
-    trivial_collapse = ess.theta0.cut == s.right.target.index
-    right = CollapsingMap(
-        source=s.right.target,
-        collapse=ess.theta0,
-        embed=core.right,
-        project=ess.project,
-    )
+            return None
+    right = CollapsingMap(source=s.right.target, collapse=ess.theta0, embed=core.right)
     return Amalgam(
         target=core.target,
         left=core.left,
         right=right,
-        one_sided=not trivial_collapse,
+        one_sided=ess.theta0.cut != s.right.target.index,
     )

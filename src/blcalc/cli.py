@@ -150,8 +150,11 @@ def cmd_amalgam(args) -> int:
                 max_k=args.max_k,
                 scale_cap=args.scale_cap,
             )
-        except (UnsupportedShapeError, ValueError) as exc:
-            _emit({"result": "none-within-bounds", "reason": str(exc), "bounds": bounds})
+            reason = "essential span has no amalgam within bounds"
+        except UnsupportedShapeError as exc:
+            am, reason = None, str(exc)
+        if am is None:
+            _emit({"result": "none-within-bounds", "reason": reason, "bounds": bounds})
             return 1
         _emit({"amalgam": am.to_json()})
         return 0

@@ -19,7 +19,6 @@ from .core import (
     component_op,
     fin_luk,
     lex_omega,
-    local_le,
     local_top,
 )
 
@@ -146,8 +145,8 @@ def rot_le(r: RotationChain, p: RotValue, q: RotValue) -> bool:
     if i != j:
         return i < j
     if i == 1:
-        return local_le(r.base, x, y)
-    return local_le(r.base, y, x)
+        return x <= y
+    return y <= x
 
 
 def disconnected_rotation(base: Chain) -> RotationChain:
@@ -234,7 +233,7 @@ def rotation_embed_into(r: RotationChain, target: Kind, verify_cap: int = 10):
         seen[v] = p
     for p in window:
         for q in window:
-            if rot_le(r, p, q) != local_le(target, emb(p), emb(q)):
+            if rot_le(r, p, q) != (emb(p) <= emb(q)):
                 raise AssertionError(f"rotation embedding not monotone at {p}, {q}")
             for op in ("mul", "imp", "meet", "join"):
                 lhs = emb(rot_op(r, op, p, q))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 FIN = "W"
 LEX = "Wo"
@@ -124,26 +124,17 @@ def value_in_range(kind: Kind, v: LocalValue) -> bool:
     return v == 0  # TRIV
 
 
-def local_le(kind: Kind, a: LocalValue, b: LocalValue) -> bool:
-    return a <= b  # lexicographic values are tuples, compared lexicographically
-
-
-def _lex_clamp_max(v: tuple, lo: tuple) -> tuple:
-    return v if v >= lo else lo
-
-
-def _lex_clamp_min(v: tuple, hi: tuple) -> tuple:
-    return v if v <= hi else hi
-
-
 def component_op(kind: Kind, op: str, a: LocalValue, b: LocalValue) -> LocalValue:
-    """Apply mul/imp/meet/join inside one component (top allowed)."""
+    """Apply mul/imp/meet/join inside one component (top allowed).
+
+    Local values of every kind compare with ``<=``; lexicographic values are
+    tuples, compared lexicographically."""
     if not value_in_range(kind, a) or not value_in_range(kind, b):
         raise ValueError(f"value out of range for {kind}: {a!r}, {b!r}")
     if op == "meet":
-        return a if local_le(kind, a, b) else b
+        return a if a <= b else b
     if op == "join":
-        return b if local_le(kind, a, b) else a
+        return b if a <= b else a
     t = kind.tag
     if t == FIN:
         if op == "mul":
@@ -159,9 +150,9 @@ def component_op(kind: Kind, op: str, a: LocalValue, b: LocalValue) -> LocalValu
         a1, b1 = a
         a2, b2 = b
         if op == "mul":
-            return _lex_clamp_max((a1 + a2 - kind.k, b1 + b2), (0, 0))
+            return max((a1 + a2 - kind.k, b1 + b2), (0, 0))
         if op == "imp":
-            return _lex_clamp_min((kind.k - a1 + a2, b2 - b1), (kind.k, 0))
+            return min((kind.k - a1 + a2, b2 - b1), (kind.k, 0))
     elif t == UNIT:
         a = Fraction(a)
         b = Fraction(b)
@@ -310,7 +301,7 @@ def order_le(c: Chain, x: Element, y: Element) -> bool:
         return False
     if x.ci != y.ci:
         return x.ci < y.ci
-    return local_le(c.components[x.ci], x.value, y.value)
+    return x.value <= y.value
 
 
 def _window_values(kind: Kind, cap: int) -> list:
@@ -336,25 +327,16 @@ def _window_values(kind: Kind, cap: int) -> list:
     return []  # TRIV
 
 
-def enumerate_elements(c: Chain, caps: Union[int, Mapping[str, int]] = 3) -> list:
+def enumerate_elements(c: Chain, caps: int = 3) -> list:
     """Window of elements of a chain, ascending and ending with the top.
 
-    Finite kinds enumerate completely; Z/Wo/U kinds truncate to ``caps``
-    (an int, or a per-tag mapping).
+    Finite kinds enumerate completely; Z/Wo/U kinds truncate to ``caps``.
     """
-
-    def cap_for(kind: Kind) -> int:
-        if isinstance(caps, int):
-            cap = caps
-        else:
-            cap = caps.get(kind.tag, 3)
-        if cap < 1:
-            raise ValueError("caps must be positive")
-        return cap
-
+    if caps < 1:
+        raise ValueError("caps must be positive")
     out = []
     for ci, kind in enumerate(c.components):
-        out.extend(Element(ci, v) for v in _window_values(kind, cap_for(kind)))
+        out.extend(Element(ci, v) for v in _window_values(kind, caps))
     out.append(TOP)
     return out
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     CANC,
@@ -351,6 +351,26 @@ def essential_by_filter_definition(m: ChainMap, caps: int = 3) -> bool:
     return False
 
 
+def collapse_after(m: ChainMap, f: Filter) -> Optional[ChainMap]:
+    """``m`` followed by the collapse of the target filter ``f``, as an
+    embedding into the quotient; ``None`` when the collapse identifies image
+    points.
+
+    Image components strictly below the cut pass through unchanged.  The
+    last image component may sit at a radical cut only when its source is
+    finite: the image then meets the radical at the top alone, and the local
+    map degrades to the finite chain on the first coordinate.
+    """
+    locs = m.locals
+    if not m.source.is_trivial and f.cut <= m.index_map[-1]:
+        last = m.locals[-1]
+        if not (f.cut == m.index_map[-1] and f.radical and last.src.tag == FIN):
+            return None
+        locs = locs[:-1] + (LocalMap(last.src, fin_luk(last.dst.k)),)
+    q, _ = quotient_by_filter(m.target, f)
+    return ChainMap(source=m.source, target=q, index_map=m.index_map, locals=locs)
+
+
 @dataclass(frozen=True)
 class Essentialization:
     """Largest congruence of the target that misses the image, and the
@@ -359,39 +379,15 @@ class Essentialization:
     theta0: Filter
     quotient: Chain
     map: ChainMap
-    project: Callable[[Element], Element]
-
-
-def _restricts_trivially(m: ChainMap, f: Filter) -> bool:
-    if m.source.is_trivial:
-        return True
-    last_pos = m.index_map[-1]
-    if f.cut > last_pos:
-        return True
-    if f.cut == last_pos and f.radical:
-        return m.locals[-1].src.tag == FIN  # image meets the radical only at top
-    return False
 
 
 def essentialize(m: ChainMap) -> Essentialization:
     """Quotient the target by the largest filter whose congruence restricts
     trivially to the image; the induced embedding is essential."""
-    fc = filters(m.target)
-    theta0 = next(f for f in fc.filters if _restricts_trivially(m, f))
-    q, project = quotient_by_filter(m.target, theta0)
-    locs = []
-    for i, p in enumerate(m.index_map):
-        lm = m.locals[i]
-        if theta0.radical and p == theta0.cut:
-            locs.append(LocalMap(lm.src, fin_luk(lm.dst.k)))
-        else:
-            locs.append(lm)
-    induced = ChainMap(
-        source=m.source,
-        target=q,
-        index_map=m.index_map,
-        locals=tuple(locs),
-    )
+    for theta0 in filters(m.target).filters:
+        induced = collapse_after(m, theta0)
+        if induced is not None:
+            break
     if not is_essential_embedding(induced):
         raise AssertionError("essentialization produced a non-essential map")
-    return Essentialization(theta0=theta0, quotient=q, map=induced, project=project)
+    return Essentialization(theta0=theta0, quotient=induced.target, map=induced)

@@ -1,13 +1,26 @@
-"""Independent table-level oracles shared by the test modules.
+"""Independent oracles shared by the test modules.
 
-These work directly on raw operation tables and never call the structural
-engine they are used to check.
+The table-level oracles work directly on raw operation tables and never call
+the structural engine they are used to check.  The window oracle evaluates
+maps point by point and never composes them.
 """
 
 from itertools import product
 
-from blcalc.core import RawChain, chain, fin_luk
+from blcalc.amalgam import apply_completion
+from blcalc.core import RawChain, chain, enumerate_elements, fin_luk
 from blcalc.decompose import flatten
+from blcalc.maps import apply_map
+
+
+def window_commutes(s, am, caps: int = 3) -> bool:
+    """Reference for ``amalgam.spans_commute``: both sides of the square agree
+    on every point of a truncation window of the apex."""
+    return all(
+        apply_map(am.left, apply_map(s.left, x))
+        == apply_completion(am.right, apply_map(s.right, x))
+        for x in enumerate_elements(s.apex, caps)
+    )
 
 
 def table_quotients(t: RawChain):

@@ -96,6 +96,27 @@ def test_amalgam_bounds_below_one_exit_2(capsys):
                 assert err == f"error: {flag} must be at least 1\n"
 
 
+def test_amalgam_mode_mismatch_exit_2(capsys):
+    # a BL universe with hoop chains is an input error in every mode
+    for mode in ("search", "construct", "one-sided"):
+        code, out, err = run(capsys, "amalgam", mode, "--apex", "T", "--left", "W1",
+                             "--right", "Z", "--universe", "[L1]")
+        assert code == 2 and out == "", mode
+        assert err.startswith("error:") and err.count("\n") == 1, mode
+
+
+def test_amalgam_one_sided_none_within_bounds(capsys):
+    code, data, _ = run_json(
+        capsys,
+        "amalgam", "one-sided",
+        "--apex", "W1", "--left", "W1+Z", "--right", "Z+W1",
+        "--universe", "[W1 Z]|[Z W1]",
+    )
+    assert code == 1
+    assert data["result"] == "none-within-bounds"
+    assert data["reason"] == "essential span has no amalgam within bounds"
+
+
 def test_amalgam_search(capsys):
     code, data, _ = run_json(
         capsys,
