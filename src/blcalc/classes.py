@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .core import CANC, FIN, LEX, TRIV, UNIT, Chain, Kind, chain
-from .maps import filters, position_choices, quotient_by_filter
+from .core import CANC, FIN, LEX, TRIV, TRIVIAL, UNIT, Chain, Kind, chain
 
 
 class ModeMismatchError(ValueError):
@@ -163,77 +162,60 @@ def member(c: Chain, e: ClassExpr) -> bool:
 
 @dataclass(frozen=True)
 class VarietyInput:
-    """A variety given either by finitely many structural chain generators or
-    by a canonical class expression."""
+    """A variety given by the class expression of its finite-index chains."""
 
-    generators: tuple = ()
-    canonical: Optional[ClassExpr] = None
+    canonical: ClassExpr
 
     @property
     def bl_mode(self) -> bool:
-        if self.canonical is not None:
-            return self.canonical.bl_mode
-        return any(g.bottom for g in self.generators)
+        return self.canonical.bl_mode
 
     def __repr__(self):
-        if self.canonical is not None:
-            return repr(self.canonical)
-        return "V(" + ", ".join(repr(g) for g in self.generators) + ")"
+        return repr(self.canonical)
 
 
 def generated_by(*chains: Chain) -> VarietyInput:
+    """The variety generated by finitely many chains.
+
+    Its finite-index chains are those that embed, component by component and
+    first-to-first when bounds are designated, into a quotient of a
+    generator.  A quotient only drops a suffix of components or degrades a
+    lexicographic cut ``Wo k`` to ``W k``, which the closure of ``Wo k``
+    already holds, so each generator becomes one unstarred sum with a plain
+    item per component.  The trivial chain lies in every variety; a variety
+    of trivial generators alone is ``[T]``.
+    """
     if not chains:
         raise ValueError("need at least one generator")
     modes = {g.bottom for g in chains}
     if len(modes) != 1:
         raise ValueError("generators must agree on designated bounds")
-    return VarietyInput(generators=tuple(chains))
+    bottom = modes.pop()
+    sums = [
+        SumClass(
+            tuple(
+                Item((Atom(k, bottom=bottom and i == 0),))
+                for i, k in enumerate(g.components)
+            )
+        )
+        for g in chains
+        if not g.is_trivial
+    ]
+    return VarietyInput(
+        class_expr(sums or [SumClass((Item((Atom(TRIVIAL, bottom=bottom),)),))])
+    )
 
 
 def canonical(e: ClassExpr) -> VarietyInput:
-    return VarietyInput(canonical=e)
-
-
-def tail_collapses(g: Chain) -> list:
-    """All chains obtained by collapsing one filter of a generator to the
-    top: prefixes, plus radical degradations of a lexicographic cut."""
-    out = []
-    seen = set()
-    for f in filters(g).filters:
-        q, _ = quotient_by_filter(g, f)
-        if q.components not in seen:
-            seen.add(q.components)
-            out.append(q)
-    return out
-
-
-def _embeds_shape(x: Chain, h: Chain) -> bool:
-    """Order-embedding of component positions with componentwise closure
-    membership (first-to-first when bounds are designated)."""
-    if x.index > h.index:
-        return False
-    if x.is_trivial:
-        return True
-    for positions in position_choices(x, h):
-        if all(
-            component_member(x.components[i], h.components[p])
-            for i, p in enumerate(positions)
-        ):
-            return True
-    return False
+    return VarietyInput(e)
 
 
 def vfc_membership(x: Chain, v: VarietyInput) -> bool:
-    """Whether a finite-index chain lies in the variety's chain class."""
-    if v.canonical is not None:
-        return member(x, v.canonical)
-    if x.bottom != v.bl_mode:
-        raise ModeMismatchError(f"{x!r} does not match the generators' signature")
-    if x.is_trivial:
+    """Whether a finite-index chain lies in the variety's chain class; the
+    trivial chain of the variety's signature always does."""
+    if x.is_trivial and x.bottom == v.bl_mode:
         return True
-    return any(
-        _embeds_shape(x, h) for g in v.generators for h in tail_collapses(g)
-    )
+    return member(x, v.canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +266,8 @@ def has_star(e: ClassExpr) -> bool:
 
 
 def pumped_witness(e: ClassExpr, gens: tuple) -> Chain:
-    """A member of a starred class whose index exceeds every generator's."""
+    """A member of a starred class whose index exceeds that of every chain
+    in ``gens``."""
     n = max(2, max((g.index for g in gens), default=1)) + 1
     for s in e.sums:
         for it in s.items:
@@ -309,26 +292,25 @@ def vfc_equals(v: VarietyInput, e: ClassExpr):
 
     Returns one of ``equal``, ``v_strictly_smaller``,
     ``v_strictly_larger_or_incomparable``, together with a separating
-    witness chain when the classes differ.
+    witness chain when the classes differ.  An unstarred class bounds the
+    index of its chains and a starred one does not, so a starred ``e`` is
+    never inside an unstarred ``v``; the witness is then the pumped chain.
     """
     if v.bl_mode != e.bl_mode:
         raise ModeMismatchError(f"{v!r} and {e!r} disagree on designated bounds")
-    if v.canonical is not None:
-        wit_v = _first_non_member(witness_basis(v.canonical), e)
-    else:
-        wit_v = _first_non_member(v.generators, e)
+    v_basis = witness_basis(v.canonical)
+    wit_v = _first_non_member(v_basis, e)
     v_in_e = wit_v is None
 
-    if v.canonical is None and has_star(e):
-        e_in_v = False
-        wit_e = pumped_witness(e, v.generators)
+    if has_star(e) and not has_star(v.canonical):
+        wit_e = pumped_witness(e, v_basis)
     else:
         wit_e = None
         for b in witness_basis(e):
             if not vfc_membership(b, v):
                 wit_e = b
                 break
-        e_in_v = wit_e is None
+    e_in_v = wit_e is None
 
     if v_in_e and e_in_v:
         return "equal", None

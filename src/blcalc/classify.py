@@ -21,6 +21,7 @@ from .classes import (
     Item,
     SumClass,
     VarietyInput,
+    canonical,
     class_expr,
     class_includes,
     component_member,
@@ -225,24 +226,12 @@ def normalize_kinds(kinds) -> tuple:
 
 def _single_atom_kinds(v: VarietyInput, bl: bool) -> tuple:
     """Generator kinds of a one-component-chains input."""
-    if v.canonical is not None:
-        kinds = []
-        for s in v.canonical.sums:
-            if len(s.items) != 1 or s.items[0].star or len(s.items[0].atoms) != 1:
-                raise ValueError(f"{v!r} is not a union of single-generator classes")
-            atom = s.items[0].atoms[0]
-            if atom.bottom != bl:
-                raise ValueError(f"{v!r} has the wrong signature")
-            kinds.append(atom.kind)
-        return normalize_kinds(kinds)
-    kinds = []
-    for g in v.generators:
-        if g.bottom != bl:
-            raise ValueError(f"{g!r} has the wrong signature")
-        if g.index > 1:
-            raise ValueError(f"{g!r} is not a one-component chain")
-        kinds.extend(g.components)
-    return normalize_kinds(kinds)
+    if v.bl_mode != bl:
+        raise ValueError(f"{v!r} has the wrong signature")
+    for s in v.canonical.sums:
+        if len(s.items) != 1 or s.items[0].star or len(s.items[0].atoms) != 1:
+            raise ValueError(f"{v!r} is not a union of single-generator classes")
+    return normalize_kinds(s.items[0].atoms[0].kind for s in v.canonical.sums)
 
 
 def classify_ap_mv(v: VarietyInput) -> Verdict:
@@ -285,13 +274,9 @@ def classify_ap_wh(v: VarietyInput) -> Verdict:
 
 
 def _component_kinds(v: VarietyInput) -> tuple:
-    if v.canonical is not None:
-        kinds = [
-            a.kind for s in v.canonical.sums for it in s.items for a in it.atoms
-        ]
-    else:
-        kinds = [k for g in v.generators for k in g.components]
-    return normalize_kinds(kinds)
+    return normalize_kinds(
+        a.kind for s in v.canonical.sums for it in s.items for a in it.atoms
+    )
 
 
 def _interval_for_kinds(kinds: tuple) -> Optional[IntervalPoset]:
@@ -305,6 +290,20 @@ def _interval_for_kinds(kinds: tuple) -> Optional[IntervalPoset]:
         w = next(k for k in kinds if k.tag == FIN)
         return interval("I(W,Z)", w)
     return None
+
+
+def _scan_nodes(v: VarietyInput, nodes) -> Verdict:
+    """The first ``(interval name, node)`` whose class equals the variety's;
+    failing that, no amalgamation, witnessed by the first node strictly
+    above the variety."""
+    witness = None
+    for name, node in nodes:
+        verdict, wit = vfc_equals(v, node)
+        if verdict == "equal":
+            return Verdict(ap=True, canonical=node, interval=name)
+        if verdict == "v_strictly_smaller" and witness is None:
+            witness = wit
+    return Verdict(ap=False, witness=witness)
 
 
 def classify_ap_bh(v: VarietyInput) -> Verdict:
@@ -322,16 +321,9 @@ def classify_ap_bh(v: VarietyInput) -> Verdict:
     poset = _interval_for_kinds(kinds)
     if poset is None:
         return Verdict(ap=False)
-    best_witness = None
-    for idx, node in enumerate(poset.nodes):
-        verdict, witness = vfc_equals(v, node)
-        if verdict == "equal":
-            return Verdict(
-                ap=True, canonical=node, interval=f"{poset.name}:{idx}"
-            )
-        if verdict == "v_strictly_smaller" and best_witness is None:
-            best_witness = witness
-    return Verdict(ap=False, witness=best_witness)
+    return _scan_nodes(
+        v, ((f"{poset.name}:{idx}", node) for idx, node in enumerate(poset.nodes))
+    )
 
 
 def _prepend(atom_kind: Kind, node: Optional[ClassExpr]) -> tuple:
@@ -379,26 +371,10 @@ def classify_ap_bl(v: VarietyInput) -> Verdict:
     class, and the whole chain class one of the composite case shapes."""
     if not v.bl_mode:
         raise ValueError("BL classification needs designated-bounds input")
-    if v.canonical is not None:
-        head_kinds = [s.items[0].atoms[0].kind for s in v.canonical.sums]
-        tails = [SumClass(s.items[1:]) for s in v.canonical.sums if len(s.items) > 1]
-        basic = (
-            VarietyInput(canonical=ClassExpr(tuple(tails))) if tails else None
-        )
-    else:
-        nontrivial = [g for g in v.generators if not g.is_trivial]
-        if not nontrivial:
-            return Verdict(ap=True, interval="Trivial")
-        head_kinds = [g.components[0] for g in nontrivial]
-        tail_chains = [
-            chain(g.components[1:], bottom=False) for g in nontrivial
-        ]
-        basic = (
-            VarietyInput(generators=tuple(tail_chains))
-            if any(not t.is_trivial for t in tail_chains)
-            else None
-        )
-    heads = normalize_kinds(head_kinds)
+    sums = v.canonical.sums
+    tails = [SumClass(s.items[1:]) for s in sums if len(s.items) > 1]
+    basic = canonical(ClassExpr(tuple(tails))) if tails else None
+    heads = normalize_kinds(s.items[0].atoms[0].kind for s in sums)
     if not heads:
         return Verdict(ap=True, interval="Trivial")
     if len(heads) > 1:
@@ -411,19 +387,14 @@ def classify_ap_bl(v: VarietyInput) -> Verdict:
     if not basic_verdict.ap:
         return Verdict(ap=False, witness=basic_verdict.witness)
 
-    best_witness = None
-    for case, shape in _bl_case_shapes(heads[0], basic_verdict.canonical):
-        verdict, witness = vfc_equals(v, shape)
-        if verdict == "equal":
-            tail = basic_verdict.interval or ""
-            return Verdict(
-                ap=True,
-                canonical=shape,
-                interval=f"{case}({heads[0]!r};{tail})",
-            )
-        if verdict == "v_strictly_smaller" and best_witness is None:
-            best_witness = witness
-    return Verdict(ap=False, witness=best_witness)
+    tail = basic_verdict.interval or ""
+    return _scan_nodes(
+        v,
+        (
+            (f"{case}({heads[0]!r};{tail})", shape)
+            for case, shape in _bl_case_shapes(heads[0], basic_verdict.canonical)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 negative domain answers (no amalgam, no
-amalgamation property, consequence fails, no interpolant), 2 input errors.
+amalgamation property, consequence fails, no interpolant), 2 input errors,
+141 (128 + SIGPIPE) when the reader of stdout closes it early.
 All JSON output is versioned with "schema": "blcalc/1" and sorted keys.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .amalgam import (
@@ -18,7 +20,7 @@ from .amalgam import (
     make_span,
     one_sided_amalgam,
 )
-from .classes import ModeMismatchError, VarietyInput, canonical, generated_by
+from .classes import VarietyInput, canonical, generated_by
 from .classify import (
     classify_ap_bh,
     classify_ap_bl,
@@ -39,8 +41,6 @@ from .dsl import (
 )
 from .formulas import (
     ClosureLimitError,
-    FormulaError,
-    NotLocallyFiniteError,
     consequence,
     dip_report,
     find_interpolant,
@@ -57,11 +57,14 @@ def _emit(payload: dict) -> None:
 
 
 def _read_table(path: str) -> RawChain:
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            data = json.load(fh)
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
     return RawChain.from_json(data)
 
 
@@ -282,18 +285,16 @@ def main(argv=None) -> int:
     }
     try:
         return dispatch[args.command](args)
-    except (
-        DSLError,
-        FormulaError,
-        ModeMismatchError,
-        NotLocallyFiniteError,
-        ClosureLimitError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, ClosureLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at the null device so
+        # that the interpreter's final flush of what is left cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

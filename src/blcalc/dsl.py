@@ -19,6 +19,7 @@ from .core import (
     FIN,
     LEX,
     STD_UNIT,
+    TRIV,
     TRIVIAL,
     UNIT,
     Chain,
@@ -193,7 +194,7 @@ def parse_class_expr(text: str) -> ClassExpr:
 
 def _kind_token(kind: Kind, bottom: bool) -> str:
     t = kind.tag
-    if bottom:
+    if bottom and t != TRIV:
         if t == FIN:
             return f"L{kind.k}"
         if t == LEX:

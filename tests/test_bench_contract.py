@@ -36,3 +36,25 @@ def test_amalgam_workload_answers_check(tmp_path):
     assert len(queries) == 12
     for q in queries:
         assert q.check(q.call()), q.label
+
+
+def test_every_traced_layer_function_is_called(tmp_path):
+    # one tiny pass of every workload, traced as the benchmark traces it,
+    # must reach every layer function and answer every query correctly
+    tracer_mod = _load("bench_tracer", TRACER)
+    workloads = _load("bench_workloads", BENCH / "workloads.py")
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for name, workload in workloads.WORKLOADS.items():
+            for q in workload(seed=7, tiny=True, workdir=tmp_path).queries():
+                tracer.active = True
+                try:
+                    q.result = q.call()
+                finally:
+                    tracer.active = False
+                assert q.check(q.result), (name, q.label)
+    finally:
+        tracer.uninstall()
+    never = [name for name, stat in tracer.stats.items() if not stat.calls]
+    assert not never, never

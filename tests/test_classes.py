@@ -167,6 +167,24 @@ def test_vfc_equals_group_star_not_equal_to_union():
     )
 
 
+def test_vfc_equals_witnesses_separate():
+    # every non-equal verdict's witness lies in the class it names, not the other
+    from blcalc.classify import enumerate_catalog
+
+    for mode, n in (("bh", 2), ("bl", 1)):
+        entries = [e for e, _, _ in enumerate_catalog(mode, n) if e is not None]
+        for e1 in entries:
+            v = canonical(e1)
+            for e2 in entries:
+                verdict, w = vfc_equals(v, e2)
+                if verdict == "equal":
+                    assert w is None
+                    continue
+                in_v, in_e = vfc_membership(w, v), member(w, e2)
+                expected = (False, True) if verdict == "v_strictly_smaller" else (True, False)
+                assert (in_v, in_e) == expected, (repr(e1), repr(e2), pretty_chain(w))
+
+
 def test_class_includes_on_interval_languages():
     # spot checks of the inclusion order used for cover validation
     inc = lambda a, b: class_includes(parse_class_expr(a), parse_class_expr(b))

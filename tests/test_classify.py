@@ -18,6 +18,8 @@ from blcalc.classify import (
 from blcalc.core import CANC_Z, STD_UNIT, fin_luk, lex_omega
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain, pretty_class_expr
 
+from oracles import small_chains
+
 
 def test_normalize_kinds():
     assert normalize_kinds([fin_luk(2), fin_luk(4)]) == (fin_luk(4),)
@@ -134,6 +136,28 @@ def test_classify_bl_generators():
     assert not classify_ap_bl(
         generated_by(parse_chain("L2"), parse_chain("L3"))
     ).ap
+
+
+def test_gens_and_class_routes_agree():
+    # a generator and its one-sum class expression are the same variety
+    for bottom, classify in ((False, classify_ap_bh), (True, classify_ap_bl)):
+        for g in small_chains(6, bottom):
+            if g.is_trivial:
+                continue
+            text = "[" + pretty_chain(g).replace("+", " ") + "]"
+            by_class = classify(canonical(parse_class_expr(text))).to_json()
+            assert by_class == classify(generated_by(g)).to_json(), text
+
+
+def test_trivial_generator_adds_nothing():
+    # the trivial chain lies in every variety, with or without bounds
+    from blcalc.core import chain
+
+    for bottom, classify, text in ((False, classify_ap_bh, "W2"), (True, classify_ap_bl, "L2")):
+        g = parse_chain(text)
+        with_trivial = classify(generated_by(chain((), bottom=bottom), g)).to_json()
+        assert with_trivial == classify(generated_by(g)).to_json()
+        assert with_trivial["ap"] is True
 
 
 def test_interval_shapes():

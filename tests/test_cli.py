@@ -1,6 +1,10 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from blcalc.cli import main
 from blcalc.decompose import flatten
@@ -74,6 +78,29 @@ def test_chain_bad_input_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(table))
         code, out, err = run(capsys, "chain", "check", "--table", str(path))
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_chain_missing_table_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "chain", "check", "--table", str(tmp_path / "none.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_stdout_closed_early_exit_141():
+    # the table is larger than a pipe buffer, so the write after the reader
+    # has gone fails inside the command
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blcalc.cli", "chain", "flatten", "W100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "error:" not in err and "Traceback" not in err, err
 
 
 def test_amalgam_leg_index_out_of_range_exit_2(capsys):
@@ -162,6 +189,14 @@ def test_classify_commands(capsys):
     assert code == 0 and data["verdict"]["interval"] == "I(W1,Z):12"
     code, data, _ = run_json(capsys, "classify", "mv", "--gens", "L2,L4")
     assert code == 0 and data["verdict"]["canonical"] == "[L4]"
+
+
+def test_classify_gens_and_class_one_verdict(capsys):
+    # the same chain class given both ways: one answer, the pumped witness
+    code, out, _ = run(capsys, "classify", "bh", "--class", "[W1 W1 W1 W1]")
+    assert code == 1
+    assert run(capsys, "classify", "bh", "--gens", "W1+W1+W1+W1") == (code, out, "")
+    assert json.loads(out)["verdict"]["witness"] == "W1+W1+W1+W1+W1"
 
 
 def test_classify_bad_mode_exit_2(capsys):
