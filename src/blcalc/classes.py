@@ -296,9 +296,14 @@ def vfc_equals(v: VarietyInput, e: ClassExpr):
     index of its chains and a starred one does not, so a starred ``e`` is
     never inside an unstarred ``v``; the witness is then the pumped chain.
     """
+    return _vfc_compare(v, witness_basis(v.canonical), e)
+
+
+def _vfc_compare(v: VarietyInput, v_basis: list, e: ClassExpr):
+    """``vfc_equals`` given the variety's witness basis, so that a scan over
+    many classes builds it once."""
     if v.bl_mode != e.bl_mode:
         raise ModeMismatchError(f"{v!r} and {e!r} disagree on designated bounds")
-    v_basis = witness_basis(v.canonical)
     wit_v = _first_non_member(v_basis, e)
     v_in_e = wit_v is None
 

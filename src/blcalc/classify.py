@@ -21,11 +21,13 @@ from .classes import (
     Item,
     SumClass,
     VarietyInput,
+    _vfc_compare,
     canonical,
     class_expr,
     class_includes,
     component_member,
-    vfc_equals,
+    member,
+    witness_basis,
 )
 
 
@@ -297,8 +299,9 @@ def _scan_nodes(v: VarietyInput, nodes) -> Verdict:
     failing that, no amalgamation, witnessed by the first node strictly
     above the variety."""
     witness = None
+    v_basis = witness_basis(v.canonical)
     for name, node in nodes:
-        verdict, wit = vfc_equals(v, node)
+        verdict, wit = _vfc_compare(v, v_basis, node)
         if verdict == "equal":
             return Verdict(ap=True, canonical=node, interval=name)
         if verdict == "v_strictly_smaller" and witness is None:
@@ -402,12 +405,49 @@ def classify_ap_bl(v: VarietyInput) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def _dedupe_by_signature(candidates) -> list:
+    """The candidates whose classes are new, in first-occurrence order.
+
+    A class is keyed by the int whose bit ``i`` says whether the ``i``-th
+    pooled witness chain is a member (see ``enumerate_catalog``).
+    ``class_includes`` confirms every dropped duplicate both ways; a failed
+    confirmation is a bug.
+    """
+    pool = {}
+    for shape, _, _ in candidates:
+        for b in witness_basis(shape):
+            pool.setdefault((b.components, b.bottom), b)
+    pool = list(pool.values())
+    kept = {}
+    out = []
+    for entry in candidates:
+        shape = entry[0]
+        key = 0
+        for i, b in enumerate(pool):
+            if member(b, shape):
+                key |= 1 << i
+        other = kept.get(key)
+        if other is None:
+            kept[key] = shape
+            out.append(entry)
+        elif not (class_includes(shape, other) and class_includes(other, shape)):
+            raise AssertionError(f"{shape!r} and {other!r} share a signature")
+    return out
+
+
 def enumerate_catalog(mode: str, n_max: int, m_max: Optional[int] = None) -> list:
     """All amalgamation classes with parameters below the bounds.
 
     Each entry is (expression or None for the trivial variety, interval name,
     node position).  The hoop catalog has 5 parameterless entries plus 18 per
     finite parameter; the BL catalog composes case shapes over it.
+
+    The BL candidates are listed head by head, hoop entry by hoop entry, and
+    a candidate is kept only when no earlier one has the same class.  Classes
+    are compared by their membership signatures over the pooled witness
+    bases of all candidates: equal classes have equal signatures, and equal
+    signatures mean inclusion both ways, because a class's own witness basis
+    lies in the pool and ``class_includes`` is decided on witness bases.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -428,18 +468,11 @@ def enumerate_catalog(mode: str, n_max: int, m_max: Optional[int] = None) -> lis
         heads = [Kind(FIN, m) for m in range(1, m_max + 1)]
         heads += [STD_UNIT]
         heads += [Kind(LEX, m) for m in range(1, m_max + 1)]
-        out = [(None, "Trivial", 0)]
-        seen = []
-        for a in heads:
-            for node, iname, pos in bh_entries:
-                basic = node
-                for case, shape in _bl_case_shapes(a, basic):
-                    if any(
-                        class_includes(shape, other) and class_includes(other, shape)
-                        for other, _, _ in seen
-                    ):
-                        continue
-                    seen.append((shape, case, f"{iname}:{pos}"))
-                    out.append((shape, f"{case}({a!r})", f"{iname}:{pos}"))
-        return out
+        candidates = [
+            (shape, f"{case}({a!r})", f"{iname}:{pos}")
+            for a in heads
+            for node, iname, pos in bh_entries
+            for case, shape in _bl_case_shapes(a, node)
+        ]
+        return [(None, "Trivial", 0)] + _dedupe_by_signature(candidates)
     raise ValueError(f"unknown mode {mode!r}")

@@ -188,6 +188,9 @@ def cmd_logic(args) -> int:
         report = dip_report(_variety_input(args))
         _emit({"report": report})
         return 0 if report["deductive_interpolation"] else 1
+    # A closure limit below 1 is an input error, not an exhausted search.
+    if args.subcommand == "interpolate" and args.limit < 1:
+        raise ValueError("--limit must be at least 1")
     premise = parse_formula(args.premise)
     conclusion = parse_formula(args.conclusion)
     gens = [parse_chain(t.strip()) for t in args.gens.split(",")]

@@ -213,6 +213,12 @@ def eval_formula(f: Formula, c: Chain, valuation: Mapping[str, Element]) -> Elem
     )
 
 
+def _same_bounds(gens: Sequence[Chain]) -> None:
+    """A generator list is one variety's: all bounded or all unbounded."""
+    if len({g.bottom for g in gens}) > 1:
+        raise ValueError("generators must agree on designated bounds")
+
+
 @dataclass(frozen=True)
 class ConsequenceResult:
     holds: bool
@@ -227,6 +233,7 @@ def consequence(
     Validity on the generators settles validity in the generated variety,
     consequence being preserved under subalgebras and products.
     """
+    _same_bounds(gens)
     names = sorted(formula_vars(premise) | formula_vars(conclusion))
     for gi, g in enumerate(gens):
         elems = finite_elements(g)
@@ -326,6 +333,7 @@ def find_interpolant(
     The closure is walked in the fixed order of ``term_closure``, so the
     returned formula is deterministic.
     """
+    _same_bounds(gens)
     for g in gens:
         if not g.is_finite:
             raise NotLocallyFiniteError(
@@ -363,6 +371,7 @@ def find_interpolant(
 def closure_size(premise, conclusion, gens) -> int:
     """Size of the shared-variable term-function closure that
     ``find_interpolant`` walks (diagnostic)."""
+    _same_bounds(gens)
     shared = sorted(formula_vars(premise) & formula_vars(conclusion))
     return sum(1 for _ in term_closure(shared, gens))
 

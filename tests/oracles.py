@@ -2,13 +2,17 @@
 
 The table-level oracles work directly on raw operation tables and never call
 the structural engine they are used to check.  The window oracle evaluates
-maps point by point and never composes them.
+maps point by point and never composes them.  The catalog oracles compare
+classes pair by pair, as the signature dedupe and the per-scan witness basis
+of ``classify`` avoid doing.
 """
 
 from itertools import product
 
 from blcalc.amalgam import apply_completion
-from blcalc.core import RawChain, chain, enumerate_elements, fin_luk
+from blcalc.classes import class_includes, vfc_equals
+from blcalc.classify import Verdict, _bl_case_shapes, enumerate_catalog
+from blcalc.core import FIN, LEX, STD_UNIT, Kind, RawChain, chain, enumerate_elements, fin_luk
 from blcalc.decompose import flatten
 from blcalc.maps import apply_map
 
@@ -21,6 +25,40 @@ def window_commutes(s, am, caps: int = 3) -> bool:
         == apply_completion(am.right, apply_map(s.right, x))
         for x in enumerate_elements(s.apex, caps)
     )
+
+
+def pairwise_bl_catalog(n_max: int, m_max=None) -> list:
+    """Reference for ``enumerate_catalog("bl", ...)``: each candidate shape is
+    kept unless ``class_includes`` both ways matches it with a kept one."""
+    if m_max is None:
+        m_max = n_max
+    heads = [Kind(FIN, m) for m in range(1, m_max + 1)]
+    heads += [STD_UNIT]
+    heads += [Kind(LEX, m) for m in range(1, m_max + 1)]
+    out = [(None, "Trivial", 0)]
+    for a in heads:
+        for node, iname, pos in enumerate_catalog("bh", n_max):
+            for case, shape in _bl_case_shapes(a, node):
+                if any(
+                    class_includes(shape, other) and class_includes(other, shape)
+                    for other, _, _ in out[1:]
+                ):
+                    continue
+                out.append((shape, f"{case}({a!r})", f"{iname}:{pos}"))
+    return out
+
+
+def scan_nodes_per_node(v, nodes) -> Verdict:
+    """Reference for ``classify._scan_nodes``: one ``vfc_equals`` per node,
+    each building the variety's witness basis afresh."""
+    witness = None
+    for name, node in nodes:
+        verdict, wit = vfc_equals(v, node)
+        if verdict == "equal":
+            return Verdict(ap=True, canonical=node, interval=name)
+        if verdict == "v_strictly_smaller" and witness is None:
+            witness = wit
+    return Verdict(ap=False, witness=witness)
 
 
 def table_quotients(t: RawChain):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from blcalc import classify
 from blcalc.classes import canonical, generated_by
 from blcalc.classify import (
     classify_ap_bh,
@@ -18,7 +19,7 @@ from blcalc.classify import (
 from blcalc.core import CANC_Z, STD_UNIT, fin_luk, lex_omega
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain, pretty_class_expr
 
-from oracles import small_chains
+from oracles import pairwise_bl_catalog, scan_nodes_per_node, small_chains
 
 
 def test_normalize_kinds():
@@ -228,6 +229,29 @@ def test_bl_catalog_smoke():
     names = [pretty_class_expr(e) for e, _, _ in entries if e is not None]
     assert "[L1 (W1 Z)*]" in names
     assert len(names) == len(set(names))
+
+
+def test_bl_catalog_counts():
+    assert len(enumerate_catalog("bl", 1)) == 100
+    assert len(enumerate_catalog("bl", 2)) == 318
+    assert len(enumerate_catalog("bl", 3)) == 660
+
+
+@pytest.mark.parametrize("n_max, m_max", [(1, None), (2, None), (2, 1)])
+def test_bl_catalog_matches_pairwise_dedupe(n_max, m_max):
+    # the signature dedupe keeps the same entries, in the same order, as the
+    # pairwise class_includes scan
+    assert enumerate_catalog("bl", n_max, m_max=m_max) == pairwise_bl_catalog(n_max, m_max)
+
+
+def test_verdicts_match_per_node_scan(monkeypatch):
+    # one witness basis per scan gives the verdicts of one per node
+    cases = [(classify_ap_bl, e) for e, _, _ in enumerate_catalog("bl", 2) if e is not None]
+    cases += [(classify_ap_bh, e) for e, _, _ in enumerate_catalog("bh", 3) if e is not None]
+    fast = [f(canonical(e)) for f, e in cases]
+    monkeypatch.setattr(classify, "_scan_nodes", scan_nodes_per_node)
+    slow = [f(canonical(e)) for f, e in cases]
+    assert fast == slow
 
 
 def test_emit_poset():

@@ -247,6 +247,23 @@ def test_logic_formula_depth(capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_logic_mixed_bounds_generators_exit_2(capsys):
+    for sub in ("consequence", "interpolate"):
+        for gens in ("L2,W2", "W2,L2"):
+            code, out, err = run(capsys, "logic", sub, "--premise", "p",
+                                 "--conclusion", "p", "--gens", gens)
+            assert code == 2 and out == "", (sub, gens)
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_logic_interpolate_limit_below_one_exit_2(capsys):
+    for value in ("0", "-5"):
+        code, out, err = run(capsys, "logic", "interpolate", "--premise", "p",
+                             "--conclusion", "p", "--gens", "L2", "--limit", value)
+        assert code == 2 and out == ""
+        assert err == "error: --limit must be at least 1\n"
+
+
 def test_logic_certified_none(capsys):
     code, data, _ = run_json(
         capsys,

@@ -191,6 +191,17 @@ def test_closure_is_fixed_point():
     assert n1 == closure_size(conc, prem, [L2])
 
 
+def test_mixed_bounds_generators_rejected():
+    # a generator list is one variety's; mixing bounded and unbounded chains
+    # is an input error in either order
+    L2, W2 = parse_chain("L2"), parse_chain("W2")
+    p = parse_formula("p")
+    for gens in ([L2, W2], [W2, L2]):
+        for call in (consequence, find_interpolant, closure_size):
+            with pytest.raises(ValueError, match="designated bounds"):
+                call(p, p, gens)
+
+
 def test_mined_interpolants_verify():
     L2 = parse_chain("L2")
     rng = random.Random(99)
