@@ -360,13 +360,16 @@ class RawChain:
     bottom: bool = False
 
     def __post_init__(self):
+        # bool is a subclass of int, but true and false are not indices
         n = self.size
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError("size must be an integer >= 1")
-        for name, tab in (("mul", self.mul), ("imp", self.imp)):
+        for name in ("mul", "imp"):
+            tab = tuple(tuple(row) for row in getattr(self, name))
+            object.__setattr__(self, name, tab)
             if len(tab) != n or any(len(row) != n for row in tab):
                 raise ValueError(f"{name} table is not {n}x{n}")
-            if any(not (isinstance(v, int) and 0 <= v < n) for row in tab for v in row):
+            if any(not (type(v) is int and 0 <= v < n) for row in tab for v in row):
                 raise ValueError(f"{name} table has entries outside the indices 0..{n - 1}")
 
     @property
@@ -385,13 +388,11 @@ class RawChain:
     def from_json(data: dict) -> "RawChain":
         if not isinstance(data, dict) or not {"size", "mul", "imp"} <= data.keys():
             raise ValueError("table JSON must be an object with size, mul and imp")
+        bottom = data.get("bottom_designated", False)
+        if type(bottom) is not bool:
+            raise ValueError("table JSON bottom_designated must be true or false")
         try:
-            return RawChain(
-                size=data["size"],
-                mul=tuple(tuple(r) for r in data["mul"]),
-                imp=tuple(tuple(r) for r in data["imp"]),
-                bottom=bool(data.get("bottom_designated", False)),
-            )
+            return RawChain(size=data["size"], mul=data["mul"], imp=data["imp"], bottom=bottom)
         except TypeError:
             raise ValueError("table JSON mul and imp must be lists of rows") from None
 

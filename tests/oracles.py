@@ -1,10 +1,12 @@
 """Independent oracles shared by the test modules.
 
 The table-level oracles work directly on raw operation tables and never call
-the structural engine they are used to check.  The window oracle evaluates
-maps point by point and never composes them.  The catalog oracles compare
-classes pair by pair, as the signature dedupe and the per-scan witness basis
-of ``classify`` avoid doing.
+the structural engine they are used to check; the scan decomposition runs
+the exhaustive axiom check and per-block tests that ``decompose`` replaces
+with one table comparison.  The window oracles evaluate maps point by point
+instead of composing them or reading legality off their data.  The catalog
+oracles compare classes pair by pair, as the signature dedupe and the
+per-scan witness basis of ``classify`` avoid doing.
 """
 
 from itertools import product
@@ -12,9 +14,23 @@ from itertools import product
 from blcalc.amalgam import apply_completion
 from blcalc.classes import class_includes, vfc_equals
 from blcalc.classify import Verdict, _bl_case_shapes, enumerate_catalog
-from blcalc.core import FIN, LEX, STD_UNIT, Kind, RawChain, chain, enumerate_elements, fin_luk
-from blcalc.decompose import flatten
-from blcalc.maps import apply_map
+from blcalc.core import (
+    FIN,
+    LEX,
+    STD_UNIT,
+    Kind,
+    RawChain,
+    chain,
+    chain_op,
+    check_axioms,
+    element,
+    enumerate_elements,
+    fin_luk,
+    local_bottom,
+    order_le,
+)
+from blcalc.decompose import Decomposition, classify_component, flatten, same_component
+from blcalc.maps import ChainMap, apply_map
 
 
 def window_commutes(s, am, caps: int = 3) -> bool:
@@ -24,6 +40,81 @@ def window_commutes(s, am, caps: int = 3) -> bool:
         apply_map(am.left, apply_map(s.left, x))
         == apply_completion(am.right, apply_map(s.right, x))
         for x in enumerate_elements(s.apex, caps)
+    )
+
+
+def window_embedding(m: ChainMap, caps: int = 3) -> bool:
+    """Reference for ``maps.verify_embedding``: check injectivity, order and
+    operation preservation on windows."""
+    src, tgt = m.source, m.target
+    if src.bottom != tgt.bottom:
+        return False
+    window = enumerate_elements(src, caps)
+    images = [apply_map(m, x) for x in window]
+    if len(set(images)) != len(images):
+        return False
+    if src.bottom and not src.is_trivial:
+        if apply_map(m, element(src, 0, local_bottom(src.components[0]))) != element(
+            tgt, 0, local_bottom(tgt.components[0])
+        ):
+            return False
+    for x, fx in zip(window, images):
+        for y, fy in zip(window, images):
+            if order_le(src, x, y) != order_le(tgt, fx, fy):
+                return False
+            for op in ("mul", "imp", "meet", "join"):
+                if apply_map(m, chain_op(src, op, x, y)) != chain_op(tgt, op, fx, fy):
+                    return False
+    return True
+
+
+def decompose_by_scans(t: RawChain) -> Decomposition:
+    """Reference for ``decompose.decompose``: split a finite chain into
+    maximal same-component blocks and identify each as a finite Lukasiewicz
+    chain.
+
+    The same-component predicate must be an equivalence on the carrier minus
+    the top with order-convex classes; both facts are checked rather than
+    assumed, and violations signal corrupt tables.
+    """
+    report = check_axioms(t)
+    if not report.is_basic_hoop_chain:
+        raise ValueError(f"axiom check failed: {report.failures!r}")
+    n = t.size
+    if n == 1:
+        return Decomposition(source=t, chain=chain((), bottom=t.bottom), blocks=())
+
+    blocks = []
+    current = [0]
+    for e in range(1, n - 1):
+        if same_component(t, current[-1], e):
+            current.append(e)
+        else:
+            blocks.append(tuple(current))
+            current = [e]
+    blocks.append(tuple(current))
+
+    for block in blocks:
+        for a in block:
+            for b in block:
+                if not same_component(t, a, b):
+                    raise ValueError(
+                        f"component predicate not transitive on block {block}"
+                    )
+    for i, bi in enumerate(blocks):
+        for bj in blocks[i + 1:]:
+            for a in bi:
+                for b in bj:
+                    if same_component(t, a, b):
+                        raise ValueError(
+                            f"blocks {bi} and {bj} are not separated"
+                        )
+
+    kinds = tuple(classify_component(t, block) for block in blocks)
+    return Decomposition(
+        source=t,
+        chain=chain(kinds, bottom=t.bottom),
+        blocks=tuple(blocks),
     )
 
 

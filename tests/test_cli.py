@@ -73,11 +73,16 @@ def test_chain_bad_input_exit_2(tmp_path, capsys):
     for name, table in (
         ("no_imp", {"size": 2, "mul": [[0, 0], [0, 1]]}),
         ("float", {"size": 2, "mul": [[0, 0], [0, 1.0]], "imp": [[1, 0], [0, 1]]}),
+        ("bool_size", {"size": True, "mul": [[0]], "imp": [[0]]}),
+        ("bool_entry", {"size": 2, "mul": [[0, 0], [0, True]], "imp": [[1, 0], [0, 1]]}),
+        ("string_bottom", {"size": 1, "mul": [[0]], "imp": [[0]], "bottom_designated": "no"}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(table))
-        code, out, err = run(capsys, "chain", "check", "--table", str(path))
-        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        for sub in ("check", "decompose"):
+            code, out, err = run(capsys, "chain", sub, "--table", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_chain_missing_table_exit_2(tmp_path, capsys):

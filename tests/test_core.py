@@ -202,11 +202,29 @@ def test_check_axioms_residuation_failure():
 def test_check_axioms_rejects_malformed():
     with pytest.raises(ValueError):
         RawChain(size=2, mul=((0,),), imp=((0, 0), (0, 1)))
+    # booleans are not indices, although bool subclasses int
+    with pytest.raises(ValueError):
+        RawChain(size=True, mul=((0,),), imp=((0,),))
+    with pytest.raises(ValueError):
+        RawChain(size=2, mul=((0, 0), (0, True)), imp=((1, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        RawChain(size=1, mul=((False,),), imp=((0,),))
 
 
 def test_raw_chain_json_round_trip():
     t = flatten(parse_chain("L1+W2"))
     assert RawChain.from_json(t.to_json()) == t
+    # rows given as lists are stored as tuples, so equal tables compare equal
+    assert RawChain(t.size, [list(r) for r in t.mul], t.imp, True) == t
+
+
+def test_raw_chain_json_bottom_must_be_boolean():
+    base = {"size": 1, "mul": [[0]], "imp": [[0]]}
+    assert RawChain.from_json(base).bottom is False
+    assert RawChain.from_json({**base, "bottom_designated": True}).bottom is True
+    for flag in ("no", 0, 1, None, [True]):
+        with pytest.raises(ValueError, match="bottom_designated"):
+            RawChain.from_json({**base, "bottom_designated": flag})
 
 
 def test_chain_op_agrees_with_flatten_tables():

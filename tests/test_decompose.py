@@ -1,6 +1,7 @@
 """Ordinal-sum decomposition of finite tables and the flatten round trip."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from blcalc.decompose import (
     same_component,
 )
 from blcalc.dsl import parse_chain, pretty_chain
+from oracles import decompose_by_scans, small_chains
 
 
 def godel3() -> RawChain:
@@ -132,3 +134,44 @@ def test_finite_elements_ordering():
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
             assert order_le(c, x, y) == (i <= j)
+
+
+def _decomposition_or_error(fn, t):
+    try:
+        return fn(t)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _differential_tables():
+    """Every table of size <= 2, and every small finite chain of both
+    signatures with each of its single-entry mul/imp mutations."""
+    for bottom in (False, True):
+        yield RawChain(1, ((0,),), ((0,),), bottom)
+        for m in product((0, 1), repeat=8):
+            yield RawChain(2, (m[0:2], m[2:4]), (m[4:6], m[6:8]), bottom)
+        for c in small_chains(5, bottom):
+            t = flatten(c)
+            yield t
+            for op, x, y in product(("mul", "imp"), range(t.size), range(t.size)):
+                for v in range(t.size):
+                    tab = [list(r) for r in getattr(t, op)]
+                    if tab[x][y] == v:
+                        continue
+                    tab[x][y] = v
+                    yield RawChain(
+                        t.size,
+                        tab if op == "mul" else t.mul,
+                        tab if op == "imp" else t.imp,
+                        bottom,
+                    )
+
+
+def test_decompose_matches_scan_oracle():
+    checked = valid = 0
+    for t in _differential_tables():
+        got = _decomposition_or_error(decompose, t)
+        assert got == _decomposition_or_error(decompose_by_scans, t), t
+        checked += 1
+        valid += not isinstance(got, str)
+    assert (checked, valid) == (4674, 36)

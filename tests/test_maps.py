@@ -1,5 +1,6 @@
 """Embeddings, filters, quotients, and essential-embedding machinery."""
 
+import random
 from itertools import product
 
 import pytest
@@ -8,7 +9,9 @@ from blcalc.core import TOP, chain, fin_luk
 from blcalc.decompose import finite_elements, flatten
 from blcalc.dsl import parse_chain
 from blcalc.maps import (
+    ChainMap,
     Filter,
+    LocalMap,
     apply_map,
     enumerate_embeddings,
     essential_by_filter_definition,
@@ -20,6 +23,7 @@ from blcalc.maps import (
     quotient_by_filter,
     verify_embedding,
 )
+from oracles import window_embedding
 
 
 def exhaustive_embeddings(a, b):
@@ -116,7 +120,7 @@ def test_embeddings_into_symbolic_kinds():
 )
 def test_embeddings_verify_on_windows(a, b):
     for m in enumerate_embeddings(parse_chain(a), parse_chain(b), scale_cap=3):
-        assert verify_embedding(m, caps=3)
+        assert verify_embedding(m)
 
 
 def test_compose_embeddings():
@@ -133,7 +137,7 @@ def test_compose_embeddings():
         for inner in enumerate_embeddings(ca, cb, scale_cap=2):
             for outer in enumerate_embeddings(cb, cc, scale_cap=2):
                 both = compose(outer, inner)
-                assert verify_embedding(both, caps=3)
+                assert verify_embedding(both)
                 for x in enumerate_elements(ca, 3):
                     assert apply_map(both, x) == apply_map(outer, apply_map(inner, x))
 
@@ -142,6 +146,82 @@ def test_trivial_source_embeddings():
     assert len(enumerate_embeddings(chain(()), parse_chain("W2+Z"))) == 1
     # with designated bounds the collapsed bottom cannot move
     assert enumerate_embeddings(chain((), bottom=True), parse_chain("L2")) == []
+
+
+HOOP_CHAINS = ["T", "W1", "W2", "Wo2", "Z", "U", "W1+Z", "Z+W1", "W2+Wo2", "Z+Z", "W1+U"]
+BL_CHAINS = ["L1", "L2", "Lo2", "UM", "L2+Z", "Lo2+Z", "L1+W2", "L1+Wo2+Z", "L1+U"]
+
+
+def _signature_chains():
+    return [
+        [parse_chain(t) for t in HOOP_CHAINS],
+        [chain((), bottom=True)] + [parse_chain(t) for t in BL_CHAINS],
+    ]
+
+
+def test_verify_embedding_matches_window_on_enumerated_maps():
+    checked = 0
+    for pool in _signature_chains():
+        for a, b in product(pool, pool):
+            for m in enumerate_embeddings(a, b, scale_cap=3):
+                assert verify_embedding(m) and window_embedding(m), m
+                checked += 1
+    assert checked == 128
+
+
+def test_verify_embedding_matches_window_on_random_maps():
+    """Index maps, local kinds and scales drawn at random; the window oracle
+    raises on data that leaves the target, and the exact check says no."""
+    rng = random.Random(20240)
+    answered = raised = accepted = 0
+    for _ in range(3000):
+        pool = rng.choice(_signature_chains())
+        src = rng.choice([c for c in pool if not c.is_trivial])
+        tgt = rng.choice(pool)
+        kinds = sorted({k for c in pool for k in c.components}, key=lambda k: k.sort_key())
+        positions = [*range(tgt.index)] * 4 + [-1, tgt.index]
+        index_map = tuple(rng.choice(positions) for _ in range(src.index))
+        if rng.random() < 0.5:
+            index_map = tuple(sorted(index_map))
+        locs = tuple(
+            LocalMap(
+                kind,
+                tgt.components[p] if 0 <= p < tgt.index else rng.choice(kinds),
+                rng.choice([-1, 0, 1, 2, 3]),
+            )
+            for kind, p in zip(src.components, index_map)
+        )
+        m = ChainMap(src, tgt, index_map, locs)
+        try:
+            want = window_embedding(m)
+        except ValueError:
+            assert verify_embedding(m) is False, m
+            raised += 1
+            continue
+        assert verify_embedding(m) is want, m
+        answered += 1
+        accepted += want
+    assert (answered, raised, accepted) == (577, 2423, 333)
+
+
+def test_verify_embedding_rejects_malformed_data():
+    w1, l2 = parse_chain("W1"), parse_chain("L2")
+    # the window check accepts this map, since the trivial window has only
+    # the top; but the bottom of the source is its top, and the top of L2 is
+    # not its bottom
+    bad = ChainMap(chain((), bottom=True), l2, (), ())
+    assert window_embedding(bad)
+    assert not verify_embedding(bad)
+    assert enumerate_embeddings(chain((), bottom=True), l2) == []
+    one = LocalMap(fin_luk(1), fin_luk(1))
+    w1w1 = parse_chain("W1+W1")
+    assert verify_embedding(ChainMap(w1, w1w1, (1,), (one,)))
+    for index_map, locs in (((1,), ()), ((), (one,)), ((0, 1), (one,)), ((1,), (one, one))):
+        assert not verify_embedding(ChainMap(w1, w1w1, index_map, locs))
+    # local maps must run between the components they join
+    assert not verify_embedding(ChainMap(w1, parse_chain("W2"), (0,), (one,)))
+    lm = LocalMap(fin_luk(2), fin_luk(2))
+    assert not verify_embedding(ChainMap(l2, parse_chain("L1+W2"), (1,), (lm,)))
 
 
 def test_mode_mismatch_rejected():
