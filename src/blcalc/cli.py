@@ -69,12 +69,14 @@ def _read_table(path: str) -> RawChain:
 
 
 def _variety_input(args) -> VarietyInput:
-    if getattr(args, "gens", None):
+    if args.gens is not None and args.cls is not None:
+        raise ValueError("give --gens or --class, not both")
+    if args.gens:
         chains = [parse_chain(t.strip()) for t in args.gens.split(",")]
         return generated_by(*chains)
-    if getattr(args, "cls", None):
+    if args.cls:
         return canonical(parse_class_expr(args.cls))
-    raise DSLError("provide --gens or --class", 0)
+    raise ValueError("provide --gens or --class")
 
 
 def cmd_chain(args) -> int:

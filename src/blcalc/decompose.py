@@ -10,32 +10,33 @@ from .core import (
     Kind,
     RawChain,
     chain,
-    chain_op,
     check_axioms,
+    component_runs,
     enumerate_elements,
     fin_luk,
+    in_one_component,
+    is_ordinal_sum_table,
+    ordinal_sum_table,
 )
+
+
+def _require_finite(c: Chain) -> None:
+    if not c.is_finite:
+        raise ValueError(f"{c!r} has symbolic components")
 
 
 def finite_elements(c: Chain) -> list:
     """All elements of a fully finite chain, ascending (top last)."""
-    if not c.is_finite:
-        raise ValueError(f"{c!r} has symbolic components")
+    _require_finite(c)
     return enumerate_elements(c, caps=1)
 
 
 def flatten(c: Chain) -> RawChain:
-    """Tabulate a fully finite chain; index order is element order."""
-    elems = finite_elements(c)
-    pos = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    mul = tuple(
-        tuple(pos[chain_op(c, "mul", x, y)] for y in elems) for x in elems
-    )
-    imp = tuple(
-        tuple(pos[chain_op(c, "imp", x, y)] for y in elems) for x in elems
-    )
-    return RawChain(size=n, mul=mul, imp=imp, bottom=c.bottom)
+    """Tabulate a fully finite chain; index order is element order.
+
+    Raises ``ValueError`` above ``core.MAX_TABLE_SIZE`` elements."""
+    _require_finite(c)
+    return ordinal_sum_table([k.k for k in c.components], c.bottom)
 
 
 def same_component(t: RawChain, a: int, b: int) -> bool:
@@ -49,16 +50,23 @@ def same_component(t: RawChain, a: int, b: int) -> bool:
         raise ValueError("the top lies in every component")
     if not (0 <= a < t.size and 0 <= b < t.size):
         raise ValueError("element index out of range")
-    return t.imp[t.imp[a][b]][b] == t.imp[t.imp[b][a]][a]
+    return in_one_component(t, a, b)
 
 
 def classify_component(t: RawChain, block) -> Kind:
     """Identify a component block (indices below top) as a finite chain kind.
 
     The block plus the top must carry the Lukasiewicz tables under the order
-    isomorphism sending the i-th smallest block element to i.
+    isomorphism sending the i-th smallest block element to i.  The top lies
+    in every component, so a block must not hold it.
     """
     block = sorted(block)
+    if t.top in block:
+        raise ValueError("the top lies in every component")
+    if not all(0 <= e < t.size for e in block):
+        raise ValueError("element index out of range")
+    if len(set(block)) != len(block):
+        raise ValueError("block repeats an element")
     m = len(block)
     idx = {e: i for i, e in enumerate(block)}
     idx[t.top] = m
@@ -111,19 +119,14 @@ def decompose(t: RawChain) -> Decomposition:
     One table comparison decides validity.  Finite basic-hoop chains are
     exactly the finite ordinal sums of finite Lukasiewicz chains (Agliano
     and Montagna, 2003), so a table is a basic-hoop chain exactly when it
-    equals the flattening of the chain its runs spell.  Any other table
+    equals the ordinal-sum table its runs spell.  Any other table
     raises the failures that ``check_axioms`` reports for it.
     """
-    blocks = []
-    for e in range(t.size - 1):
-        if blocks and same_component(t, blocks[-1][-1], e):
-            blocks[-1].append(e)
-        else:
-            blocks.append([e])
+    blocks = component_runs(t)
     c = chain((fin_luk(len(block)) for block in blocks), bottom=t.bottom)
-    if flatten(c) != t:
+    if not is_ordinal_sum_table(t, blocks):
         report = check_axioms(t)
         if report.is_basic_hoop_chain:
             raise AssertionError(f"a basic-hoop chain table is not the flattening of {c!r}")
         raise ValueError(f"axiom check failed: {report.failures!r}")
-    return Decomposition(source=t, chain=c, blocks=tuple(tuple(b) for b in blocks))
+    return Decomposition(source=t, chain=c, blocks=blocks)

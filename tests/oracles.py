@@ -1,9 +1,12 @@
 """Independent oracles shared by the test modules.
 
 The table-level oracles work directly on raw operation tables and never call
-the structural engine they are used to check; the scan decomposition runs
-the exhaustive axiom check and per-block tests that ``decompose`` replaces
-with one table comparison.  The window oracles evaluate maps point by point
+the structural engine they are used to check; the scan axiom check runs the
+cubic associativity and residuation scans that ``check_axioms`` skips on
+recognised ordinal sums, the chain-op flattening evaluates every entry
+through ``chain_op`` instead of the integer formulas, and the scan
+decomposition runs the exhaustive axiom check and per-block tests that
+``decompose`` replaces with one table comparison.  The window oracles evaluate maps point by point
 instead of composing them or reading legality off their data.  The catalog
 oracles compare classes pair by pair, as the signature dedupe and the
 per-scan witness basis of ``classify`` avoid doing.
@@ -18,18 +21,24 @@ from blcalc.core import (
     FIN,
     LEX,
     STD_UNIT,
+    AxiomReport,
     Kind,
     RawChain,
     chain,
     chain_op,
-    check_axioms,
     element,
     enumerate_elements,
     fin_luk,
     local_bottom,
     order_le,
 )
-from blcalc.decompose import Decomposition, classify_component, flatten, same_component
+from blcalc.decompose import (
+    Decomposition,
+    classify_component,
+    finite_elements,
+    flatten,
+    same_component,
+)
 from blcalc.maps import ChainMap, apply_map
 
 
@@ -68,6 +77,128 @@ def window_embedding(m: ChainMap, caps: int = 3) -> bool:
     return True
 
 
+def check_axioms_by_scans(t: RawChain) -> AxiomReport:
+    """Reference for ``core.check_axioms``: exhaustively check the
+    residuated-chain laws on a raw table."""
+    n = t.size
+    top = n - 1
+    rng = range(n)
+    mul, imp = t.mul, t.imp
+    failures = []
+
+    def fail(law, *witness):
+        failures.append((law, witness))
+
+    monoid = True
+    for x, y in product(rng, rng):
+        if mul[x][y] != mul[y][x]:
+            fail("commutativity", x, y)
+            monoid = False
+            break
+    if monoid:
+        for x in rng:
+            if mul[x][top] != x:
+                fail("unit", x)
+                monoid = False
+                break
+    if monoid:
+        for x, y, z in product(rng, rng, rng):
+            if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                fail("associativity", x, y, z)
+                monoid = False
+                break
+
+    residuation = True
+    for x, y, z in product(rng, rng, rng):
+        if (mul[x][y] <= z) != (x <= imp[y][z]):
+            fail("residuation", x, y, z)
+            residuation = False
+            break
+
+    integrality = all(mul[x][y] <= min(x, y) for x in rng for y in rng)
+    if not integrality:
+        fail("integrality")
+
+    divisibility = True
+    for x, y in product(rng, rng):
+        if mul[x][imp[x][y]] != min(x, y):
+            fail("divisibility", x, y)
+            divisibility = False
+            break
+
+    prelinearity = True
+    for x, y in product(rng, rng):
+        if max(imp[x][y], imp[y][x]) != top:
+            fail("prelinearity", x, y)
+            prelinearity = False
+            break
+
+    mv_identity = True
+    for x, y in product(rng, rng):
+        if imp[imp[x][y]][y] != max(x, y):
+            fail("mv_identity", x, y)
+            mv_identity = False
+            break
+
+    cancellativity = True
+    for x, y in product(rng, rng):
+        if imp[x][mul[x][y]] != y:
+            fail("cancellativity", x, y)
+            cancellativity = False
+            break
+
+    return AxiomReport(
+        commutative_monoid=monoid,
+        residuation=residuation,
+        integrality=integrality,
+        divisibility=divisibility,
+        prelinearity=prelinearity,
+        mv_identity=mv_identity,
+        cancellativity=cancellativity,
+        bounded=t.bottom,
+        failures=tuple(failures),
+    )
+
+
+def flatten_by_chain_op(c) -> RawChain:
+    """Reference for ``decompose.flatten``: tabulate a fully finite chain
+    through ``chain_op``; index order is element order."""
+    elems = finite_elements(c)
+    pos = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    mul = tuple(
+        tuple(pos[chain_op(c, "mul", x, y)] for y in elems) for x in elems
+    )
+    imp = tuple(
+        tuple(pos[chain_op(c, "imp", x, y)] for y in elems) for x in elems
+    )
+    return RawChain(size=n, mul=mul, imp=imp, bottom=c.bottom)
+
+
+def differential_tables():
+    """Every table of size <= 2, and every small finite chain of both
+    signatures with each of its single-entry mul/imp mutations."""
+    for bottom in (False, True):
+        yield RawChain(1, ((0,),), ((0,),), bottom)
+        for m in product((0, 1), repeat=8):
+            yield RawChain(2, (m[0:2], m[2:4]), (m[4:6], m[6:8]), bottom)
+        for c in small_chains(5, bottom):
+            t = flatten_by_chain_op(c)
+            yield t
+            for op, x, y in product(("mul", "imp"), range(t.size), range(t.size)):
+                for v in range(t.size):
+                    tab = [list(r) for r in getattr(t, op)]
+                    if tab[x][y] == v:
+                        continue
+                    tab[x][y] = v
+                    yield RawChain(
+                        t.size,
+                        tab if op == "mul" else t.mul,
+                        tab if op == "imp" else t.imp,
+                        bottom,
+                    )
+
+
 def decompose_by_scans(t: RawChain) -> Decomposition:
     """Reference for ``decompose.decompose``: split a finite chain into
     maximal same-component blocks and identify each as a finite Lukasiewicz
@@ -77,7 +208,7 @@ def decompose_by_scans(t: RawChain) -> Decomposition:
     the top with order-convex classes; both facts are checked rather than
     assumed, and violations signal corrupt tables.
     """
-    report = check_axioms(t)
+    report = check_axioms_by_scans(t)
     if not report.is_basic_hoop_chain:
         raise ValueError(f"axiom check failed: {report.failures!r}")
     n = t.size

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 from blcalc.cli import main
+from blcalc.core import MAX_TABLE_SIZE
 from blcalc.decompose import flatten
 from blcalc.dsl import parse_chain
 from blcalc.formulas import MAX_FORMULA_DEPTH
@@ -83,6 +84,13 @@ def test_chain_bad_input_exit_2(tmp_path, capsys):
             code, out, err = run(capsys, "chain", sub, "--table", str(path))
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_chain_flatten_above_size_limit_exit_2(capsys):
+    # one element past the limit; the guard runs before any entry is built
+    code, out, err = run(capsys, "chain", "flatten", f"W{MAX_TABLE_SIZE}")
+    assert code == 2 and out == ""
+    assert "MAX_TABLE_SIZE" in err and err.count("\n") == 1
 
 
 def test_chain_missing_table_exit_2(tmp_path, capsys):
@@ -202,6 +210,16 @@ def test_classify_gens_and_class_one_verdict(capsys):
     assert code == 1
     assert run(capsys, "classify", "bh", "--gens", "W1+W1+W1+W1") == (code, out, "")
     assert json.loads(out)["verdict"]["witness"] == "W1+W1+W1+W1+W1"
+
+
+def test_variety_from_gens_and_class_together_exit_2(capsys):
+    for argv in (("classify", "bh"), ("logic", "dip")):
+        code, out, err = run(capsys, *argv, "--gens", "W1", "--class", "[W1]")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_classify_bad_mode_exit_2(capsys):

@@ -19,9 +19,12 @@ from blcalc.core import (
     fin_luk,
     lex_omega,
     order_le,
+    ordinal_sum_table,
 )
+from blcalc import core
 from blcalc.decompose import flatten
 from blcalc.dsl import parse_chain
+from oracles import check_axioms_by_scans, differential_tables
 
 
 def test_component_op_fin_luk():
@@ -177,9 +180,44 @@ def test_enumerate_elements():
 
 
 def test_check_axioms_luk():
-    report = check_axioms(flatten(parse_chain("L2")))
+    t = flatten(parse_chain("L2"))
+    report = check_axioms(t)
+    assert report == check_axioms_by_scans(t)
     assert report.is_bl_chain and report.is_mv_chain
     assert not report.cancellativity
+
+
+def test_check_axioms_matches_scan_oracle():
+    checked = valid = 0
+    for t in differential_tables():
+        report = check_axioms(t)
+        assert report == check_axioms_by_scans(t), t
+        checked += 1
+        valid += report.is_basic_hoop_chain
+    assert (checked, valid) == (4674, 36)
+    # larger tables, valid and with one entry moved
+    for text in ("L6+W1+W5+W2+W1+W3+W6+W2+W4", "W1+W2+W3+W4+W5+W6+W7+W3"):
+        t = flatten(parse_chain(text))
+        assert t.size >= 30
+        assert check_axioms(t) == check_axioms_by_scans(t)
+        for x, y in ((3, 5), (t.size - 2, 1), (10, 10)):
+            imp = [list(r) for r in t.imp]
+            imp[x][y] = (imp[x][y] + 1) % t.size
+            bad = RawChain(t.size, t.mul, imp, t.bottom)
+            assert check_axioms(bad) == check_axioms_by_scans(bad)
+
+
+def test_table_size_limit(monkeypatch):
+    # the limit is read at call time, so a small one exercises the boundary
+    # without building a large table
+    monkeypatch.setattr(core, "MAX_TABLE_SIZE", 10)
+    assert ordinal_sum_table([4, 5]).size == 10
+    with pytest.raises(ValueError, match="MAX_TABLE_SIZE"):
+        ordinal_sum_table([4, 6])
+    with pytest.raises(ValueError, match="MAX_TABLE_SIZE"):
+        flatten(parse_chain("W10"))
+    with pytest.raises(ValueError):
+        ordinal_sum_table([2, -1])
 
 
 def test_check_axioms_trivial():

@@ -1,7 +1,6 @@
 """Ordinal-sum decomposition of finite tables and the flatten round trip."""
 
 import random
-from itertools import product
 
 import pytest
 
@@ -14,7 +13,12 @@ from blcalc.decompose import (
     same_component,
 )
 from blcalc.dsl import parse_chain, pretty_chain
-from oracles import decompose_by_scans, small_chains
+from oracles import (
+    decompose_by_scans,
+    differential_tables,
+    flatten_by_chain_op,
+    small_chains,
+)
 
 
 def godel3() -> RawChain:
@@ -67,6 +71,23 @@ def test_flatten_sizes():
     assert flatten(parse_chain("L2+W1+W2")).size == 2 + 1 + 2 + 1
     with pytest.raises(ValueError):
         flatten(parse_chain("W1+Z"))
+
+
+def test_classify_component_rejects_bad_blocks():
+    t = flatten(parse_chain("W3"))
+    for block in ([3], [0, 3], [99], [-1], [0, 0], [1, 2, 1]):
+        with pytest.raises(ValueError):
+            classify_component(t, block)
+
+
+def test_flatten_matches_chain_op_oracle():
+    chains = small_chains(7, False) + small_chains(7, True)
+    chains += [parse_chain(text) for text in (
+        "L6+W1+W5+W2+W1+W3+W6+W2+W4", "W1+W2+W3+W4+W5+W6+W7+W3", "W40", "L1" + "+W1" * 31,
+    )]
+    for c in chains:
+        assert flatten(c) == flatten_by_chain_op(c), pretty_chain(c)
+    assert max(c.size for c in chains) >= 41
 
 
 def test_classify_component():
@@ -143,33 +164,9 @@ def _decomposition_or_error(fn, t):
         return str(exc)
 
 
-def _differential_tables():
-    """Every table of size <= 2, and every small finite chain of both
-    signatures with each of its single-entry mul/imp mutations."""
-    for bottom in (False, True):
-        yield RawChain(1, ((0,),), ((0,),), bottom)
-        for m in product((0, 1), repeat=8):
-            yield RawChain(2, (m[0:2], m[2:4]), (m[4:6], m[6:8]), bottom)
-        for c in small_chains(5, bottom):
-            t = flatten(c)
-            yield t
-            for op, x, y in product(("mul", "imp"), range(t.size), range(t.size)):
-                for v in range(t.size):
-                    tab = [list(r) for r in getattr(t, op)]
-                    if tab[x][y] == v:
-                        continue
-                    tab[x][y] = v
-                    yield RawChain(
-                        t.size,
-                        tab if op == "mul" else t.mul,
-                        tab if op == "imp" else t.imp,
-                        bottom,
-                    )
-
-
 def test_decompose_matches_scan_oracle():
     checked = valid = 0
-    for t in _differential_tables():
+    for t in differential_tables():
         got = _decomposition_or_error(decompose, t)
         assert got == _decomposition_or_error(decompose_by_scans, t), t
         checked += 1

@@ -2,7 +2,14 @@
 
 from itertools import product
 
-from blcalc.core import TOP, chain, check_axioms, enumerate_elements, fin_luk
+from blcalc.core import (
+    TOP,
+    chain,
+    check_axioms,
+    enumerate_elements,
+    fin_luk,
+    ordinal_sum_table,
+)
 from blcalc.decompose import decompose, flatten
 from blcalc.dsl import parse_chain, pretty_chain
 from blcalc.maps import (
@@ -14,6 +21,7 @@ from blcalc.maps import (
     is_essential_embedding,
     quotient_by_filter,
 )
+from oracles import check_axioms_by_scans, small_chains
 
 
 def small_sums(max_comps, max_k):
@@ -26,8 +34,19 @@ def small_sums(max_comps, max_k):
 
 def test_ordinal_sums_of_finite_components_pass_axioms():
     for c in small_sums(3, 3):
-        report = check_axioms(flatten(c))
+        t = flatten(c)
+        report = check_axioms(t)
+        assert report == check_axioms_by_scans(t), pretty_chain(c)
         assert report.is_basic_hoop_chain, pretty_chain(c)
+
+
+def test_scans_accept_every_small_ordinal_sum_table():
+    # the structure theorem that lets check_axioms skip its cubic scans
+    for bottom in (False, True):
+        for c in small_chains(8, bottom):
+            t = ordinal_sum_table([k.k for k in c.components], bottom)
+            report = check_axioms_by_scans(t)
+            assert report.is_basic_hoop_chain and report.bounded == bottom, pretty_chain(c)
 
 
 def test_structural_essential_matches_definition_everywhere():
