@@ -23,7 +23,6 @@ from .core import (
     FIN,
     LEX,
     STD_UNIT,
-    UNIT,
     Chain,
     Element,
     Kind,
@@ -44,6 +43,7 @@ from .maps import (
     essentialize,
     identity_map,
     is_essential_embedding,
+    local_embeddings,
     quotient_by_filter,
 )
 
@@ -224,20 +224,12 @@ def find_amalgam_bruteforce(
 
 
 def _join_kinds(b: Kind, c: Kind) -> Kind:
-    """Least representable kind both arguments embed into."""
-    tags = {b.tag, c.tag}
-    if tags == {FIN}:
-        return fin_luk(math.lcm(b.k, c.k))
-    if tags == {FIN, LEX} or tags == {LEX}:
-        return lex_omega(math.lcm(b.k, c.k))
-    if tags == {FIN, CANC}:
-        return lex_omega(b.k if b.tag == FIN else c.k)
-    if tags == {LEX, CANC}:
-        return lex_omega(b.k if b.tag == LEX else c.k)
-    if tags == {CANC}:
-        return CANC_Z
-    if tags == {UNIT} or tags == {FIN, UNIT}:
-        return STD_UNIT
+    """The first of ``W n``, ``Z``, ``Wo n``, ``U`` that both kinds embed
+    into, ``n`` the lcm of their ``W``/``Wo`` parameters."""
+    n = math.lcm(*(k.k for k in (b, c) if k.tag in (FIN, LEX)))
+    for d in (fin_luk(n), CANC_Z, lex_omega(n), STD_UNIT):
+        if local_embeddings(b, d, 1) and local_embeddings(c, d, 1):
+            return d
     raise UnsupportedShapeError(f"no representable join of {b} and {c}")
 
 

@@ -76,32 +76,28 @@ def _expr(*sums: SumClass) -> ClassExpr:
     return class_expr(sums)
 
 
-def interval(name: str, parameter: Optional[Kind] = None) -> IntervalPoset:
-    """Interval posets of the amalgamation classes.
+def interval(kinds: tuple) -> Optional[IntervalPoset]:
+    """The interval poset of a normalized tuple of generator kinds, or None
+    when the kinds start no interval.
 
-    ``I(A)`` for a simple or cancellative generator has two nodes, the
-    lexicographic intervals have three, and the mixed finite/cancellative
-    intervals have thirteen nodes whose covers are fixed data validated
-    against recomputed inclusions.
+    One ``W``, ``Z`` or ``U`` kind gives two nodes, one ``Wo`` kind three,
+    and ``W n`` with ``Z`` thirteen nodes whose covers are fixed data
+    validated against recomputed inclusions.
     """
-    if name == "I(A)":
-        if parameter is None:
-            raise ValueError("I(A) needs a generator kind")
-        a = parameter
-        if a.tag not in (FIN, CANC, UNIT):
-            raise ValueError(f"I(A) is defined for W/Z/U generators, not {a}")
+    name = "I(" + ",".join(map(repr, kinds)) + ")"
+    tags = tuple(k.tag for k in kinds)
+    if tags in ((FIN,), (CANC,), (UNIT,)):
+        a = kinds[0]
         return IntervalPoset(
-            name=f"I({a!r})",
+            name=name,
             nodes=(_expr(_sum(_plain(a))), _expr(_sum(_star(a)))),
             covers=((0, 1),),
         )
-    if name == "I(Wo)":
-        if parameter is None or parameter.tag != FIN:
-            raise ValueError("I(Wo) needs the finite parameter kind")
-        n = parameter.k
-        w, wo = Kind(FIN, n), Kind(LEX, n)
+    if tags == (LEX,):
+        wo = kinds[0]
+        w = Kind(FIN, wo.k)
         return IntervalPoset(
-            name=f"I(Wo{n})",
+            name=name,
             nodes=(
                 _expr(_sum(_plain(wo))),
                 _expr(_sum(_star(w), _plain(wo))),
@@ -109,10 +105,8 @@ def interval(name: str, parameter: Optional[Kind] = None) -> IntervalPoset:
             ),
             covers=((0, 1), (1, 2)),
         )
-    if name == "I(W,Z)":
-        if parameter is None or parameter.tag != FIN:
-            raise ValueError("I(W,Z) needs the finite parameter kind")
-        w, z = parameter, CANC_Z
+    if tags == (FIN, CANC):
+        w, z = kinds
         nodes = (
             _expr(_sum(_plain(w)), _sum(_plain(z))),        # 0  [Wn]|[Z]
             _expr(_sum(_plain(w), _plain(z))),              # 1  [Wn Z]
@@ -139,27 +133,27 @@ def interval(name: str, parameter: Optional[Kind] = None) -> IntervalPoset:
             (9, 10), (9, 11),
             (10, 12), (11, 12),
         )
-        return IntervalPoset(name=f"I({w!r},Z)", nodes=nodes, covers=covers)
-    raise ValueError(f"unknown interval {name!r}")
+        return IntervalPoset(name=name, nodes=nodes, covers=covers)
+    return None
 
 
 def interval_by_name(text: str) -> IntervalPoset:
-    """Resolve names like I(W2), I(Z), I(U), I(Wo2), I(W2,Z)."""
+    """Resolve a name such as I(W2), I(Z), I(Wo2) or I(W2,Z): the generator
+    kinds between the parentheses, comma-separated, in component syntax."""
+    from .dsl import DSLError, parse_chain
+
     t = text.replace(" ", "")
-    if not (t.startswith("I(") and t.endswith(")")):
+    poset = None
+    if t.startswith("I(") and t.endswith(")"):
+        try:
+            chains = [parse_chain(part) for part in t[2:-1].split(",")]
+        except DSLError:
+            chains = []
+        if chains and all(len(c.components) == 1 and not c.bottom for c in chains):
+            poset = interval(tuple(c.components[0] for c in chains))
+    if poset is None:
         raise ValueError(f"unknown interval {text!r}")
-    body = t[2:-1]
-    if body == "Z":
-        return interval("I(A)", CANC_Z)
-    if body == "U":
-        return interval("I(A)", STD_UNIT)
-    if body.startswith("Wo") and body[2:].isdigit():
-        return interval("I(Wo)", Kind(FIN, int(body[2:])))
-    if body.endswith(",Z") and body.startswith("W") and body[1:-2].isdigit():
-        return interval("I(W,Z)", Kind(FIN, int(body[1:-2])))
-    if body.startswith("W") and body[1:].isdigit():
-        return interval("I(A)", Kind(FIN, int(body[1:])))
-    raise ValueError(f"unknown interval {text!r}")
+    return poset
 
 
 def recompute_cover_relation(p: IntervalPoset) -> tuple:
@@ -226,72 +220,44 @@ def normalize_kinds(kinds) -> tuple:
     return tuple(sorted(keep, key=lambda k: k.sort_key()))
 
 
-def _single_atom_kinds(v: VarietyInput, bl: bool) -> tuple:
-    """Generator kinds of a one-component-chains input."""
+def _classify_single(v: VarietyInput, bl: bool, prefix: str) -> Verdict:
+    """Amalgamation for a union of one-component generator classes: it holds
+    exactly when the normalized generator kinds start an interval, that is
+    for one kind, or a finite kind with ``Z``."""
     if v.bl_mode != bl:
         raise ValueError(f"{v!r} has the wrong signature")
     for s in v.canonical.sums:
         if len(s.items) != 1 or s.items[0].star or len(s.items[0].atoms) != 1:
             raise ValueError(f"{v!r} is not a union of single-generator classes")
-    return normalize_kinds(s.items[0].atoms[0].kind for s in v.canonical.sums)
+    kinds = normalize_kinds(s.items[0].atoms[0].kind for s in v.canonical.sums)
+    if not kinds:
+        return Verdict(ap=True, interval="Trivial")
+    poset = interval(kinds)
+    if poset is None:
+        return Verdict(ap=False, witness=chain((kinds[0],), bottom=bl))
+    return Verdict(
+        ap=True,
+        canonical=_expr(*(_sum(_plain(k, bottom=bl)) for k in kinds)),
+        interval=prefix + poset.name[1:],
+    )
 
 
 def classify_ap_mv(v: VarietyInput) -> Verdict:
     """Amalgamation for varieties of totally ordered MV-algebra generators:
     holds exactly for the one-chain-generated ones."""
-    kinds = _single_atom_kinds(v, bl=True)
-    if not kinds:
-        return Verdict(ap=True, interval="Trivial")
-    if len(kinds) == 1:
-        a = kinds[0]
-        return Verdict(
-            ap=True,
-            canonical=_expr(_sum(_plain(a, bottom=True))),
-            interval=f"MV({a!r})",
-        )
-    return Verdict(ap=False, witness=chain((kinds[0],), bottom=True))
+    return _classify_single(v, bl=True, prefix="MV")
 
 
 def classify_ap_wh(v: VarietyInput) -> Verdict:
     """Amalgamation for varieties of Wajsberg-hoop chain generators: a single
     generator closure, or a finite chain paired with the cancellative kind."""
-    kinds = _single_atom_kinds(v, bl=False)
-    if not kinds:
-        return Verdict(ap=True, interval="Trivial")
-    if len(kinds) == 1:
-        a = kinds[0]
-        return Verdict(
-            ap=True,
-            canonical=_expr(_sum(_plain(a))),
-            interval=f"WH({a!r})",
-        )
-    if len(kinds) == 2 and {k.tag for k in kinds} == {FIN, CANC}:
-        w = next(k for k in kinds if k.tag == FIN)
-        return Verdict(
-            ap=True,
-            canonical=_expr(_sum(_plain(w)), _sum(_plain(CANC_Z))),
-            interval=f"WH({w!r},Z)",
-        )
-    return Verdict(ap=False, witness=chain((kinds[0],)))
+    return _classify_single(v, bl=False, prefix="WH")
 
 
 def _component_kinds(v: VarietyInput) -> tuple:
     return normalize_kinds(
         a.kind for s in v.canonical.sums for it in s.items for a in it.atoms
     )
-
-
-def _interval_for_kinds(kinds: tuple) -> Optional[IntervalPoset]:
-    if len(kinds) == 1:
-        a = kinds[0]
-        if a.tag in (FIN, CANC, UNIT):
-            return interval("I(A)", a)
-        if a.tag == LEX:
-            return interval("I(Wo)", Kind(FIN, a.k))
-    if len(kinds) == 2 and {k.tag for k in kinds} == {FIN, CANC}:
-        w = next(k for k in kinds if k.tag == FIN)
-        return interval("I(W,Z)", w)
-    return None
 
 
 def _scan_nodes(v: VarietyInput, nodes) -> Verdict:
@@ -321,7 +287,7 @@ def classify_ap_bh(v: VarietyInput) -> Verdict:
     kinds = _component_kinds(v)
     if not kinds:
         return Verdict(ap=True, interval="Trivial")
-    poset = _interval_for_kinds(kinds)
+    poset = interval(kinds)
     if poset is None:
         return Verdict(ap=False)
     return _scan_nodes(
@@ -340,14 +306,12 @@ def _prepend(atom_kind: Kind, node: Optional[ClassExpr]) -> tuple:
 def _bl_case_shapes(a: Kind, basic_node: Optional[ClassExpr]) -> list:
     """Candidate chain-class shapes for a BL variety with first components
     generated by ``a`` and tail class ``basic_node``."""
-    shapes = []
+    shapes = [("BL-case-2", _expr(*_prepend(a, basic_node)))]
     if a.tag in (FIN, UNIT):
-        shapes.append(("BL-case-2", _expr(*_prepend(a, basic_node))))
         return shapes
     # lexicographic head: plain stacking, head-splitting, and the two
     # asymmetric union variants over a finite/cancellative tail pair
     m = Kind(FIN, a.k)
-    shapes.append(("BL-case-2", _expr(*_prepend(a, basic_node))))
     shapes.append(
         ("BL-case-3", _expr(*(_prepend(m, basic_node) + (_sum(_plain(a, True)),))))
     )
@@ -453,12 +417,11 @@ def enumerate_catalog(mode: str, n_max: int, m_max: Optional[int] = None) -> lis
         raise ValueError("n_max must be >= 1")
     if mode == "bh":
         entries = [(None, "Trivial", 0)]
-        posets = [interval("I(A)", CANC_Z), interval("I(A)", STD_UNIT)]
+        kind_lists = [(CANC_Z,), (STD_UNIT,)]
         for n in range(1, n_max + 1):
-            posets.append(interval("I(A)", Kind(FIN, n)))
-            posets.append(interval("I(Wo)", Kind(FIN, n)))
-            posets.append(interval("I(W,Z)", Kind(FIN, n)))
-        for p in posets:
+            w = Kind(FIN, n)
+            kind_lists += [(w,), (Kind(LEX, n),), (w, CANC_Z)]
+        for p in map(interval, kind_lists):
             entries.extend((node, p.name, i) for i, node in enumerate(p.nodes))
         return entries
     if mode == "bl":

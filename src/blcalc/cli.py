@@ -71,10 +71,10 @@ def _read_table(path: str) -> RawChain:
 def _variety_input(args) -> VarietyInput:
     if args.gens is not None and args.cls is not None:
         raise ValueError("give --gens or --class, not both")
-    if args.gens:
+    if args.gens is not None:
         chains = [parse_chain(t.strip()) for t in args.gens.split(",")]
         return generated_by(*chains)
-    if args.cls:
+    if args.cls is not None:
         return canonical(parse_class_expr(args.cls))
     raise ValueError("provide --gens or --class")
 

@@ -15,12 +15,9 @@ import re
 from fractions import Fraction
 
 from .core import (
-    CANC_Z,
     FIN,
     LEX,
-    STD_UNIT,
     TRIV,
-    TRIVIAL,
     UNIT,
     Chain,
     Element,
@@ -42,7 +39,10 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<comp>UM|Lo\d+|L\d+|Wo\d+|W\d+|Z|U|T)|(?P<punct>[\[\]()*|+]))"
 )
 
-_BOTTOM_PREFIXES = ("UM", "Lo", "L")
+# Spellings of the designated-bounds components; every other component is
+# spelled by its kind's tag (and parameter).
+_BOUNDS_SPELLINGS = {"L": FIN, "Lo": LEX, "UM": UNIT}
+_BOUNDS_TOKENS = {tag: name for name, tag in _BOUNDS_SPELLINGS.items()}
 
 
 def _tokenize(text: str):
@@ -60,27 +60,12 @@ def _tokenize(text: str):
 
 
 def _comp_to_atom(token: str, pos: int) -> Atom:
-    for prefix, tag in (("Lo", LEX), ("UM", UNIT), ("L", FIN)):
-        if token == "UM" and prefix == "UM":
-            return Atom(STD_UNIT, bottom=True)
-        if prefix != "UM" and token.startswith(prefix) and token[len(prefix):].isdigit():
-            k = int(token[len(prefix):])
-            if k < 1:
-                raise DSLError("component parameter must be >= 1", pos)
-            return Atom(Kind(tag, k), bottom=True)
-    if token == "Z":
-        return Atom(CANC_Z)
-    if token == "U":
-        return Atom(STD_UNIT)
-    if token == "T":
-        return Atom(TRIVIAL)
-    for prefix, tag in (("Wo", LEX), ("W", FIN)):
-        if token.startswith(prefix) and token[len(prefix):].isdigit():
-            k = int(token[len(prefix):])
-            if k < 1:
-                raise DSLError("component parameter must be >= 1", pos)
-            return Atom(Kind(tag, k))
-    raise DSLError(f"unknown component {token!r}", pos)
+    head = token.rstrip("0123456789")
+    digits = token[len(head):]
+    if digits and int(digits) < 1:
+        raise DSLError("component parameter must be >= 1", pos)
+    tag = _BOUNDS_SPELLINGS.get(head, head)
+    return Atom(Kind(tag, int(digits or 0)), bottom=head in _BOUNDS_SPELLINGS)
 
 
 def parse_chain(text: str) -> Chain:
@@ -193,18 +178,11 @@ def parse_class_expr(text: str) -> ClassExpr:
 
 
 def _kind_token(kind: Kind, bottom: bool) -> str:
-    t = kind.tag
-    if bottom and t != TRIV:
-        if t == FIN:
-            return f"L{kind.k}"
-        if t == LEX:
-            return f"Lo{kind.k}"
-        if t == UNIT:
-            return "UM"
+    if not bottom or kind.tag == TRIV:
+        return repr(kind)
+    if kind.tag not in _BOUNDS_TOKENS:
         raise ValueError(f"{kind} cannot carry designated bounds")
-    if t in (FIN, LEX):
-        return f"{t}{kind.k}"
-    return t
+    return f"{_BOUNDS_TOKENS[kind.tag]}{kind.k or ''}"
 
 
 def pretty_chain(c: Chain) -> str:

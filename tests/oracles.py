@@ -9,18 +9,23 @@ decomposition runs the exhaustive axiom check and per-block tests that
 ``decompose`` replaces with one table comparison.  The window oracles evaluate maps point by point
 instead of composing them or reading legality off their data.  The catalog
 oracles compare classes pair by pair, as the signature dedupe and the
-per-scan witness basis of ``classify`` avoid doing.
+per-scan witness basis of ``classify`` avoid doing.  The kind join is the
+case table that ``amalgam._join_kinds`` reads off the local embeddings.
 """
 
+import math
 from itertools import product
 
-from blcalc.amalgam import apply_completion
+from blcalc.amalgam import UnsupportedShapeError, apply_completion
 from blcalc.classes import class_includes, vfc_equals
 from blcalc.classify import Verdict, _bl_case_shapes, enumerate_catalog
 from blcalc.core import (
+    CANC,
+    CANC_Z,
     FIN,
     LEX,
     STD_UNIT,
+    UNIT,
     AxiomReport,
     Kind,
     RawChain,
@@ -29,6 +34,7 @@ from blcalc.core import (
     element,
     enumerate_elements,
     fin_luk,
+    lex_omega,
     local_bottom,
     order_le,
 )
@@ -50,6 +56,25 @@ def window_commutes(s, am, caps: int = 3) -> bool:
         == apply_completion(am.right, apply_map(s.right, x))
         for x in enumerate_elements(s.apex, caps)
     )
+
+
+def join_kinds_by_cases(b: Kind, c: Kind) -> Kind:
+    """Reference for ``amalgam._join_kinds``: the least representable kind
+    both arguments embed into, case by case."""
+    tags = {b.tag, c.tag}
+    if tags == {FIN}:
+        return fin_luk(math.lcm(b.k, c.k))
+    if tags == {FIN, LEX} or tags == {LEX}:
+        return lex_omega(math.lcm(b.k, c.k))
+    if tags == {FIN, CANC}:
+        return lex_omega(b.k if b.tag == FIN else c.k)
+    if tags == {LEX, CANC}:
+        return lex_omega(b.k if b.tag == LEX else c.k)
+    if tags == {CANC}:
+        return CANC_Z
+    if tags == {UNIT} or tags == {FIN, UNIT}:
+        return STD_UNIT
+    raise UnsupportedShapeError(f"no representable join of {b} and {c}")
 
 
 def window_embedding(m: ChainMap, caps: int = 3) -> bool:

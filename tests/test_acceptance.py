@@ -44,15 +44,15 @@ def report(number: int, text: str):
 def test_criterion_1_interval_cardinalities():
     start = time.time()
     for param in [fin_luk(1), fin_luk(2), CANC_Z, STD_UNIT]:
-        p = interval("I(A)", param)
+        p = interval((param,))
         assert len(p.nodes) == 2
         assert set(recompute_cover_relation(p)) == set(p.covers)
     for n in (1, 2):
-        p = interval("I(Wo)", fin_luk(n))
+        p = interval((lex_omega(n),))
         assert len(p.nodes) == 3
         assert set(recompute_cover_relation(p)) == set(p.covers)
     for n in (1, 2, 3):
-        p = interval("I(W,Z)", fin_luk(n))
+        p = interval((fin_luk(n), CANC_Z))
         assert len(p.nodes) == 13
         assert set(recompute_cover_relation(p)) == set(p.covers)
     elapsed = time.time() - start

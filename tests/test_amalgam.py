@@ -2,16 +2,17 @@
 one-sided route through essentialization."""
 
 import math
-from itertools import islice
+from itertools import islice, product
 
 import pytest
-from oracles import window_commutes
+from oracles import join_kinds_by_cases, window_commutes
 
 from blcalc.amalgam import (
     Amalgam,
     CollapsingMap,
     Span,
     UnsupportedShapeError,
+    _join_kinds,
     amalgamate_constructive,
     apply_completion,
     find_amalgam_bruteforce,
@@ -21,7 +22,7 @@ from blcalc.amalgam import (
     spans_commute,
     universe_chains,
 )
-from blcalc.core import chain, fin_luk
+from blcalc.core import CANC_Z, STD_UNIT, chain, fin_luk, lex_omega
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain
 from blcalc.maps import Filter, enumerate_embeddings, verify_embedding
 
@@ -169,6 +170,26 @@ def test_exact_commutation_matches_window():
                                     candidates += 1
                                     commuting += exact
     assert (candidates, commuting) == (15728, 7934)
+
+
+def _join_or_error(join, b, c):
+    try:
+        return join(b, c)
+    except UnsupportedShapeError:
+        return UnsupportedShapeError
+
+
+def test_join_kinds_matches_case_table():
+    # the join read off the local embeddings agrees with the case table on
+    # every ordered pair, the unrepresentable joins included
+    kinds = [fin_luk(n) for n in range(1, 13)] + [lex_omega(n) for n in range(1, 13)]
+    kinds += [CANC_Z, STD_UNIT]
+    pairs = list(product(kinds, repeat=2))
+    assert len(pairs) == 676
+    for b, c in pairs:
+        assert _join_or_error(_join_kinds, b, c) == _join_or_error(
+            join_kinds_by_cases, b, c
+        ), (b, c)
 
 
 def test_constructive_lcm():

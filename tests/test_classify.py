@@ -1,5 +1,7 @@
 """Amalgamation-property verdicts, interval posets, and the catalog."""
 
+from itertools import combinations
+
 import pytest
 
 from blcalc import classify
@@ -16,7 +18,7 @@ from blcalc.classify import (
     normalize_kinds,
     recompute_cover_relation,
 )
-from blcalc.core import CANC_Z, STD_UNIT, fin_luk, lex_omega
+from blcalc.core import CANC_Z, STD_UNIT, chain, fin_luk, lex_omega
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain, pretty_class_expr
 
 from oracles import pairwise_bl_catalog, scan_nodes_per_node, small_chains
@@ -43,6 +45,26 @@ def test_classify_mv():
         classify_ap_mv(generated_by(parse_chain("L1+W1")))
 
 
+def _verdict_json(classify_ap, gens, bottom=False):
+    chains = [parse_chain(g) for g in gens] or [chain((), bottom=bottom)]
+    return classify_ap(generated_by(*chains)).to_json()
+
+
+def _verdict(ap, canonical=None, interval=None, witness=None):
+    return {"ap": ap, "canonical": canonical, "interval": interval, "witness": witness}
+
+
+def test_classify_mv_json():
+    cases = [
+        (["L2"], _verdict(True, "[L2]", "MV(W2)")),
+        (["L2", "Lo4"], _verdict(True, "[Lo4]", "MV(Wo4)")),
+        (["L2", "L3"], _verdict(False, witness="L2")),
+        ([], _verdict(True, interval="Trivial")),
+    ]
+    for gens, expected in cases:
+        assert _verdict_json(classify_ap_mv, gens, bottom=True) == expected, gens
+
+
 def test_classify_wh():
     assert classify_ap_wh(generated_by(parse_chain("W3"), parse_chain("Z"))).ap
     assert not classify_ap_wh(generated_by(parse_chain("W2"), parse_chain("W3"))).ap
@@ -52,6 +74,35 @@ def test_classify_wh():
     assert not classify_ap_wh(
         generated_by(parse_chain("Wo2"), parse_chain("W3"))
     ).ap
+
+
+def test_classify_wh_json():
+    cases = [
+        (["W2"], _verdict(True, "[W2]", "WH(W2)")),
+        (["W3", "Z"], _verdict(True, "[W3]|[Z]", "WH(W3,Z)")),
+        (["W2", "W3"], _verdict(False, witness="W2")),
+        ([], _verdict(True, interval="Trivial")),
+    ]
+    for gens, expected in cases:
+        assert _verdict_json(classify_ap_wh, gens) == expected, gens
+
+
+def _unions(gens):
+    return [c for r in (1, 2, 3) for c in combinations(gens, r)]
+
+
+def test_single_generator_routes_agree():
+    # the one-component rule and the interval scan give the same AP answer on
+    # unions of one-component generators
+    hoops = _unions("W1 W2 W3 W4 W6 Wo1 Wo2 Wo3 Z U T".split())
+    bls = _unions("L1 L2 L3 L4 L6 Lo1 Lo2 Lo3 UM".split())
+    assert len(hoops) + len(bls) == 360
+    for gens in hoops:
+        v = generated_by(*map(parse_chain, gens))
+        assert classify_ap_wh(v).ap == classify_ap_bh(v).ap, gens
+    for gens in bls:
+        v = generated_by(*map(parse_chain, gens))
+        assert classify_ap_mv(v).ap == classify_ap_bl(v).ap, gens
 
 
 def test_classify_bh_canonical_nodes():
@@ -87,8 +138,6 @@ def test_classify_bh_rejects_bad_kind_sets():
 
 
 def test_classify_bh_trivial():
-    from blcalc.core import chain
-
     verdict = classify_ap_bh(generated_by(chain(())))
     assert verdict.ap and verdict.interval == "Trivial"
 
@@ -152,8 +201,6 @@ def test_gens_and_class_routes_agree():
 
 def test_trivial_generator_adds_nothing():
     # the trivial chain lies in every variety, with or without bounds
-    from blcalc.core import chain
-
     for bottom, classify, text in ((False, classify_ap_bh, "W2"), (True, classify_ap_bl, "L2")):
         g = parse_chain(text)
         with_trivial = classify(generated_by(chain((), bottom=bottom), g)).to_json()
@@ -163,13 +210,13 @@ def test_trivial_generator_adds_nothing():
 
 def test_interval_shapes():
     for param in [fin_luk(1), fin_luk(2), CANC_Z, STD_UNIT]:
-        p = interval("I(A)", param)
+        p = interval((param,))
         assert len(p.nodes) == 2 and p.covers == ((0, 1),)
     for n in (1, 2):
-        p = interval("I(Wo)", fin_luk(n))
+        p = interval((lex_omega(n),))
         assert len(p.nodes) == 3 and p.covers == ((0, 1), (1, 2))
     for n in (1, 2, 3):
-        p = interval("I(W,Z)", fin_luk(n))
+        p = interval((fin_luk(n), CANC_Z))
         assert len(p.nodes) == 13
         assert len(p.covers) == 22
 
@@ -180,25 +227,38 @@ def test_interval_shapes():
 )
 def test_interval_by_name(name, nodes):
     assert len(interval_by_name(name).nodes) == nodes
+    assert interval_by_name(name).name == name
     with pytest.raises(ValueError):
         interval_by_name("I(nonsense)")
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "I(T)", "I(L1)", "I(Z,W1)", "I(W1,W2)", "I(Wo1,Z)", "I(U,Z)",
+        "I(W1+Z)", "I(W0)", "I()", "I(W1,)", "W1", "I(W1",
+    ],
+)
+def test_interval_by_name_unknown(name):
+    with pytest.raises(ValueError, match=r"^unknown interval"):
+        interval_by_name(name)
+
+
 def test_interval_covers_rederived_from_inclusions():
     for p in [
-        interval("I(A)", fin_luk(1)),
-        interval("I(A)", CANC_Z),
-        interval("I(Wo)", fin_luk(2)),
-        interval("I(W,Z)", fin_luk(1)),
-        interval("I(W,Z)", fin_luk(2)),
+        interval((fin_luk(1),)),
+        interval((CANC_Z,)),
+        interval((lex_omega(2),)),
+        interval((fin_luk(1), CANC_Z)),
+        interval((fin_luk(2), CANC_Z)),
     ]:
         assert set(recompute_cover_relation(p)) == set(p.covers), p.name
 
 
 def test_interval_nodes_classify_to_themselves():
     # fixed point: every node, fed back, lands at its own position
-    for p in [interval("I(A)", fin_luk(2)), interval("I(Wo)", fin_luk(1)),
-              interval("I(W,Z)", fin_luk(1))]:
+    for p in [interval((fin_luk(2),)), interval((lex_omega(1),)),
+              interval((fin_luk(1), CANC_Z))]:
         for i, node in enumerate(p.nodes):
             verdict = classify_ap_bh(canonical(node))
             assert verdict.ap and verdict.interval == f"{p.name}:{i}", (p.name, i)
@@ -255,10 +315,10 @@ def test_verdicts_match_per_node_scan(monkeypatch):
 
 
 def test_emit_poset():
-    p = interval("I(A)", fin_luk(1))
+    p = interval((fin_luk(1),))
     dot = emit_poset(p, "dot")
     assert dot.count("->") == 1 and "[W1]" in dot
-    p13 = interval("I(W,Z)", fin_luk(1))
+    p13 = interval((fin_luk(1), CANC_Z))
     dot13 = emit_poset(p13, "dot")
     assert dot13.count("->") == 22
     assert len([l for l in dot13.splitlines() if "label=" in l]) == 13

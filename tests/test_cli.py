@@ -222,6 +222,17 @@ def test_variety_from_gens_and_class_together_exit_2(capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_empty_gens_or_class_reported_by_the_parser(capsys):
+    # an empty value was given, so the parser reports it, not a missing option
+    for argv in (("classify", "bh"), ("logic", "dip")):
+        assert run(capsys, *argv, "--class", "") == (
+            2, "", "error: empty class expression (at position 0)\n"
+        )
+        assert run(capsys, *argv, "--gens", "") == (
+            2, "", "error: empty chain (at position 0)\n"
+        )
+
+
 def test_classify_bad_mode_exit_2(capsys):
     code, _, err = run(capsys, "classify", "bl", "--class", "[W1]")
     assert code == 2
