@@ -140,13 +140,13 @@ def interval(kinds: tuple) -> Optional[IntervalPoset]:
 def interval_by_name(text: str) -> IntervalPoset:
     """Resolve a name such as I(W2), I(Z), I(Wo2) or I(W2,Z): the generator
     kinds between the parentheses, comma-separated, in component syntax."""
-    from .dsl import DSLError, parse_chain
+    from .dsl import DSLError, parse_chain_list
 
     t = text.replace(" ", "")
     poset = None
     if t.startswith("I(") and t.endswith(")"):
         try:
-            chains = [parse_chain(part) for part in t[2:-1].split(",")]
+            chains = parse_chain_list(t[2:-1])
         except DSLError:
             chains = []
         if chains and all(len(c.components) == 1 and not c.bottom for c in chains):

@@ -34,6 +34,7 @@ from .decompose import decompose, flatten
 from .dsl import (
     DSLError,
     parse_chain,
+    parse_chain_list,
     parse_class_expr,
     parse_element,
     pretty_chain,
@@ -72,8 +73,7 @@ def _variety_input(args) -> VarietyInput:
     if args.gens is not None and args.cls is not None:
         raise ValueError("give --gens or --class, not both")
     if args.gens is not None:
-        chains = [parse_chain(t.strip()) for t in args.gens.split(",")]
-        return generated_by(*chains)
+        return generated_by(*parse_chain_list(args.gens))
     if args.cls is not None:
         return canonical(parse_class_expr(args.cls))
     raise ValueError("provide --gens or --class")
@@ -104,9 +104,10 @@ def cmd_chain(args) -> int:
 
 
 def cmd_amalgam(args) -> int:
+    bounds = {flag: getattr(args, flag) for flag in ("max_index", "max_k", "scale_cap")}
     # A bound below 1 is an input error, not an empty search.
-    for flag in ("max_index", "max_k", "scale_cap"):
-        if getattr(args, flag) < 1:
+    for flag, value in bounds.items():
+        if value < 1:
             raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
     apex = parse_chain(args.apex)
     left = parse_chain(args.left)
@@ -120,19 +121,8 @@ def cmd_amalgam(args) -> int:
         right_index=args.right_embedding,
         scale_cap=args.scale_cap,
     )
-    bounds = {
-        "max_index": args.max_index,
-        "max_k": args.max_k,
-        "scale_cap": args.scale_cap,
-    }
     if args.mode == "search":
-        am = find_amalgam_bruteforce(
-            span,
-            universe,
-            max_index=args.max_index,
-            max_k=args.max_k,
-            scale_cap=args.scale_cap,
-        )
+        am = find_amalgam_bruteforce(span, universe, **bounds)
         if am is None:
             _emit({"result": "none-within-bounds", "bounds": bounds})
             return 1
@@ -148,13 +138,7 @@ def cmd_amalgam(args) -> int:
         return 0
     if args.mode == "one-sided":
         try:
-            am = one_sided_amalgam(
-                span,
-                universe,
-                max_index=args.max_index,
-                max_k=args.max_k,
-                scale_cap=args.scale_cap,
-            )
+            am = one_sided_amalgam(span, universe, **bounds)
             reason = "essential span has no amalgam within bounds"
         except UnsupportedShapeError as exc:
             am, reason = None, str(exc)
@@ -195,7 +179,7 @@ def cmd_logic(args) -> int:
         raise ValueError("--limit must be at least 1")
     premise = parse_formula(args.premise)
     conclusion = parse_formula(args.conclusion)
-    gens = [parse_chain(t.strip()) for t in args.gens.split(",")]
+    gens = parse_chain_list(args.gens)
     if args.subcommand == "consequence":
         res = consequence(premise, conclusion, gens)
         payload = {"holds": res.holds}

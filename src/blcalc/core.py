@@ -16,7 +16,7 @@ work on finite truncation windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Union
@@ -490,15 +490,9 @@ class AxiomReport:
         return self.is_bl_chain and self.mv_identity
 
     def to_json(self) -> dict:
+        laws = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "failures"}
         return {
-            "commutative_monoid": self.commutative_monoid,
-            "residuation": self.residuation,
-            "integrality": self.integrality,
-            "divisibility": self.divisibility,
-            "prelinearity": self.prelinearity,
-            "mv_identity": self.mv_identity,
-            "cancellativity": self.cancellativity,
-            "bounded": self.bounded,
+            **laws,
             "basic_hoop_chain": self.is_basic_hoop_chain,
             "bl_chain": self.is_bl_chain,
             "mv_chain": self.is_mv_chain,
@@ -517,73 +511,43 @@ def check_axioms(t: RawChain) -> AxiomReport:
     witnesses are the first ones found in scan order.
     """
     recognised = is_ordinal_sum_table(t, component_runs(t))
-    n = t.size
-    top = n - 1
-    rng = range(n)
+    top = t.top
+    rng = range(t.size)
     mul, imp = t.mul, t.imp
     failures = []
 
-    def fail(law, *witness):
-        failures.append((law, witness))
+    def holds(law, counterexamples) -> bool:
+        """Record the first counterexample a lazy scan yields, if any;
+        whether the law holds."""
+        witness = next(counterexamples, None)
+        if witness is not None:
+            failures.append((law, witness))
+        return witness is None
 
-    monoid = True
-    for x, y in product(rng, rng):
-        if mul[x][y] != mul[y][x]:
-            fail("commutativity", x, y)
-            monoid = False
-            break
-    if monoid:
-        for x in rng:
-            if mul[x][top] != x:
-                fail("unit", x)
-                monoid = False
-                break
-    if monoid and not recognised:
-        for x, y, z in product(rng, rng, rng):
-            if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                fail("associativity", x, y, z)
-                monoid = False
-                break
+    def pairs():
+        return product(rng, rng)
 
-    residuation = True
-    if not recognised:
-        for x, y, z in product(rng, rng, rng):
-            if (mul[x][y] <= z) != (x <= imp[y][z]):
-                fail("residuation", x, y, z)
-                residuation = False
-                break
+    def triples():
+        return product(rng, rng, rng)
 
-    integrality = all(mul[x][y] <= min(x, y) for x in rng for y in rng)
-    if not integrality:
-        fail("integrality")
-
-    divisibility = True
-    for x, y in product(rng, rng):
-        if mul[x][imp[x][y]] != min(x, y):
-            fail("divisibility", x, y)
-            divisibility = False
-            break
-
-    prelinearity = True
-    for x, y in product(rng, rng):
-        if max(imp[x][y], imp[y][x]) != top:
-            fail("prelinearity", x, y)
-            prelinearity = False
-            break
-
-    mv_identity = True
-    for x, y in product(rng, rng):
-        if imp[imp[x][y]][y] != max(x, y):
-            fail("mv_identity", x, y)
-            mv_identity = False
-            break
-
-    cancellativity = True
-    for x, y in product(rng, rng):
-        if imp[x][mul[x][y]] != y:
-            fail("cancellativity", x, y)
-            cancellativity = False
-            break
+    monoid = (
+        holds("commutativity", ((x, y) for x, y in pairs() if mul[x][y] != mul[y][x]))
+        and holds("unit", ((x,) for x in rng if mul[x][top] != x))
+        and (recognised or holds("associativity", (
+            (x, y, z) for x, y, z in triples() if mul[mul[x][y]][z] != mul[x][mul[y][z]])))
+    )
+    residuation = recognised or holds("residuation", (
+        (x, y, z) for x, y, z in triples() if (mul[x][y] <= z) != (x <= imp[y][z])))
+    # integrality is reported without a witness
+    integrality = holds("integrality", (() for x, y in pairs() if mul[x][y] > min(x, y)))
+    divisibility = holds("divisibility", (
+        (x, y) for x, y in pairs() if mul[x][imp[x][y]] != min(x, y)))
+    prelinearity = holds("prelinearity", (
+        (x, y) for x, y in pairs() if max(imp[x][y], imp[y][x]) != top))
+    mv_identity = holds("mv_identity", (
+        (x, y) for x, y in pairs() if imp[imp[x][y]][y] != max(x, y)))
+    cancellativity = holds("cancellativity", (
+        (x, y) for x, y in pairs() if imp[x][mul[x][y]] != y))
 
     return AxiomReport(
         commutative_monoid=monoid,

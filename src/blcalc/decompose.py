@@ -56,9 +56,10 @@ def same_component(t: RawChain, a: int, b: int) -> bool:
 def classify_component(t: RawChain, block) -> Kind:
     """Identify a component block (indices below top) as a finite chain kind.
 
-    The block plus the top must carry the Lukasiewicz tables under the order
-    isomorphism sending the i-th smallest block element to i.  The top lies
-    in every component, so a block must not hold it.
+    The block plus the top must carry the table ``ordinal_sum_table([m])``,
+    m the block size, under the order isomorphism sending the i-th smallest
+    block element to i.  The top lies in every component, so a block must
+    not hold it.
     """
     block = sorted(block)
     if t.top in block:
@@ -67,28 +68,16 @@ def classify_component(t: RawChain, block) -> Kind:
         raise ValueError("element index out of range")
     if len(set(block)) != len(block):
         raise ValueError("block repeats an element")
-    m = len(block)
-    idx = {e: i for i, e in enumerate(block)}
-    idx[t.top] = m
-    kind = fin_luk(m)
-
-    def local(e: int) -> int:
-        return idx[e]
-
-    for x in block + [t.top]:
-        for y in block + [t.top]:
-            got_mul = t.mul[x][y]
-            got_imp = t.imp[x][y]
-            want_mul = max(local(x) + local(y) - m, 0)
-            want_imp = min(m - local(x) + local(y), m)
-            if got_mul not in idx or local(got_mul) != want_mul:
-                raise ValueError(
-                    f"block {block} is not a Wajsberg component: mul at ({x},{y})"
-                )
-            if got_imp not in idx or local(got_imp) != want_imp:
-                raise ValueError(
-                    f"block {block} is not a Wajsberg component: imp at ({x},{y})"
-                )
+    kind = fin_luk(len(block))  # an empty block fails here, before any table is read
+    elems = block + [t.top]
+    luk = ordinal_sum_table([len(block)])
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            for op in ("mul", "imp"):
+                if getattr(t, op)[x][y] != elems[getattr(luk, op)[i][j]]:
+                    raise ValueError(
+                        f"block {block} is not a Wajsberg component: {op} at ({x},{y})"
+                    )
     return kind
 
 

@@ -15,6 +15,7 @@ import re
 from fractions import Fraction
 
 from .core import (
+    CANC,
     FIN,
     LEX,
     TRIV,
@@ -35,50 +36,70 @@ class DSLError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<comp>UM|Lo\d+|L\d+|Wo\d+|W\d+|Z|U|T)|(?P<punct>[\[\]()*|+]))"
-)
-
 # Spellings of the designated-bounds components; every other component is
 # spelled by its kind's tag (and parameter).
 _BOUNDS_SPELLINGS = {"L": FIN, "Lo": LEX, "UM": UNIT}
 _BOUNDS_TOKENS = {tag: name for name, tag in _BOUNDS_SPELLINGS.items()}
+_SPELLINGS = {**{tag: tag for tag in (FIN, LEX, CANC, UNIT, TRIV)}, **_BOUNDS_SPELLINGS}
+
+# A parameter follows exactly the spellings of W and Wo; longer spellings
+# come first, so that UM is not read as U followed by M.  Any other
+# character but whitespace is an unexpected one.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<comp>"
+    + "|".join(
+        re.escape(name) + (r"\d+" if tag in (FIN, LEX) else "")
+        for name, tag in sorted(_SPELLINGS.items(), key=lambda item: -len(item[0]))
+    )
+    + r")|(?P<punct>[\[\]()*|+])|(?P<bad>\S))"
+)
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, start: int, end: int):
+    """(token, position) pairs of ``text[start:end]``; positions count from
+    the start of ``text``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise DSLError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group("comp") or m.group("punct"), m.start()))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text, start, end):
+        token, pos = m.group(m.lastgroup), m.start(m.lastgroup)
+        if m.lastgroup == "bad":
+            raise DSLError(f"unexpected character {token!r}", pos)
+        tokens.append((token, pos))
     return tokens
 
 
 def _comp_to_atom(token: str, pos: int) -> Atom:
+    if token in "[]()*|+":
+        raise DSLError(f"expected a component, got {token!r}", pos)
     head = token.rstrip("0123456789")
     digits = token[len(head):]
     if digits and int(digits) < 1:
         raise DSLError("component parameter must be >= 1", pos)
-    tag = _BOUNDS_SPELLINGS.get(head, head)
-    return Atom(Kind(tag, int(digits or 0)), bottom=head in _BOUNDS_SPELLINGS)
+    return Atom(Kind(_SPELLINGS[head], int(digits or 0)), bottom=head in _BOUNDS_SPELLINGS)
 
 
 def parse_chain(text: str) -> Chain:
     """Parse an ordinal-sum chain such as ``L2+W1+Z`` or ``T``."""
-    tokens = _tokenize(text)
+    return _parse_chain(text, 0, len(text))
+
+
+def parse_chain_list(text: str) -> list:
+    """Parse comma-separated chains such as ``L2, W1+Z``; error positions
+    count from the start of ``text``."""
+    chains, start = [], 0
+    for part in text.split(","):
+        chains.append(_parse_chain(text, start, start + len(part)))
+        start += len(part) + 1
+    return chains
+
+
+def _parse_chain(text: str, start: int, end: int) -> Chain:
+    tokens = _tokenize(text, start, end)
     if not tokens:
-        raise DSLError("empty chain", 0)
+        raise DSLError("empty chain", start)
     expect_comp = True
     atoms = []
     for tok, pos in tokens:
         if expect_comp:
-            if tok in "[]()*|+":
-                raise DSLError(f"expected a component, got {tok!r}", pos)
             atoms.append((_comp_to_atom(tok, pos), pos))
             expect_comp = False
         else:
@@ -96,7 +117,7 @@ def parse_chain(text: str) -> Chain:
 
 def parse_class_expr(text: str) -> ClassExpr:
     """Parse a bracket/star class expression such as ``[W1* Z] | [Z]``."""
-    tokens = _tokenize(text)
+    tokens = _tokenize(text, 0, len(text))
     if not tokens:
         raise DSLError("empty class expression", 0)
     i = 0
@@ -124,8 +145,6 @@ def parse_class_expr(text: str) -> ClassExpr:
             atoms = []
             while peek() != ")":
                 tok, pos = take()
-                if tok in "[]()*|+":
-                    raise DSLError(f"expected a component, got {tok!r}", pos)
                 atom = _comp_to_atom(tok, pos)
                 if atom.bottom:
                     raise DSLError("designated-bounds atom inside a group", pos)
@@ -136,8 +155,6 @@ def parse_class_expr(text: str) -> ClassExpr:
                 raise DSLError("empty group", pos_now())
             return Item(tuple(atoms), star=True)
         tok, pos = take()
-        if tok in "[]()*|+":
-            raise DSLError(f"expected a component, got {tok!r}", pos)
         atom = _comp_to_atom(tok, pos)
         star = False
         if peek() == "*":

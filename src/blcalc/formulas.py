@@ -81,7 +81,7 @@ class FormulaError(ValueError):
 
 _FORMULA_TOKEN = re.compile(
     r"\s*(?:(?P<var>[a-z][a-zA-Z0-9_]*)|(?P<const>[01])|"
-    r"(?P<op>\*|->|/\\|\\/|\(|\)))"
+    r"(?P<op>\*|->|/\\|\\/|\(|\))|(?P<bad>\S))"
 )
 
 
@@ -108,16 +108,11 @@ def parse_formula(text: str) -> Formula:
     associates to the right.  Formulas nested deeper than
     ``MAX_FORMULA_DEPTH`` are rejected with a ``FormulaError``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _FORMULA_TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise FormulaError(f"unexpected character {text[pos]!r} at {pos}")
-        kind = "var" if m.group("var") else ("const" if m.group("const") else "op")
-        tokens.append((kind, m.group(kind), m.start()))
-        pos = m.end()
+    for m in _FORMULA_TOKEN.finditer(text):
+        kind, val, pos = m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)
+        if kind == "bad":
+            raise FormulaError(f"unexpected character {val!r} at {pos}")
+        tokens.append((kind, val, pos))
     i = 0
     open_parens = 0
 

@@ -236,3 +236,58 @@ def test_parse_errors():
         parse_class_expr("[(L1 W1)*]")
     with pytest.raises(DSLError):
         parse_class_expr("[W1] | [L1]")
+
+
+def dsl_error(parse, text) -> str:
+    from blcalc.dsl import DSLError
+
+    with pytest.raises(DSLError) as info:
+        parse(text)
+    return str(info.value)
+
+
+def test_parse_error_messages_per_spelling():
+    # one message per misspelt or misplaced component; inside brackets the
+    # component starts one character later
+    errors = {
+        "UM2": ("unexpected character '2'", 2),
+        "Z1": ("unexpected character '1'", 1),
+        "L": ("unexpected character 'L'", 0),
+        "Lo": ("unexpected character 'L'", 0),
+        "Q": ("unexpected character 'Q'", 0),
+        "W0": ("component parameter must be >= 1", 0),
+        "Wo0": ("component parameter must be >= 1", 0),
+    }
+    for text, (message, pos) in errors.items():
+        assert dsl_error(parse_chain, text) == f"{message} (at position {pos})"
+        assert dsl_error(parse_class_expr, f"[{text}]") == f"{message} (at position {pos + 1})"
+    assert dsl_error(parse_chain, "L1+L2") == (
+        "designated-bounds component after the first (at position 3)"
+    )
+    assert dsl_error(parse_class_expr, "[L1+L2]") == (
+        "expected a component, got '+' (at position 3)"
+    )
+    assert dsl_error(parse_class_expr, "[W1 (Z|)*]") == (
+        "expected a component, got '|' (at position 6)"
+    )
+    assert dsl_error(parse_chain, "W1+*") == "expected a component, got '*' (at position 3)"
+
+
+def test_parse_error_positions_skip_whitespace():
+    assert dsl_error(parse_chain, "W1 W2") == "expected '+', got 'W2' (at position 3)"
+    assert dsl_error(parse_chain, "  W1+ ") == "dangling '+' (at position 4)"
+    assert dsl_error(parse_chain, "W1 $") == "unexpected character '$' (at position 3)"
+    assert dsl_error(parse_class_expr, "[W1  Z] x") == "unexpected character 'x' (at position 8)"
+    assert dsl_error(parse_class_expr, "[W1]  [Z]") == "trailing input '[' (at position 6)"
+
+
+def test_parse_chain_list_positions_count_from_the_start():
+    from blcalc.dsl import parse_chain_list
+
+    assert parse_chain_list("L2, W1+Z") == [parse_chain("L2"), parse_chain("W1+Z")]
+    assert dsl_error(parse_chain_list, "W1,W0") == (
+        "component parameter must be >= 1 (at position 3)"
+    )
+    assert dsl_error(parse_chain_list, "W1, W2+") == "dangling '+' (at position 6)"
+    assert dsl_error(parse_chain_list, "W1,,W2") == "empty chain (at position 3)"
+    assert dsl_error(parse_chain_list, "W1, W2 $") == "unexpected character '$' (at position 7)"

@@ -322,3 +322,13 @@ def test_outputs_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_gens_error_positions_count_from_the_option_start(capsys):
+    for argv, message in (
+        (("classify", "bh", "--gens", "W1,W0"), "component parameter must be >= 1 (at position 3)"),
+        (("classify", "bh", "--gens", "W1, W2+"), "dangling '+' (at position 6)"),
+        (("logic", "consequence", "--premise", "p", "--conclusion", "p", "--gens", "L2,L0"),
+         "component parameter must be >= 1 (at position 3)"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")

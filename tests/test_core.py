@@ -207,6 +207,48 @@ def test_check_axioms_matches_scan_oracle():
             assert check_axioms(bad) == check_axioms_by_scans(bad)
 
 
+def test_axiom_report_json_pinned():
+    # the three-element Goedel chain: a basic-hoop chain, not an MV-chain
+    godel = flatten(parse_chain("W1+W1"))
+    assert check_axioms(godel).to_json() == {
+        "commutative_monoid": True,
+        "residuation": True,
+        "integrality": True,
+        "divisibility": True,
+        "prelinearity": True,
+        "mv_identity": False,
+        "cancellativity": False,
+        "bounded": False,
+        "basic_hoop_chain": True,
+        "bl_chain": False,
+        "mv_chain": False,
+        "failures": [["mv_identity", [1, 0]], ["cancellativity", [0, 0]]],
+    }
+    # a mul that is not commutative: unit and associativity go unscanned, and
+    # integrality fails without a witness
+    skew = RawChain(3, ((0, 0, 0), (1, 1, 1), (0, 1, 2)), flatten(parse_chain("W2")).imp)
+    assert check_axioms(skew).to_json() == {
+        "commutative_monoid": False,
+        "residuation": False,
+        "integrality": False,
+        "divisibility": False,
+        "prelinearity": True,
+        "mv_identity": True,
+        "cancellativity": False,
+        "bounded": False,
+        "basic_hoop_chain": False,
+        "bl_chain": False,
+        "mv_chain": False,
+        "failures": [
+            ["commutativity", [0, 1]],
+            ["residuation", [1, 0, 0]],
+            ["integrality", []],
+            ["divisibility", [1, 0]],
+            ["cancellativity", [0, 0]],
+        ],
+    }
+
+
 def test_table_size_limit(monkeypatch):
     # the limit is read at call time, so a small one exercises the boundary
     # without building a large table

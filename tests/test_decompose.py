@@ -100,6 +100,24 @@ def test_classify_component():
         classify_component(godel3(), [0, 1])
 
 
+def test_classify_component_messages():
+    t = flatten(parse_chain("W3"))
+    mul = [list(r) for r in t.mul]
+    mul[1][2] = 1
+    with pytest.raises(ValueError) as info:
+        classify_component(RawChain(4, mul, t.imp), [0, 1, 2])
+    assert str(info.value) == "block [0, 1, 2] is not a Wajsberg component: mul at (1,2)"
+    imp = [list(r) for r in t.imp]
+    imp[2][1] = 1
+    with pytest.raises(ValueError) as info:
+        classify_component(RawChain(4, t.mul, imp), [2, 1, 0])
+    assert str(info.value) == "block [0, 1, 2] is not a Wajsberg component: imp at (2,1)"
+    # a Goedel block fails on its implication
+    with pytest.raises(ValueError) as info:
+        classify_component(godel3(), [0, 1])
+    assert str(info.value) == "block [0, 1] is not a Wajsberg component: imp at (1,0)"
+
+
 def test_blocks_are_convex_intervals():
     c = parse_chain("W2+W1+W3")
     d = decompose(flatten(c))

@@ -287,3 +287,15 @@ def test_dip_report():
     assert rep["deductive_interpolation"] is False
     assert rep["witness"] == "W1+W1+W1"
     assert "strong Robinson property" in rep["equivalent_properties"]
+
+
+def test_parse_error_positions_skip_whitespace():
+    for text, message in (
+        ("p   q", "trailing input 'q' at 4"),
+        ("p  )", "trailing input ')' at 3"),
+        ("p ->  $", "unexpected character '$' at 6"),
+        ("(p  * )", "unexpected ')' at 6"),
+    ):
+        with pytest.raises(FormulaError) as info:
+            parse_formula(text)
+        assert str(info.value) == message
