@@ -24,7 +24,6 @@ from .core import (
     LEX,
     STD_UNIT,
     Chain,
-    Element,
     Kind,
     chain,
     fin_luk,
@@ -36,7 +35,6 @@ from .maps import (
     Essentialization,
     Filter,
     LocalMap,
-    apply_map,
     collapse_after,
     compose,
     enumerate_embeddings,
@@ -44,7 +42,6 @@ from .maps import (
     identity_map,
     is_essential_embedding,
     local_embeddings,
-    quotient_by_filter,
 )
 
 
@@ -91,13 +88,6 @@ class CollapsingMap:
 
 
 Completion = Union[ChainMap, CollapsingMap]
-
-
-def apply_completion(m: Completion, x: Element) -> Element:
-    if isinstance(m, CollapsingMap):
-        _, project = quotient_by_filter(m.source, m.collapse)
-        return apply_map(m.embed, project(x))
-    return apply_map(m, x)
 
 
 @dataclass(frozen=True)
@@ -190,6 +180,31 @@ def universe_chains(e: ClassExpr, max_index: int, max_k: int) -> Iterator[Chain]
                 yield c
 
 
+def _kind_embeds(a: Chain, b: Chain) -> bool:
+    """Whether ``enumerate_embeddings(a, b)`` finds an embedding, decided on
+    component kinds alone.
+
+    Each component of ``a`` takes the leftmost free component of ``b`` it
+    embeds into (first to first when bounds are designated); for an
+    order-preserving injection the greedy choice fails only when every
+    choice does.
+    """
+    if a.bottom != b.bottom:
+        raise ValueError("designated-bounds mismatch between source and target")
+    if a.is_trivial:
+        return not a.bottom or b.is_trivial
+    p = 0
+    for i, kind in enumerate(a.components):
+        while p < b.index and not local_embeddings(kind, b.components[p], 1):
+            if a.bottom and i == 0:
+                return False
+            p += 1
+        if p == b.index:
+            return False
+        p += 1
+    return True
+
+
 def find_amalgam_bruteforce(
     s: Span,
     universe: ClassExpr,
@@ -201,20 +216,26 @@ def find_amalgam_bruteforce(
 
     Targets are drawn lazily from ``universe_chains`` and the search stops at
     the first commuting completion in (target, left leg, right leg) order, so
-    no target past it is built.  ``None`` means the whole bounded universe was
-    walked without a hit; for universes whose kind inventory is finite the
-    kind-level embedding rules make that exhaustive up to the scale cap.
+    no target past it is built.  A target that one codomain does not embed
+    into by kinds is skipped without enumerating legs.  ``None`` means the
+    whole bounded universe was walked without a hit; for universes whose
+    kind inventory is finite the kind-level embedding rules make that
+    exhaustive up to the scale cap.
     """
+    b, c = s.left.target, s.right.target
     for target in universe_chains(universe, max_index, max_k):
-        lefts = enumerate_embeddings(s.left.target, target, scale_cap)
-        if not lefts:
+        if not (_kind_embeds(b, target) and _kind_embeds(c, target)):
             continue
-        rights = enumerate_embeddings(s.right.target, target, scale_cap)
-        for psi1 in lefts:
-            for psi2 in rights:
-                am = Amalgam(target=target, left=psi1, right=psi2)
-                if spans_commute(s, am):
-                    return am
+        # the square commutes exactly when the composites are equal as data
+        # (see spans_commute), so each left leg is looked up among the right
+        # composites, each kept with the first right leg that gives it
+        by_composite = {}
+        for psi2 in enumerate_embeddings(c, target, scale_cap):
+            by_composite.setdefault(compose(psi2, s.right), psi2)
+        for psi1 in enumerate_embeddings(b, target, scale_cap):
+            psi2 = by_composite.get(compose(psi1, s.left))
+            if psi2 is not None:
+                return Amalgam(target=target, left=psi1, right=psi2)
     return None
 
 

@@ -125,9 +125,6 @@ def parse_class_expr(text: str) -> ClassExpr:
     def peek():
         return tokens[i][0] if i < len(tokens) else None
 
-    def pos_now():
-        return tokens[i][1] if i < len(tokens) else len(text)
-
     def take(expected=None):
         nonlocal i
         if i >= len(tokens):
@@ -138,10 +135,9 @@ def parse_class_expr(text: str) -> ClassExpr:
         i += 1
         return tok, pos
 
-    def parse_item() -> Item:
-        nonlocal i
+    def parse_item(first: bool) -> Item:
         if peek() == "(":
-            take("(")
+            _, start = take("(")
             atoms = []
             while peek() != ")":
                 tok, pos = take()
@@ -152,7 +148,7 @@ def parse_class_expr(text: str) -> ClassExpr:
             take(")")
             take("*")
             if not atoms:
-                raise DSLError("empty group", pos_now())
+                raise DSLError("empty group", start)
             return Item(tuple(atoms), star=True)
         tok, pos = take()
         atom = _comp_to_atom(tok, pos)
@@ -162,25 +158,22 @@ def parse_class_expr(text: str) -> ClassExpr:
             star = True
             if atom.bottom:
                 raise DSLError("designated-bounds atom cannot be starred", pos)
+        if atom.bottom and not first:
+            raise DSLError("designated-bounds atom in non-initial position", pos)
         return Item((atom,), star=star)
 
-    def parse_sum() -> SumClass:
-        take("[")
+    def parse_sum() -> tuple:
+        """The next sum class and the position of its '['."""
+        _, start = take("[")
         items = []
         while peek() != "]":
             if peek() is None:
                 raise DSLError("unclosed '['", len(text))
-            items.append(parse_item())
+            items.append(parse_item(first=not items))
         take("]")
         if not items:
-            raise DSLError("empty sum class", pos_now())
-        for j, item in enumerate(items):
-            for a in item.atoms:
-                if a.bottom and j != 0:
-                    raise DSLError(
-                        "designated-bounds atom in non-initial position", pos_now()
-                    )
-        return SumClass(tuple(items))
+            raise DSLError("empty sum class", start)
+        return SumClass(tuple(items)), start
 
     sums = [parse_sum()]
     while peek() == "|":
@@ -188,10 +181,14 @@ def parse_class_expr(text: str) -> ClassExpr:
         sums.append(parse_sum())
     if i != len(tokens):
         raise DSLError(f"trailing input {tokens[i][0]!r}", tokens[i][1])
-    try:
-        return class_expr(sums)
-    except ValueError as exc:
-        raise DSLError(str(exc), 0) from None
+    # validate growing prefixes, so that an error points at the first sum
+    # class that the ones before it do not admit
+    for j, (_, start) in enumerate(sums, 1):
+        try:
+            expr = class_expr(sum_class for sum_class, _ in sums[:j])
+        except ValueError as exc:
+            raise DSLError(str(exc), start) from None
+    return expr
 
 
 def _kind_token(kind: Kind, bottom: bool) -> str:
@@ -229,18 +226,22 @@ def pretty_class_expr(e: ClassExpr) -> str:
 
 
 def parse_element(c: Chain, text: str) -> Element:
-    """Parse 'top' or '<ci>:<local>' against a chain."""
-    text = text.strip()
-    if text == "top":
+    """Parse 'top' or '<ci>:<local>' against a chain; error positions count
+    from the start of ``text``."""
+    if text.strip() == "top":
         return TOP
+    ci_pos = _skip_space(text, 0)
     if ":" not in text:
-        raise DSLError("element must be 'top' or '<component>:<value>'", 0)
+        raise DSLError("element must be 'top' or '<component>:<value>'", ci_pos)
     ci_text, val_text = text.split(":", 1)
+    val_pos = _skip_space(text, len(ci_text) + 1)
+    ci_text, val_text = ci_text.strip(), val_text.strip()
     try:
         ci = int(ci_text)
     except ValueError:
-        raise DSLError(f"bad component index {ci_text!r}", 0) from None
-    val_text = val_text.strip()
+        raise DSLError(f"bad component index {ci_text!r}", ci_pos) from None
+    if not 0 <= ci < c.index:
+        raise DSLError(f"component index {ci} out of range for {c!r}", ci_pos)
     try:
         if "," in val_text:
             a, b = val_text.split(",", 1)
@@ -251,8 +252,16 @@ def parse_element(c: Chain, text: str) -> Element:
         else:
             value = int(val_text)
     except (ValueError, ZeroDivisionError):
-        raise DSLError(f"bad element value {val_text!r}", 0) from None
-    return element(c, ci, value)
+        raise DSLError(f"bad element value {val_text!r}", val_pos) from None
+    try:
+        return element(c, ci, value)
+    except ValueError as exc:
+        raise DSLError(str(exc), val_pos) from None
+
+
+def _skip_space(text: str, pos: int) -> int:
+    """Position of the first non-blank character of ``text`` from ``pos``."""
+    return len(text) - len(text[pos:].lstrip())
 
 
 def pretty_element(x: Element) -> str:

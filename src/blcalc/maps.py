@@ -78,24 +78,16 @@ def apply_local(lm: LocalMap, v: LocalValue) -> LocalValue:
 
 
 def local_embeddings(src: Kind, dst: Kind, scale_cap: int = 4) -> list:
-    """All local embeddings of one kind into another, scale-capped."""
+    """All local embeddings of one kind into another, scale-capped: scales
+    1 to ``scale_cap`` when the source has a cancellative coordinate, the
+    single rigid map otherwise."""
     s, d = src.tag, dst.tag
-    one = [LocalMap(src, dst)]
-    scaled = [LocalMap(src, dst, scale=n) for n in range(1, scale_cap + 1)]
-    if s == FIN and d == FIN:
-        return one if dst.k % src.k == 0 else []
-    if s == FIN and d == LEX:
-        return one if dst.k % src.k == 0 else []
-    if s == FIN and d == UNIT:
-        return one
-    if s == CANC and d == CANC:
-        return scaled
-    if s == CANC and d == LEX:
-        return scaled
-    if s == LEX and d == LEX:
-        return scaled if dst.k % src.k == 0 else []
-    if s == UNIT and d == UNIT:
-        return one
+    if (s == CANC and d in (CANC, LEX)) or (s == d == LEX and dst.k % src.k == 0):
+        return [LocalMap(src, dst, scale=n) for n in range(1, scale_cap + 1)]
+    if (s == FIN and (d == UNIT or (d in (FIN, LEX) and dst.k % src.k == 0))) or (
+        s == d == UNIT
+    ):
+        return [LocalMap(src, dst)]
     return []
 
 

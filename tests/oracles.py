@@ -7,7 +7,9 @@ recognised ordinal sums, the chain-op flattening evaluates every entry
 through ``chain_op`` instead of the integer formulas, and the scan
 decomposition runs the exhaustive axiom check and per-block tests that
 ``decompose`` replaces with one table comparison.  The window oracles evaluate maps point by point
-instead of composing them or reading legality off their data.  The catalog
+instead of composing them or reading legality off their data.  The pair
+search tests every pair of legs of every target, as the kind pre-filter and
+the composite join of the brute-force search avoid doing.  The catalog
 oracles compare classes pair by pair, as the signature dedupe and the
 per-scan witness basis of ``classify`` avoid doing.  The kind join is the
 case table that ``amalgam._join_kinds`` reads off the local embeddings.
@@ -16,7 +18,13 @@ case table that ``amalgam._join_kinds`` reads off the local embeddings.
 import math
 from itertools import product
 
-from blcalc.amalgam import UnsupportedShapeError, apply_completion
+from blcalc.amalgam import (
+    Amalgam,
+    CollapsingMap,
+    UnsupportedShapeError,
+    spans_commute,
+    universe_chains,
+)
 from blcalc.classes import class_includes, vfc_equals
 from blcalc.classify import Verdict, _bl_case_shapes, enumerate_catalog
 from blcalc.core import (
@@ -45,7 +53,20 @@ from blcalc.decompose import (
     flatten,
     same_component,
 )
-from blcalc.maps import ChainMap, apply_map
+from blcalc.maps import (
+    ChainMap,
+    apply_map,
+    enumerate_embeddings,
+    quotient_by_filter,
+)
+
+
+def apply_completion(m, x):
+    """Evaluate a completion, collapsing first when it is a ``CollapsingMap``."""
+    if isinstance(m, CollapsingMap):
+        _, project = quotient_by_filter(m.source, m.collapse)
+        return apply_map(m.embed, project(x))
+    return apply_map(m, x)
 
 
 def window_commutes(s, am, caps: int = 3) -> bool:
@@ -56,6 +77,23 @@ def window_commutes(s, am, caps: int = 3) -> bool:
         == apply_completion(am.right, apply_map(s.right, x))
         for x in enumerate_elements(s.apex, caps)
     )
+
+
+def find_amalgam_by_pairs(s, universe, max_index=3, max_k=7, scale_cap=4):
+    """Reference for ``amalgam.find_amalgam_bruteforce``: every target of the
+    universe walk, every left leg, then every right leg, each pair tested
+    with ``spans_commute``."""
+    for target in universe_chains(universe, max_index, max_k):
+        lefts = enumerate_embeddings(s.left.target, target, scale_cap)
+        if not lefts:
+            continue
+        rights = enumerate_embeddings(s.right.target, target, scale_cap)
+        for psi1 in lefts:
+            for psi2 in rights:
+                am = Amalgam(target=target, left=psi1, right=psi2)
+                if spans_commute(s, am):
+                    return am
+    return None
 
 
 def join_kinds_by_cases(b: Kind, c: Kind) -> Kind:

@@ -2,10 +2,18 @@
 one-sided route through essentialization."""
 
 import math
+import random
 from itertools import islice, product
 
 import pytest
-from oracles import join_kinds_by_cases, window_commutes
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    apply_completion,
+    find_amalgam_by_pairs,
+    join_kinds_by_cases,
+    window_commutes,
+)
 
 from blcalc.amalgam import (
     Amalgam,
@@ -13,8 +21,8 @@ from blcalc.amalgam import (
     Span,
     UnsupportedShapeError,
     _join_kinds,
+    _kind_embeds,
     amalgamate_constructive,
-    apply_completion,
     find_amalgam_bruteforce,
     is_essential_span,
     make_span,
@@ -147,6 +155,105 @@ def test_bruteforce_answers_pinned():
         am = find_amalgam_bruteforce(s, universe, max_index=3, max_k=7)
         got = (pretty_chain(am.target), *_leg(am.left), *_leg(am.right))
         assert got == (target, *legs), (a, b, c)
+
+
+# The chains and the no-amalgam spans of the benchmark's amalgam workload.
+SPAN_CHAINS = ("T", "W1", "W2", "W3", "Z", "Wo1", "Wo2", "W1+Z", "W2+W1", "Z+W2", "W3+Z")
+NO_AMALGAM = (
+    ("T", "W1", "Z", "[W1]|[Z]"),
+    ("T", "Z", "W1", "[W1]|[Z]"),
+    ("T", "W1+Z", "Z+W1", "[W1 Z]|[Z W1]"),
+    ("T", "Z+W1", "W1+Z", "[W1 Z]|[Z W1]"),
+)
+
+
+def differential_cases():
+    """(span, universe, max_index, max_k): the spans searched in this module,
+    the no-amalgam spans, and a seeded sample of spans over SPAN_CHAINS with
+    seeded leg choices."""
+    u_star = parse_class_expr("[U*]")
+    cases = [
+        (make_span(parse_chain(a), parse_chain(b), parse_chain(c)), u_star, 3, 7)
+        for a, b, c, *_ in PINNED_BRUTEFORCE
+    ]
+    for g, a, b in ((1, 2, 3), (2, 2, 4), (1, 1, 5), (3, 3, 6)):
+        cases.append((w_span(g, a, b), ALL_WAJSBERG, 1, math.lcm(a, b)))
+    w1, g2, z = parse_chain("W1"), parse_chain("W1+W1"), parse_chain("Z")
+    into_first, into_last = sorted(enumerate_embeddings(w1, g2), key=lambda m: m.index_map)
+    ident = enumerate_embeddings(w1, w1)[0]
+    w2z = parse_chain("W2+Z")
+    w2z_ident = enumerate_embeddings(w2z, w2z)[0]
+    lex_left = enumerate_embeddings(z, parse_chain("Wo2"), scale_cap=3)[1]
+    lex_right = enumerate_embeddings(z, z, scale_cap=3)[2]
+    cases += [
+        (Span(w2z, w2z_ident, w2z_ident), parse_class_expr("[W2 Z]"), 2, 2),
+        (Span(w1, into_last, ident), parse_class_expr("[W1*]"), 2, 1),
+        (Span(w1, into_first, into_last), parse_class_expr("[W1*]"), 3, 1),
+        (Span(z, lex_left, lex_right), parse_class_expr("[Wo2]"), 2, 4),
+        (Span(z, lex_left, lex_right), u_star, 2, 4),
+        (make_span(parse_chain("L1"), parse_chain("L2"), parse_chain("L3+Z")),
+         parse_class_expr("[UM U*]"), 3, 6),
+    ]
+    for a, b, c, u in NO_AMALGAM:
+        cases.append(
+            (make_span(parse_chain(a), parse_chain(b), parse_chain(c)), parse_class_expr(u), 3, 7)
+        )
+    rng = random.Random(11)
+    chains = {t: parse_chain(t) for t in SPAN_CHAINS}
+    spans = []
+    for a, b, c in product(SPAN_CHAINS, repeat=3):
+        lefts = enumerate_embeddings(chains[a], chains[b])
+        rights = enumerate_embeddings(chains[a], chains[c])
+        if lefts and rights:
+            spans.append(Span(chains[a], rng.choice(lefts), rng.choice(rights)))
+    cases += [(s, u_star, 3, 7) for s in rng.sample(spans, 150)]
+    return cases
+
+
+def test_bruteforce_matches_pair_search():
+    # the kind pre-filter and the composite join return the same first
+    # commuting completion as testing every pair of legs of every target
+    cases = differential_cases()
+    nones = 0
+    for s, universe, max_index, max_k in cases:
+        am = find_amalgam_bruteforce(s, universe, max_index=max_index, max_k=max_k)
+        assert am == find_amalgam_by_pairs(s, universe, max_index, max_k), s
+        nones += am is None
+    assert (len(cases), nones) == (199, 4)
+
+
+KINDS = [parse_chain(n).components[0] for n in "W1 W2 W3 W4 Wo1 Wo2 Z U".split()]
+
+
+def chains_of(bottom: bool):
+    """Chains of index 0 to 3 over KINDS, the trivial chain included; a
+    BL-chain's first component is bounded."""
+    heads = [k for k in KINDS if k.bounded] if bottom else KINDS
+    nontrivial = st.tuples(st.sampled_from(heads), st.lists(st.sampled_from(KINDS), max_size=2))
+    return st.one_of(
+        st.just(chain((), bottom=bottom)),
+        nontrivial.map(lambda t: chain((t[0], *t[1]), bottom=bottom)),
+    )
+
+
+same_bounds = st.booleans().flatmap(lambda bottom: st.tuples(chains_of(bottom), chains_of(bottom)))
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+
+
+@DETERMINISTIC
+@given(same_bounds)
+def test_kind_embeds_decides_enumeration(pair):
+    a, b = pair
+    assert _kind_embeds(a, b) == bool(enumerate_embeddings(a, b))
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(chains_of(False), chains_of(True))
+def test_kind_embeds_bounds_mismatch_raises(hoop, bl):
+    for a, b in ((hoop, bl), (bl, hoop)):
+        for check in (_kind_embeds, enumerate_embeddings):
+            with pytest.raises(ValueError, match="designated-bounds mismatch"):
+                check(a, b)
 
 
 def test_exact_commutation_matches_window():

@@ -291,3 +291,44 @@ def test_parse_chain_list_positions_count_from_the_start():
     assert dsl_error(parse_chain_list, "W1, W2+") == "dangling '+' (at position 6)"
     assert dsl_error(parse_chain_list, "W1,,W2") == "empty chain (at position 3)"
     assert dsl_error(parse_chain_list, "W1, W2 $") == "unexpected character '$' (at position 7)"
+
+
+def test_class_expr_error_positions_point_at_the_offender():
+    # the misplaced atom, the '[' of an empty sum or group, and the first sum
+    # class that the ones before it do not admit
+    assert dsl_error(parse_class_expr, "[W1 L1]") == (
+        "designated-bounds atom in non-initial position (at position 4)"
+    )
+    assert dsl_error(parse_class_expr, "[W1 Z* UM]") == (
+        "designated-bounds atom in non-initial position (at position 7)"
+    )
+    assert dsl_error(parse_class_expr, "[]") == "empty sum class (at position 0)"
+    assert dsl_error(parse_class_expr, "[W1] | []") == "empty sum class (at position 7)"
+    assert dsl_error(parse_class_expr, "[W1 ()*]") == "empty group (at position 4)"
+    assert dsl_error(parse_class_expr, "[W1] | [L1]") == (
+        "all sum classes must agree on designated bounds (at position 7)"
+    )
+    assert dsl_error(parse_class_expr, "[L1] | [L2 U*] | [W1] | [Z]") == (
+        "all sum classes must agree on designated bounds (at position 17)"
+    )
+
+
+def test_parse_element_error_positions_count_from_the_value_start():
+    from blcalc.dsl import parse_element
+
+    w2 = parse_chain("W2")
+    assert parse_element(w2, "  0:1 ") == parse_element(w2, "0:1")
+    assert parse_element(w2, " top ").is_top
+    errors = {
+        "  0:x": ("bad element value 'x'", 4),
+        "0: 1/0": ("bad element value '1/0'", 3),
+        " x:1": ("bad component index 'x'", 1),
+        "  2:0": ("component index 2 out of range for W2", 2),
+        "0:9": ("value 9 out of range for W2", 2),
+        "0: 1,0": ("value (1, 0) out of range for W2", 3),
+        "  1": ("element must be 'top' or '<component>:<value>'", 2),
+    }
+    for text, (message, pos) in errors.items():
+        assert dsl_error(lambda t: parse_element(w2, t), text) == (
+            f"{message} (at position {pos})"
+        ), text

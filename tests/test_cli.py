@@ -332,3 +332,12 @@ def test_gens_error_positions_count_from_the_option_start(capsys):
          "component parameter must be >= 1 (at position 3)"),
     ):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_element_error_positions_count_from_the_option_start(capsys):
+    for x, message in (
+        ("  0:x", "bad element value 'x' (at position 4)"),
+        ("0:9", "value 9 out of range for W2 (at position 2)"),
+    ):
+        argv = ("chain", "eval", "W2", "--op", "mul", "--x", x, "--y", "0:1")
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")

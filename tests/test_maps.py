@@ -20,6 +20,7 @@ from blcalc.maps import (
     filters,
     identity_map,
     is_essential_embedding,
+    local_embeddings,
     quotient_by_filter,
     verify_embedding,
 )
@@ -367,3 +368,30 @@ def test_essentialize_is_maximal():
     _, project = quotient_by_filter(c, larger)
     images = {project(apply_map(m, x)) for x in finite_elements(w1)}
     assert len(images) < len(finite_elements(w1))
+
+
+# Scales of local_embeddings(src, dst, cap) for cap 0..3 over the kinds
+# W1-W4, Wo1, Wo2, Z, U, as the enumeration gave them before it built only the
+# list it returns; every pair not listed has no local embedding at any cap.
+RIGID = ((1,),) * 4
+SCALED = ((), (1,), (1, 2), (1, 2, 3))
+PINNED_LOCAL = {
+    "W1>W1": RIGID, "W1>W2": RIGID, "W1>W3": RIGID, "W1>W4": RIGID,
+    "W1>Wo1": RIGID, "W1>Wo2": RIGID, "W1>U": RIGID,
+    "W2>W2": RIGID, "W2>W4": RIGID, "W2>Wo2": RIGID, "W2>U": RIGID,
+    "W3>W3": RIGID, "W3>U": RIGID, "W4>W4": RIGID, "W4>U": RIGID,
+    "Wo1>Wo1": SCALED, "Wo1>Wo2": SCALED, "Wo2>Wo2": SCALED,
+    "Z>Wo1": SCALED, "Z>Wo2": SCALED, "Z>Z": SCALED,
+    "U>U": RIGID,
+}
+
+
+def test_local_embeddings_pinned():
+    kinds = [parse_chain(n).components[0] for n in "W1 W2 W3 W4 Wo1 Wo2 Z U".split()]
+    for src, dst in product(kinds, repeat=2):
+        got = []
+        for cap in range(4):
+            maps = local_embeddings(src, dst, cap)
+            assert all((m.src, m.dst) == (src, dst) for m in maps)
+            got.append(tuple(m.scale for m in maps))
+        assert tuple(got) == PINNED_LOCAL.get(f"{src!r}>{dst!r}", ((),) * 4), (src, dst)
