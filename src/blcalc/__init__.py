@@ -21,15 +21,6 @@ from .core import (
     lex_omega,
     order_le,
 )
-from .construct import (
-    RadicalView,
-    RotationChain,
-    disconnected_rotation,
-    gamma,
-    ordinal_sum,
-    radical,
-    rotation_embed_into,
-)
 from .decompose import Decomposition, decompose, flatten, same_component
 from .maps import (
     ChainMap,

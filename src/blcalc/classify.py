@@ -156,27 +156,6 @@ def interval_by_name(text: str) -> IntervalPoset:
     return poset
 
 
-def recompute_cover_relation(p: IntervalPoset) -> tuple:
-    """Re-derive the Hasse relation from pairwise class inclusions."""
-    n = len(p.nodes)
-    leq = [[class_includes(p.nodes[i], p.nodes[j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise AssertionError(f"nodes {i} and {j} coincide")
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j]:
-                continue
-            if any(
-                k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)
-            ):
-                continue
-            covers.append((i, j))
-    return tuple(covers)
-
-
 def emit_poset(p: IntervalPoset, fmt: str) -> str:
     """Render an interval poset as DOT (edges bottom-to-top) or JSON."""
     from .dsl import pretty_class_expr

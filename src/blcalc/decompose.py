@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from .core import (
     Chain,
-    Kind,
     RawChain,
     chain,
     check_axioms,
@@ -51,34 +50,6 @@ def same_component(t: RawChain, a: int, b: int) -> bool:
     if not (0 <= a < t.size and 0 <= b < t.size):
         raise ValueError("element index out of range")
     return in_one_component(t, a, b)
-
-
-def classify_component(t: RawChain, block) -> Kind:
-    """Identify a component block (indices below top) as a finite chain kind.
-
-    The block plus the top must carry the table ``ordinal_sum_table([m])``,
-    m the block size, under the order isomorphism sending the i-th smallest
-    block element to i.  The top lies in every component, so a block must
-    not hold it.
-    """
-    block = sorted(block)
-    if t.top in block:
-        raise ValueError("the top lies in every component")
-    if not all(0 <= e < t.size for e in block):
-        raise ValueError("element index out of range")
-    if len(set(block)) != len(block):
-        raise ValueError("block repeats an element")
-    kind = fin_luk(len(block))  # an empty block fails here, before any table is read
-    elems = block + [t.top]
-    luk = ordinal_sum_table([len(block)])
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            for op in ("mul", "imp"):
-                if getattr(t, op)[x][y] != elems[getattr(luk, op)[i][j]]:
-                    raise ValueError(
-                        f"block {block} is not a Wajsberg component: {op} at ({x},{y})"
-                    )
-    return kind
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ def parse_class_expr(text: str) -> ClassExpr:
     def take(expected=None):
         nonlocal i
         if i >= len(tokens):
-            raise DSLError(f"unexpected end of input, expected {expected}", len(text))
+            raise DSLError(f"unexpected end of input, expected {expected!r}", len(text))
         tok, pos = tokens[i]
         if expected is not None and tok != expected:
             raise DSLError(f"expected {expected!r}, got {tok!r}", pos)
@@ -140,6 +140,8 @@ def parse_class_expr(text: str) -> ClassExpr:
             _, start = take("(")
             atoms = []
             while peek() != ")":
+                if peek() is None:
+                    raise DSLError("unclosed '('", len(text))
                 tok, pos = take()
                 atom = _comp_to_atom(tok, pos)
                 if atom.bottom:

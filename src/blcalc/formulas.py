@@ -240,18 +240,6 @@ def consequence(
     return ConsequenceResult(True)
 
 
-def fold_premises(premises: Sequence[Formula]) -> Formula:
-    """Fold a finite premise set into one formula by strong conjunction;
-    sound for designated-value consequence since a product is designated
-    exactly when every factor is."""
-    if not premises:
-        return Const("1")
-    out = premises[0]
-    for f in premises[1:]:
-        out = BinOp("mul", out, f)
-    return out
-
-
 class ClosureLimitError(RuntimeError):
     pass
 

@@ -37,11 +37,8 @@ from .core import (
     LocalValue,
     TOP,
     chain,
-    chain_op,
     element,
-    enumerate_elements,
     fin_luk,
-    order_le,
 )
 
 
@@ -323,28 +320,6 @@ def is_essential_embedding(m: ChainMap) -> bool:
     if m.target.components[-1].tag == LEX:
         return m.locals[-1].src.tag in (CANC, LEX)
     return True
-
-
-def essential_by_filter_definition(m: ChainMap, caps: int = 3) -> bool:
-    """Essentiality per the congruence definition, decided on windows.
-
-    Exact on fully finite chains; used as the oracle the structural test is
-    validated against.
-    """
-    tgt = m.target
-    fc = filters(tgt)
-    fmin = fc.smallest_nontrivial
-    if fmin is None:
-        return m.source.is_trivial
-    if m.source.is_trivial:
-        return False
-    image = [apply_map(m, x) for x in enumerate_elements(m.source, caps)]
-    for x in image:
-        for y in image:
-            if x != y and order_le(tgt, x, y):
-                if filter_contains(tgt, fmin, chain_op(tgt, "imp", y, x)):
-                    return True
-    return False
 
 
 def collapse_after(m: ChainMap, f: Filter) -> Optional[ChainMap]:

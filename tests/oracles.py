@@ -13,9 +13,20 @@ the composite join of the brute-force search avoid doing.  The catalog
 oracles compare classes pair by pair, as the signature dedupe and the
 per-scan witness basis of ``classify`` avoid doing.  The kind join is the
 case table that ``amalgam._join_kinds`` reads off the local embeddings.
+The filter-definition essentiality test evaluates the congruence of the
+target's smallest nontrivial filter on windows of image points, where
+``maps.is_essential_embedding`` reads essentiality off the map's last
+component.  The cover recomputation re-derives an interval's Hasse relation
+from pairwise class inclusions instead of reading the stored covers.  The
+component classifier compares a block entry by entry with the finite
+Lukasiewicz table, as ``decompose`` does with one whole-table comparison.
+The rotation table is the disconnected rotation of a cancellative kind,
+written as its own case table, against which acceptance criterion 4 checks
+the lexicographic chains of ``core.component_op``.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import product
 
 from blcalc.amalgam import (
@@ -26,29 +37,37 @@ from blcalc.amalgam import (
     universe_chains,
 )
 from blcalc.classes import class_includes, vfc_equals
-from blcalc.classify import Verdict, _bl_case_shapes, enumerate_catalog
+from blcalc.classify import (
+    IntervalPoset,
+    Verdict,
+    _bl_case_shapes,
+    enumerate_catalog,
+)
 from blcalc.core import (
     CANC,
     CANC_Z,
     FIN,
     LEX,
     STD_UNIT,
+    TRIV,
     UNIT,
     AxiomReport,
     Kind,
     RawChain,
     chain,
     chain_op,
+    component_op,
     element,
     enumerate_elements,
     fin_luk,
     lex_omega,
     local_bottom,
+    local_top,
     order_le,
+    ordinal_sum_table,
 )
 from blcalc.decompose import (
     Decomposition,
-    classify_component,
     finite_elements,
     flatten,
     same_component,
@@ -57,6 +76,8 @@ from blcalc.maps import (
     ChainMap,
     apply_map,
     enumerate_embeddings,
+    filter_contains,
+    filters,
     quotient_by_filter,
 )
 
@@ -138,6 +159,28 @@ def window_embedding(m: ChainMap, caps: int = 3) -> bool:
                 if apply_map(m, chain_op(src, op, x, y)) != chain_op(tgt, op, fx, fy):
                     return False
     return True
+
+
+def essential_by_filter_definition(m: ChainMap, caps: int = 3) -> bool:
+    """Essentiality per the congruence definition, decided on windows.
+
+    Exact on fully finite chains; used as the oracle the structural test is
+    validated against.
+    """
+    tgt = m.target
+    fc = filters(tgt)
+    fmin = fc.smallest_nontrivial
+    if fmin is None:
+        return m.source.is_trivial
+    if m.source.is_trivial:
+        return False
+    image = [apply_map(m, x) for x in enumerate_elements(m.source, caps)]
+    for x in image:
+        for y in image:
+            if x != y and order_le(tgt, x, y):
+                if filter_contains(tgt, fmin, chain_op(tgt, "imp", y, x)):
+                    return True
+    return False
 
 
 def check_axioms_by_scans(t: RawChain) -> AxiomReport:
@@ -262,6 +305,34 @@ def differential_tables():
                     )
 
 
+def classify_component(t: RawChain, block) -> Kind:
+    """Identify a component block (indices below top) as a finite chain kind.
+
+    The block plus the top must carry the table ``ordinal_sum_table([m])``,
+    m the block size, under the order isomorphism sending the i-th smallest
+    block element to i.  The top lies in every component, so a block must
+    not hold it.
+    """
+    block = sorted(block)
+    if t.top in block:
+        raise ValueError("the top lies in every component")
+    if not all(0 <= e < t.size for e in block):
+        raise ValueError("element index out of range")
+    if len(set(block)) != len(block):
+        raise ValueError("block repeats an element")
+    kind = fin_luk(len(block))  # an empty block fails here, before any table is read
+    elems = block + [t.top]
+    luk = ordinal_sum_table([len(block)])
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            for op in ("mul", "imp"):
+                if getattr(t, op)[x][y] != elems[getattr(luk, op)[i][j]]:
+                    raise ValueError(
+                        f"block {block} is not a Wajsberg component: {op} at ({x},{y})"
+                    )
+    return kind
+
+
 def decompose_by_scans(t: RawChain) -> Decomposition:
     """Reference for ``decompose.decompose``: split a finite chain into
     maximal same-component blocks and identify each as a finite Lukasiewicz
@@ -346,6 +417,27 @@ def scan_nodes_per_node(v, nodes) -> Verdict:
     return Verdict(ap=False, witness=witness)
 
 
+def recompute_cover_relation(p: IntervalPoset) -> tuple:
+    """Re-derive the Hasse relation from pairwise class inclusions."""
+    n = len(p.nodes)
+    leq = [[class_includes(p.nodes[i], p.nodes[j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise AssertionError(f"nodes {i} and {j} coincide")
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not leq[i][j]:
+                continue
+            if any(
+                k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)
+            ):
+                continue
+            covers.append((i, j))
+    return tuple(covers)
+
+
 def table_quotients(t: RawChain):
     """Quotients by product-closed up-sets of a finite chain table."""
     out = []
@@ -420,3 +512,89 @@ def small_chains(max_size: int, bottom: bool):
         for comp in compositions(size):
             out.append(chain(tuple(fin_luk(k) for k in comp), bottom=bottom))
     return out
+
+
+RotValue = tuple  # (sign, local value of the base kind)
+
+
+@dataclass(frozen=True)
+class RotationChain:
+    """The mirrored double of a cancellative chain: an MV-chain whose
+    positive half is the base and whose negative half is its order dual.
+
+    Elements are pairs (sign, x) with sign 1 above sign 0; (1, top) is the
+    top and (0, top) the bottom.  The sign-0 half is ordered by the reverse
+    of the base order.
+    """
+
+    base: Kind
+
+    def __post_init__(self):
+        if self.base.tag not in (CANC, TRIV):
+            raise ValueError("rotation is defined here for cancellative bases only")
+
+    @property
+    def top(self) -> RotValue:
+        return (1, local_top(self.base))
+
+    @property
+    def bottom(self) -> RotValue:
+        return (0, local_top(self.base))
+
+    def window(self, cap: int = 3) -> list:
+        """All rotation elements with base values in [-cap, 0], ascending."""
+        if self.base.tag == TRIV:
+            return [self.bottom, self.top]
+        vals = list(range(-cap, 1))
+        neg = [(0, v) for v in reversed(vals)]
+        pos = [(1, v) for v in vals]
+        return neg + pos
+
+
+def rot_op(r: RotationChain, op: str, p: RotValue, q: RotValue) -> RotValue:
+    """Operation table of the disconnected rotation."""
+    base = r.base
+    (i, x), (j, y) = p, q
+
+    def b(o, a, c):
+        return component_op(base, o, a, c)
+
+    if op in ("mul", "meet", "join"):
+        # these three are commutative: normalize to i <= j
+        if i > j:
+            (i, x), (j, y) = (j, y), (i, x)
+        if op == "join":
+            if i == j == 1:
+                return (1, b("join", x, y))
+            if i == j == 0:
+                return (0, b("meet", x, y))
+            return (1, y)
+        if op == "meet":
+            if i == j == 1:
+                return (1, b("meet", x, y))
+            if i == j == 0:
+                return (0, b("join", x, y))
+            return (0, x)
+        if i == j == 1:
+            return (1, b("mul", x, y))
+        if i == j == 0:
+            return r.bottom
+        return (0, b("imp", y, x))
+    if op == "imp":
+        if i == j == 1:
+            return (1, b("imp", x, y))
+        if i == j == 0:
+            return (1, b("imp", y, x))
+        if j < i:
+            return (0, b("mul", x, y))
+        return r.top
+    raise ValueError(f"unknown operation {op!r}")
+
+
+def rot_le(r: RotationChain, p: RotValue, q: RotValue) -> bool:
+    (i, x), (j, y) = p, q
+    if i != j:
+        return i < j
+    if i == 1:
+        return x <= y
+    return y <= x

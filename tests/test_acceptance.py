@@ -7,7 +7,14 @@ import math
 import random
 import time
 
-from oracles import oracle_membership, small_chains
+from oracles import (
+    RotationChain,
+    oracle_membership,
+    recompute_cover_relation,
+    rot_le,
+    rot_op,
+    small_chains,
+)
 
 from blcalc.amalgam import (
     amalgamate_constructive,
@@ -24,10 +31,17 @@ from blcalc.classify import (
     classify_ap_bl,
     enumerate_catalog,
     interval,
-    recompute_cover_relation,
 )
-from blcalc.construct import disconnected_rotation, rotation_embed_into
-from blcalc.core import CANC_Z, STD_UNIT, chain, fin_luk, lex_omega
+from blcalc.core import (
+    CANC_Z,
+    STD_UNIT,
+    TRIVIAL,
+    _window_values,
+    chain,
+    component_op,
+    fin_luk,
+    lex_omega,
+)
 from blcalc.decompose import decompose, flatten
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain
 from blcalc.formulas import (
@@ -113,17 +127,29 @@ def test_criterion_3_oracle_vs_construction():
 
 def test_criterion_4_rotation_identity():
     start = time.time()
-    rot = disconnected_rotation(parse_chain("Z"))
-    # window check up to |b| <= 10 happens inside the embedding verifier
-    emb = rotation_embed_into(rot, lex_omega(1), verify_cap=10)
-    window = rot.window(10)
-    images = {emb(p) for p in window}
-    assert len(images) == len(window)
-    from blcalc.core import _window_values
 
+    def embed(p, k):
+        """(1, b) -> (k, b) and (0, b) -> (0, -b); bounds go to bounds."""
+        sign, b = p
+        return (k, b) if sign == 1 else (0, -b)
+
+    for base in (CANC_Z, TRIVIAL):
+        rot = RotationChain(base)
+        window = rot.window(10)
+        for k in (1, 2, 3):
+            target = lex_omega(k)
+            images = [embed(p, k) for p in window]
+            assert len(set(images)) == len(window)
+            for p, fp in zip(window, images):
+                for q, fq in zip(window, images):
+                    assert rot_le(rot, p, q) == (fp <= fq)
+                    for op in ("mul", "imp", "meet", "join"):
+                        assert embed(rot_op(rot, op, p, q), k) == component_op(
+                            target, op, fp, fq
+                        )
+    window = RotationChain(CANC_Z).window(10)
+    images = {embed(p, 1) for p in window}
     assert images == set(_window_values(lex_omega(1), 10)) | {(1, 0)}
-    for k in (1, 2, 3):
-        rotation_embed_into(rot, lex_omega(k), verify_cap=10)
     elapsed = time.time() - start
     report(4, f"rotated cancellative chain = the k=1 lexicographic chain on "
               f"|b|<=10 windows; embeddings verified for k<=3 ({elapsed:.2f}s)")

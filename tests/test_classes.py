@@ -311,6 +311,14 @@ def test_class_expr_error_positions_point_at_the_offender():
     assert dsl_error(parse_class_expr, "[L1] | [L2 U*] | [W1] | [Z]") == (
         "all sum classes must agree on designated bounds (at position 17)"
     )
+    # input that ends early: an open group, a missing sum class or star
+    assert dsl_error(parse_class_expr, "[(W1") == "unclosed '(' (at position 4)"
+    assert dsl_error(parse_class_expr, "[W1]|") == (
+        "unexpected end of input, expected '[' (at position 5)"
+    )
+    assert dsl_error(parse_class_expr, "[(W1)") == (
+        "unexpected end of input, expected '*' (at position 5)"
+    )
 
 
 def test_parse_element_error_positions_count_from_the_value_start():

@@ -16,12 +16,16 @@ from blcalc.classify import (
     interval,
     interval_by_name,
     normalize_kinds,
-    recompute_cover_relation,
 )
 from blcalc.core import CANC_Z, STD_UNIT, chain, fin_luk, lex_omega
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain, pretty_class_expr
 
-from oracles import pairwise_bl_catalog, scan_nodes_per_node, small_chains
+from oracles import (
+    pairwise_bl_catalog,
+    recompute_cover_relation,
+    scan_nodes_per_node,
+    small_chains,
+)
 
 
 def test_normalize_kinds():

@@ -59,6 +59,21 @@ def test_component_op_lex():
     assert component_op(lex_omega(2), "mul", (1, 3), (1, 4)) == (0, 7)
 
 
+def test_lex_radical_powers_stay_above_bottom():
+    # (k, b)^n = (k, n*b) never reaches the bottom (0, 0)
+    k = lex_omega(2)
+    v = (2, -3)
+    power = v
+    for _ in range(20):
+        power = component_op(k, "mul", power, v)
+        assert power[0] == 2
+    # while any (a, b) with a < k powers down to the bottom
+    power = (1, 5)
+    for _ in range(20):
+        power = component_op(k, "mul", power, (1, 5))
+    assert power == (0, 0)
+
+
 def test_component_op_cancellative_residual():
     # largest z <= 0 with -1 + z <= -3
     assert component_op(CANC_Z, "imp", -1, -3) == -2

@@ -6,7 +6,6 @@ import pytest
 
 from blcalc.core import RawChain, chain, fin_luk
 from blcalc.decompose import (
-    classify_component,
     decompose,
     finite_elements,
     flatten,
@@ -14,6 +13,7 @@ from blcalc.decompose import (
 )
 from blcalc.dsl import parse_chain, pretty_chain
 from oracles import (
+    classify_component,
     decompose_by_scans,
     differential_tables,
     flatten_by_chain_op,

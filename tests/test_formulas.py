@@ -260,22 +260,6 @@ def test_find_interpolant_rejects_exactly_non_consequences():
     assert rejected > 0
 
 
-def test_fold_premises():
-    from blcalc.formulas import fold_premises
-
-    L2 = parse_chain("L2")
-    premises = [parse_formula("p -> q"), parse_formula("p")]
-    folded = fold_premises(premises)
-    assert consequence(folded, parse_formula("q"), [L2]).holds
-    # a product of premises is designated exactly when each premise is
-    for val in [{"p": x, "q": y} for x in finite_elements(L2)
-                for y in finite_elements(L2)]:
-        lhs = eval_formula(folded, L2, val) == TOP
-        rhs = all(eval_formula(f, L2, val) == TOP for f in premises)
-        assert lhs == rhs
-    assert fold_premises([]) == Const("1")
-
-
 def test_dip_report():
     rep = dip_report(canonical(parse_class_expr("[UM U*]")))
     assert rep["deductive_interpolation"] is True

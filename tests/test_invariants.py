@@ -15,13 +15,16 @@ from blcalc.dsl import parse_chain, pretty_chain
 from blcalc.maps import (
     apply_map,
     enumerate_embeddings,
-    essential_by_filter_definition,
     essentialize,
     filters,
     is_essential_embedding,
     quotient_by_filter,
 )
-from oracles import check_axioms_by_scans, small_chains
+from oracles import (
+    check_axioms_by_scans,
+    essential_by_filter_definition,
+    small_chains,
+)
 
 
 def small_sums(max_comps, max_k):

@@ -11,7 +11,7 @@ import blcalc
 # the package entry points
 LAYERS = (
     ("core",),
-    ("construct", "decompose", "maps", "classes"),
+    ("decompose", "maps", "classes"),
     ("dsl", "amalgam", "classify", "formulas"),
     ("cli", "__init__"),
 )

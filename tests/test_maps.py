@@ -5,7 +5,15 @@ from itertools import product
 
 import pytest
 
-from blcalc.core import TOP, chain, fin_luk
+from blcalc.core import (
+    TOP,
+    chain,
+    chain_op,
+    element,
+    enumerate_elements,
+    fin_luk,
+    order_le,
+)
 from blcalc.decompose import finite_elements, flatten
 from blcalc.dsl import parse_chain
 from blcalc.maps import (
@@ -14,7 +22,6 @@ from blcalc.maps import (
     LocalMap,
     apply_map,
     enumerate_embeddings,
-    essential_by_filter_definition,
     essentialize,
     filter_contains,
     filters,
@@ -24,7 +31,7 @@ from blcalc.maps import (
     quotient_by_filter,
     verify_embedding,
 )
-from oracles import window_embedding
+from oracles import essential_by_filter_definition, window_embedding
 
 
 def exhaustive_embeddings(a, b):
@@ -125,7 +132,6 @@ def test_embeddings_verify_on_windows(a, b):
 
 
 def test_compose_embeddings():
-    from blcalc.core import enumerate_elements
     from blcalc.maps import compose
 
     for a, b, c in [
@@ -241,8 +247,7 @@ def test_filter_counts(text, count):
 def test_filters_ordered_by_inclusion():
     c = parse_chain("W1+Wo2+W1")
     fs = filters(c).filters
-    elems = [x for x in __import__("blcalc.core", fromlist=["enumerate_elements"])
-             .enumerate_elements(c, 3)]
+    elems = enumerate_elements(c, 3)
     for f1, f2 in zip(fs, fs[1:]):
         s1 = {x for x in elems if filter_contains(c, f1, x)}
         s2 = {x for x in elems if filter_contains(c, f2, x)}
@@ -273,12 +278,27 @@ def test_quotient_by_filter():
     lex = parse_chain("Wo2")
     q, project = quotient_by_filter(lex, Filter(0, radical=True))
     assert q.components == (fin_luk(2),)
-    from blcalc.core import element
-
     assert project(element(lex, 0, (1, 7))) == element(q, 0, 1)
     assert project(element(lex, 0, (2, -3))) == TOP
     q, _ = quotient_by_filter(c, Filter(c.index))
     assert q == c
+
+
+def test_radical_filter_of_wo2_is_closed():
+    # Filter(0, radical=True) of Wo2 holds exactly the (2, b): it contains
+    # the products of its members and everything above them
+    c = parse_chain("Wo2")
+    rad = Filter(0, radical=True)
+    window = enumerate_elements(c, 4)
+    members = [element(c, 0, (2, b)) for b in range(-4, 0)]
+    assert all(filter_contains(c, rad, x) for x in members)
+    assert not filter_contains(c, rad, element(c, 0, (1, 7)))
+    for x in members:
+        for y in members:
+            assert filter_contains(c, rad, chain_op(c, "mul", x, y))
+        for z in window:
+            if order_le(c, x, z):
+                assert filter_contains(c, rad, z)
 
 
 def test_quotient_matches_table_quotient():

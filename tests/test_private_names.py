@@ -1,5 +1,7 @@
-"""Every private module-level name of the package is read somewhere in the
-package outside its own definition; a name nothing reads is dead code."""
+"""Every module-level name of the package is live; a name nothing reads is
+dead code.  A private name must be read somewhere in the package outside its
+own definition.  A public name may also be read by the benchmark scripts in
+``bench/``, and the package's ``__init__`` exports count as reads."""
 
 import ast
 from pathlib import Path
@@ -7,10 +9,12 @@ from pathlib import Path
 import blcalc
 
 PACKAGE = Path(blcalc.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def defined_private_names(tree: ast.Module):
-    """(name, defining statement) for the module-level ``_name`` bindings."""
+def defined_names(tree: ast.Module):
+    """(name, defining statement) for the module-level bindings, dunders
+    excluded."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -20,7 +24,7 @@ def defined_private_names(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.endswith("__"):
+            if not (name.startswith("__") and name.endswith("__")):
                 yield name, node
 
 
@@ -37,17 +41,31 @@ def read_names(node: ast.AST) -> set:
     return out
 
 
-def test_private_names_are_read():
+def unread_names(public: bool, outside: set = frozenset()) -> list:
+    """``module.name`` for the private (or public) module-level names that
+    no other package statement reads and that are not in ``outside``."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     statements = [
         (node, read_names(node)) for tree in trees.values() for node in tree.body
     ]
-    dead = [
+    return [
         f"{module}.{name}"
         for module, tree in trees.items()
-        for name, definition in defined_private_names(tree)
-        if not any(
+        for name, definition in defined_names(tree)
+        if name.startswith("_") != public
+        and name not in outside
+        and not any(
             node is not definition and name in reads for node, reads in statements
         )
     ]
-    assert dead == []
+
+
+def test_private_names_are_read():
+    assert unread_names(public=False) == []
+
+
+def test_public_names_are_read_by_the_package_or_the_benchmark():
+    bench_reads = set()
+    for path in BENCH.glob("*.py"):
+        bench_reads |= read_names(ast.parse(path.read_text()))
+    assert unread_names(public=True, outside=bench_reads) == []
