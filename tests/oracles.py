@@ -598,3 +598,10 @@ def rot_le(r: RotationChain, p: RotValue, q: RotValue) -> bool:
     if i == 1:
         return x <= y
     return y <= x
+
+
+def rotation_embed(p: RotValue, k: int) -> tuple:
+    """The rotation of Z into Wo k: (1, b) -> (k, b), (0, b) -> (0, -b);
+    bounds go to bounds."""
+    sign, b = p
+    return (k, b) if sign == 1 else (0, -b)

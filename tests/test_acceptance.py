@@ -13,6 +13,7 @@ from oracles import (
     recompute_cover_relation,
     rot_le,
     rot_op,
+    rotation_embed,
     small_chains,
 )
 
@@ -128,27 +129,21 @@ def test_criterion_3_oracle_vs_construction():
 def test_criterion_4_rotation_identity():
     start = time.time()
 
-    def embed(p, k):
-        """(1, b) -> (k, b) and (0, b) -> (0, -b); bounds go to bounds."""
-        sign, b = p
-        return (k, b) if sign == 1 else (0, -b)
-
     for base in (CANC_Z, TRIVIAL):
         rot = RotationChain(base)
         window = rot.window(10)
         for k in (1, 2, 3):
             target = lex_omega(k)
-            images = [embed(p, k) for p in window]
+            images = [rotation_embed(p, k) for p in window]
             assert len(set(images)) == len(window)
             for p, fp in zip(window, images):
                 for q, fq in zip(window, images):
                     assert rot_le(rot, p, q) == (fp <= fq)
                     for op in ("mul", "imp", "meet", "join"):
-                        assert embed(rot_op(rot, op, p, q), k) == component_op(
-                            target, op, fp, fq
-                        )
+                        image = rotation_embed(rot_op(rot, op, p, q), k)
+                        assert image == component_op(target, op, fp, fq)
     window = RotationChain(CANC_Z).window(10)
-    images = {embed(p, 1) for p in window}
+    images = {rotation_embed(p, 1) for p in window}
     assert images == set(_window_values(lex_omega(1), 10)) | {(1, 0)}
     elapsed = time.time() - start
     report(4, f"rotated cancellative chain = the k=1 lexicographic chain on "
