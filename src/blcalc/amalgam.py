@@ -34,12 +34,10 @@ from .maps import (
     ChainMap,
     Essentialization,
     Filter,
-    LocalMap,
     collapse_after,
     compose,
     enumerate_embeddings,
     essentialize,
-    identity_map,
     is_essential_embedding,
     local_embeddings,
 )
@@ -137,9 +135,9 @@ def is_essential_span(s: Span) -> bool:
 def spans_commute(s: Span, am: Amalgam) -> bool:
     """Whether the completed square commutes, decided exactly.
 
-    Both composites are embeddings given by an index map and rigid local
-    maps (scale 1 on finite sources), so they agree as functions exactly
-    when they agree as data.  A collapsing right completion first collapses
+    Both composites are embeddings given by an index map and one scale per
+    component (1 where there is no cancellative coordinate), so they agree
+    as functions exactly when they agree as data.  A collapsing right completion first collapses
     the right leg; when that identifies image points the square cannot
     commute, because the left composite is injective.
     """
@@ -255,52 +253,40 @@ def _join_kinds(b: Kind, c: Kind) -> Kind:
 
 
 def _slot_amalgam(
-    b_kind: Optional[Kind],
-    c_kind: Optional[Kind],
-    apex_locals: Optional[tuple],  # (LocalMap apex->b, LocalMap apex->c)
+    b_kind: Optional[Kind], c_kind: Optional[Kind], apex_scales: tuple = (1, 1)
 ):
     """Amalgamate one aligned component slot.
 
-    Returns the slot's target kind and the local maps of the two completions.
-    Scales on the cancellative coordinate are balanced so the square commutes;
-    finite-chain embeddings are unique, so they commute by themselves.
+    Returns the slot's target kind and the scales of the two completions
+    there (``None`` for an absent side).  ``apex_scales`` are the apex's
+    scales into the two sides; they are balanced crosswise, so the apex
+    reaches the slot at their product both ways and the square commutes.
     """
-    if b_kind is None and c_kind is None:
-        raise AssertionError("empty slot")
     if c_kind is None:
-        return b_kind, LocalMap(b_kind, b_kind), None
+        return b_kind, 1, None
     if b_kind is None:
-        return c_kind, None, LocalMap(c_kind, c_kind)
-    d = _join_kinds(b_kind, c_kind)
-    beta, gamma_ = 1, 1
-    if apex_locals is not None:
-        lb, lc = apex_locals
-        if lb.src.tag in (CANC, LEX):
-            beta, gamma_ = lc.scale, lb.scale
-    return d, LocalMap(b_kind, d, scale=beta), LocalMap(c_kind, d, scale=gamma_)
+        return c_kind, None, 1
+    sb, sc = apex_scales
+    return _join_kinds(b_kind, c_kind), sc, sb
 
 
 def _merge_positions(bpos, cpos, anchors):
-    """Merge two position runs sharing anchored pairs into slot records
-    (b position or None, c position or None, anchored flag)."""
+    """Merge two position runs into slots (b position or None, c position or
+    None), fusing the anchored pairs and interleaving the rest."""
     slots = []
     bi, ci = 0, 0
     for (pb, pc) in anchors:
         while bi < len(bpos) and bpos[bi] < pb:
-            slots.append((bpos[bi], None, False))
+            slots.append((bpos[bi], None))
             bi += 1
         while ci < len(cpos) and cpos[ci] < pc:
-            slots.append((None, cpos[ci], False))
+            slots.append((None, cpos[ci]))
             ci += 1
-        slots.append((pb, pc, True))
+        slots.append((pb, pc))
         bi += 1
         ci += 1
-    while bi < len(bpos):
-        slots.append((bpos[bi], None, False))
-        bi += 1
-    while ci < len(cpos):
-        slots.append((None, cpos[ci], False))
-        ci += 1
+    slots.extend((pb, None) for pb in bpos[bi:])
+    slots.extend((None, pc) for pc in cpos[ci:])
     return slots
 
 
@@ -317,14 +303,6 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Amalgam:
     for c in (s.apex, b_chain, c_chain):
         if not member(c, universe):
             raise UnsupportedShapeError(f"{c!r} lies outside the universe")
-
-    if c_chain.is_trivial:
-        return Amalgam(target=b_chain, left=identity_map(b_chain),
-                       right=enumerate_embeddings(c_chain, b_chain)[0])
-    if b_chain.is_trivial:
-        return Amalgam(target=c_chain,
-                       left=enumerate_embeddings(b_chain, c_chain)[0],
-                       right=identity_map(c_chain))
 
     f1, f2 = s.left.index_map, s.right.index_map
     for sum_class in universe.sums:
@@ -346,50 +324,37 @@ def _assemble(s: Span, sum_class, asg_b, asg_c) -> Amalgam:
     f1, f2 = s.left.index_map, s.right.index_map
     anchor_of_b = {f1[i]: i for i in range(s.apex.index)}
 
-    slots = []  # (b position or None, c position or None, apex index or None)
+    kinds = []
+    b_index_map, b_scales = [], []
+    c_index_map, c_scales = [], []
     for ii, item in enumerate(sum_class.items):
         bpos = [p for p, a in enumerate(asg_b) if a == ii]
         cpos = [p for p, a in enumerate(asg_c) if a == ii]
-        anchors = [
-            (f1[i], f2[i]) for i in range(s.apex.index) if asg_b[f1[i]] == ii
-        ]
         if item.star:
-            merged = _merge_positions(bpos, cpos, anchors)
+            anchors = [(f1[i], f2[i]) for i in range(s.apex.index) if asg_b[f1[i]] == ii]
         else:
-            if len(bpos) > 1 or len(cpos) > 1:
-                raise UnsupportedShapeError("plain item consumed twice")
-            if bpos or cpos:
-                merged = [(bpos[0] if bpos else None, cpos[0] if cpos else None,
-                           bool(anchors))]
-            else:
-                merged = []
-        for pb, pc, anchored in merged:
-            apex_i = anchor_of_b.get(pb) if anchored else None
-            slots.append((pb, pc, apex_i))
-
-    kinds = []
-    b_index_map, b_locals = [], []
-    c_index_map, c_locals = [], []
-    for pos, (pb, pc, apex_i) in enumerate(slots):
-        b_kind = b_chain.components[pb] if pb is not None else None
-        c_kind = c_chain.components[pc] if pc is not None else None
-        apex_locals = None
-        if apex_i is not None:
-            apex_locals = (s.left.locals[apex_i], s.right.locals[apex_i])
-        d_kind, lb, lc = _slot_amalgam(b_kind, c_kind, apex_locals)
-        kinds.append(d_kind)
-        if pb is not None:
-            b_index_map.append(pos)
-            b_locals.append(lb)
-        if pc is not None:
-            c_index_map.append(pos)
-            c_locals.append(lc)
+            anchors = list(zip(bpos, cpos))  # a plain item's components fuse
+        for pb, pc in _merge_positions(bpos, cpos, anchors):
+            b_kind = b_chain.components[pb] if pb is not None else None
+            c_kind = c_chain.components[pc] if pc is not None else None
+            apex_i = anchor_of_b.get(pb)
+            apex_scales = (1, 1)
+            if apex_i is not None and s.apex.components[apex_i].tag in (CANC, LEX):
+                apex_scales = (s.left.scales[apex_i], s.right.scales[apex_i])
+            d_kind, sb, sc = _slot_amalgam(b_kind, c_kind, apex_scales)
+            if pb is not None:
+                b_index_map.append(len(kinds))
+                b_scales.append(sb)
+            if pc is not None:
+                c_index_map.append(len(kinds))
+                c_scales.append(sc)
+            kinds.append(d_kind)
 
     target = chain(kinds, bottom=b_chain.bottom)
     if target.index != len(kinds):
         raise AssertionError("slot kinds must be non-trivial")
-    left = ChainMap(b_chain, target, tuple(b_index_map), tuple(b_locals))
-    right = ChainMap(c_chain, target, tuple(c_index_map), tuple(c_locals))
+    left = ChainMap(b_chain, target, tuple(b_index_map), tuple(b_scales))
+    right = ChainMap(c_chain, target, tuple(c_index_map), tuple(c_scales))
     return Amalgam(target=target, left=left, right=right)
 
 

@@ -9,6 +9,7 @@ All JSON output is versioned with "schema": "blcalc/1" and sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,6 @@ from .classify import (
 from .core import RawChain, chain_op, check_axioms
 from .decompose import decompose, flatten
 from .dsl import (
-    DSLError,
     parse_chain,
     parse_chain_list,
     parse_class_expr,
@@ -93,14 +93,13 @@ def cmd_chain(args) -> int:
         c = parse_chain(args.chain)
         _emit({"table": flatten(c).to_json()})
         return 0
-    if args.subcommand == "eval":
-        c = parse_chain(args.chain)
-        x = parse_element(c, args.x)
-        y = parse_element(c, args.y)
-        result = chain_op(c, args.op, x, y)
-        _emit({"result": pretty_element(result)})
-        return 0
-    raise DSLError(f"unknown chain subcommand {args.subcommand!r}", 0)
+    # the parser admits no other subcommand than eval
+    c = parse_chain(args.chain)
+    x = parse_element(c, args.x)
+    y = parse_element(c, args.y)
+    result = chain_op(c, args.op, x, y)
+    _emit({"result": pretty_element(result)})
+    return 0
 
 
 def cmd_amalgam(args) -> int:
@@ -136,18 +135,17 @@ def cmd_amalgam(args) -> int:
             return 1
         _emit({"amalgam": am.to_json()})
         return 0
-    if args.mode == "one-sided":
-        try:
-            am = one_sided_amalgam(span, universe, **bounds)
-            reason = "essential span has no amalgam within bounds"
-        except UnsupportedShapeError as exc:
-            am, reason = None, str(exc)
-        if am is None:
-            _emit({"result": "none-within-bounds", "reason": reason, "bounds": bounds})
-            return 1
-        _emit({"amalgam": am.to_json()})
-        return 0
-    raise DSLError(f"unknown amalgam mode {args.mode!r}", 0)
+    # the parser admits no other mode than one-sided
+    try:
+        am = one_sided_amalgam(span, universe, **bounds)
+        reason = "essential span has no amalgam within bounds"
+    except UnsupportedShapeError as exc:
+        am, reason = None, str(exc)
+    if am is None:
+        _emit({"result": "none-within-bounds", "reason": reason, "bounds": bounds})
+        return 1
+    _emit({"amalgam": am.to_json()})
+    return 0
 
 
 def cmd_classify(args) -> int:
@@ -191,17 +189,18 @@ def cmd_logic(args) -> int:
             }
         _emit(payload)
         return 0 if res.holds else 1
-    if args.subcommand == "interpolate":
-        chi = find_interpolant(premise, conclusion, gens, limit=args.limit)
-        if chi is None:
-            _emit({"interpolant": None, "certified": True})
-            return 1
-        _emit({"interpolant": pretty_formula(chi)})
-        return 0
-    raise DSLError(f"unknown logic subcommand {args.subcommand!r}", 0)
+    # the parser admits no other subcommand than interpolate
+    chi = find_interpolant(premise, conclusion, gens, limit=args.limit)
+    if chi is None:
+        _emit({"interpolant": None, "certified": True})
+        return 1
+    _emit({"interpolant": pretty_formula(chi)})
+    return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="blcalc",
         description="Exact algebra of totally ordered basic hoops and "
@@ -263,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     dispatch = {
         "chain": cmd_chain,
         "amalgam": cmd_amalgam,

@@ -216,9 +216,6 @@ class Chain:
             raise ValueError("infinite chain has no size")
         return 1 + sum(k.k for k in self.components)
 
-    def kind_at(self, ci: int) -> Kind:
-        return self.components[ci]
-
     def __repr__(self):
         from .dsl import pretty_chain
 
@@ -238,10 +235,10 @@ def element(c: Chain, ci: int, value: LocalValue) -> Element:
     if not (0 <= ci < c.index):
         raise ValueError(f"component index {ci} out of range for {c!r}")
     kind = c.components[ci]
-    if kind.tag == UNIT:
-        value = Fraction(value)
     if not value_in_range(kind, value):
         raise ValueError(f"value {value!r} out of range for {kind}")
+    if kind.tag == UNIT:
+        value = Fraction(value)
     if value == local_top(kind):
         return TOP
     return Element(ci, value)

@@ -14,9 +14,11 @@ rigid for the representable kinds:
   U    -> U      the identity
 
 Nothing cancellative or lexicographic embeds into U, and nothing infinite
-embeds into a finite chain.  Cancellative coordinates make some families
-infinite, so enumeration takes a scale cap (canonical representative:
-scale 1).
+embeds into a finite chain.  So a local embedding is fixed by the two kinds
+it joins and a scale on the cancellative coordinate, and a map is its index
+map plus one scale per source component; the kinds are read off the two
+chains.  Cancellative coordinates make some families infinite, so
+enumeration takes a scale cap (canonical representative: scale 1).
 """
 
 from __future__ import annotations
@@ -42,68 +44,62 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class LocalMap:
-    """A local embedding of one component kind into another."""
-
-    src: Kind
-    dst: Kind
-    scale: int = 1
-
-    def to_json(self) -> dict:
-        return {"src": repr(self.src), "dst": repr(self.dst), "scale": self.scale}
-
-
-def apply_local(lm: LocalMap, v: LocalValue) -> LocalValue:
-    s, d = lm.src.tag, lm.dst.tag
+def apply_local(src: Kind, dst: Kind, scale: int, v: LocalValue) -> LocalValue:
+    s, d = src.tag, dst.tag
     if s == FIN and d == FIN:
-        return v * (lm.dst.k // lm.src.k)
+        return v * (dst.k // src.k)
     if s == FIN and d == LEX:
-        return (v * (lm.dst.k // lm.src.k), 0)
+        return (v * (dst.k // src.k), 0)
     if s == FIN and d == UNIT:
-        return Fraction(v, lm.src.k)
+        return Fraction(v, src.k)
     if s == CANC and d == CANC:
-        return lm.scale * v
+        return scale * v
     if s == CANC and d == LEX:
-        return (lm.dst.k, lm.scale * v)
+        return (dst.k, scale * v)
     if s == LEX and d == LEX:
         a, b = v
-        return (a * (lm.dst.k // lm.src.k), lm.scale * b)
+        return (a * (dst.k // src.k), scale * b)
     if s == UNIT and d == UNIT:
         return v
-    raise ValueError(f"no local map from {lm.src} to {lm.dst}")
+    raise ValueError(f"no local map from {src} to {dst}")
 
 
-def local_embeddings(src: Kind, dst: Kind, scale_cap: int = 4) -> list:
-    """All local embeddings of one kind into another, scale-capped: scales
-    1 to ``scale_cap`` when the source has a cancellative coordinate, the
-    single rigid map otherwise."""
+def local_embeddings(src: Kind, dst: Kind, scale_cap: int = 4) -> tuple:
+    """The scales of the local embeddings of one kind into another: 1 to
+    ``scale_cap`` when the source has a cancellative coordinate, ``(1,)``
+    for the single rigid map, ``()`` when there is none."""
     s, d = src.tag, dst.tag
     if (s == CANC and d in (CANC, LEX)) or (s == d == LEX and dst.k % src.k == 0):
-        return [LocalMap(src, dst, scale=n) for n in range(1, scale_cap + 1)]
+        return tuple(range(1, scale_cap + 1))
     if (s == FIN and (d == UNIT or (d in (FIN, LEX) and dst.k % src.k == 0))) or (
         s == d == UNIT
     ):
-        return [LocalMap(src, dst)]
-    return []
+        return (1,)
+    return ()
 
 
 @dataclass(frozen=True)
 class ChainMap:
-    """An embedding of structural chains: target positions per source
-    component plus the local embedding used at each."""
+    """An embedding of structural chains: a target position and a scale per
+    source component.  The local embedding at each position is the one the
+    two kinds there admit at that scale (see the module docstring); the
+    scale acts only on a cancellative coordinate."""
 
     source: Chain
     target: Chain
     index_map: tuple  # strictly increasing target positions, one per source comp
-    locals: tuple  # LocalMap per source component
+    scales: tuple  # one per source component
 
     def to_json(self) -> dict:
+        dst = self.target.components
         return {
             "source": repr(self.source),
             "target": repr(self.target),
             "index_map": [[i, p] for i, p in enumerate(self.index_map)],
-            "component_maps": [lm.to_json() for lm in self.locals],
+            "component_maps": [
+                {"src": repr(kind), "dst": repr(dst[p]), "scale": scale}
+                for kind, p, scale in zip(self.source.components, self.index_map, self.scales)
+            ],
             "embedding": True,
         }
 
@@ -112,61 +108,45 @@ class ChainMap:
         return f"<{self.source!r} into {self.target!r} [{pairs}]>"
 
 
-def identity_map(c: Chain) -> ChainMap:
-    return ChainMap(
-        source=c,
-        target=c,
-        index_map=tuple(range(c.index)),
-        locals=tuple(LocalMap(k, k) for k in c.components),
-    )
-
-
 def apply_map(m: ChainMap, x: Element) -> Element:
     if x.is_top:
         return TOP
     pos = m.index_map[x.ci]
-    return element(m.target, pos, apply_local(m.locals[x.ci], x.value))
+    if not 0 <= pos < m.target.index:
+        raise ValueError(f"component index {pos} out of range for {m.target!r}")
+    src, dst = m.source.components[x.ci], m.target.components[pos]
+    return element(m.target, pos, apply_local(src, dst, m.scales[x.ci], x.value))
 
 
 def compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
-    """outer o inner, defined when the local composites are representable."""
+    """outer o inner.  Scales multiply on the cancellative coordinate; a
+    source component without one keeps scale 1."""
     if inner.target.components != outer.source.components:
         raise ValueError("maps do not compose")
-    locs = []
-    for i in range(inner.source.index):
-        lm1 = inner.locals[i]
-        lm2 = outer.locals[inner.index_map[i]]
-        locs.append(_compose_local(lm2, lm1))
     return ChainMap(
         source=inner.source,
         target=outer.target,
         index_map=tuple(outer.index_map[p] for p in inner.index_map),
-        locals=tuple(locs),
+        scales=tuple(
+            s * outer.scales[p] if kind.tag in (CANC, LEX) else 1
+            for kind, p, s in zip(inner.source.components, inner.index_map, inner.scales)
+        ),
     )
-
-
-def _compose_local(lm2: LocalMap, lm1: LocalMap) -> LocalMap:
-    if lm1.dst != lm2.src:
-        raise ValueError("local maps do not compose")
-    # scales multiply on the cancellative coordinate; the W-multipliers are
-    # implicit in the kind parameters, and a finite source has no
-    # cancellative coordinate
-    scale = 1 if lm1.src.tag == FIN else lm1.scale * lm2.scale
-    return LocalMap(lm1.src, lm2.dst, scale=scale)
 
 
 def verify_embedding(m: ChainMap) -> bool:
     """Decide exactly whether the data of ``m`` is an embedding.
 
     An embedding is a strictly increasing choice of target positions,
-    first-to-first when bounds are designated, together with one legal
-    local embedding per component (see the module docstring), so no element
-    needs to be evaluated.  Malformed data gives ``False``.
+    first-to-first when bounds are designated, each joining two kinds that
+    admit a local embedding (see the module docstring), with a positive
+    scale on a cancellative coordinate; so no element needs to be
+    evaluated.  Malformed data gives ``False``.
     """
     src, tgt = m.source, m.target
     if src.bottom != tgt.bottom:
         return False
-    if len(m.index_map) != src.index or len(m.locals) != src.index:
+    if len(m.index_map) != src.index or len(m.scales) != src.index:
         return False
     positions = (-1, *m.index_map, tgt.index)
     if any(not p < q for p, q in zip(positions, positions[1:])):
@@ -175,11 +155,10 @@ def verify_embedding(m: ChainMap) -> bool:
     # the trivial chain, whose bottom is its top, only to the trivial chain
     if src.bottom and (m.index_map[0] if m.index_map else tgt.index) != 0:
         return False
-    for kind, p, lm in zip(src.components, m.index_map, m.locals):
-        dst = tgt.components[p]
-        if (lm.src, lm.dst) != (kind, dst) or not local_embeddings(kind, dst, 1):
+    for kind, p, scale in zip(src.components, m.index_map, m.scales):
+        if not local_embeddings(kind, tgt.components[p], 1):
             return False
-        if kind.tag in (CANC, LEX) and lm.scale < 1:
+        if kind.tag in (CANC, LEX) and scale < 1:
             return False
     return True
 
@@ -211,8 +190,8 @@ def enumerate_embeddings(a: Chain, b: Chain, scale_cap: int = 4) -> list:
         ]
         if any(not opts for opts in per_comp):
             continue
-        for locs in product(*per_comp):
-            out.append(ChainMap(a, b, tuple(positions), tuple(locs)))
+        for scales in product(*per_comp):
+            out.append(ChainMap(a, b, tuple(positions), scales))
     return out
 
 
@@ -318,7 +297,7 @@ def is_essential_embedding(m: ChainMap) -> bool:
     if m.index_map[-1] != m.target.index - 1:
         return False
     if m.target.components[-1].tag == LEX:
-        return m.locals[-1].src.tag in (CANC, LEX)
+        return m.source.components[-1].tag in (CANC, LEX)
     return True
 
 
@@ -329,17 +308,15 @@ def collapse_after(m: ChainMap, f: Filter) -> Optional[ChainMap]:
 
     Image components strictly below the cut pass through unchanged.  The
     last image component may sit at a radical cut only when its source is
-    finite: the image then meets the radical at the top alone, and the local
-    map degrades to the finite chain on the first coordinate.
+    finite: the image then meets the radical at the top alone, and lands in
+    the quotient's finite chain on the first coordinate.
     """
-    locs = m.locals
     if not m.source.is_trivial and f.cut <= m.index_map[-1]:
-        last = m.locals[-1]
-        if not (f.cut == m.index_map[-1] and f.radical and last.src.tag == FIN):
+        last = m.source.components[-1]
+        if not (f.cut == m.index_map[-1] and f.radical and last.tag == FIN):
             return None
-        locs = locs[:-1] + (LocalMap(last.src, fin_luk(last.dst.k)),)
     q, _ = quotient_by_filter(m.target, f)
-    return ChainMap(source=m.source, target=q, index_map=m.index_map, locals=locs)
+    return ChainMap(m.source, q, m.index_map, m.scales)
 
 
 @dataclass(frozen=True)

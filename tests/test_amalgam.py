@@ -143,7 +143,8 @@ PINNED_BRUTEFORCE = (
 
 def _leg(m):
     locs = " ".join(
-        f"{l.src!r}>{l.dst!r}" + ("" if l.scale == 1 else f"*{l.scale}") for l in m.locals
+        f"{src!r}>{m.target.components[p]!r}" + ("" if scale == 1 else f"*{scale}")
+        for src, p, scale in zip(m.source.components, m.index_map, m.scales)
     )
     return m.index_map, locs
 

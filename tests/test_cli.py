@@ -71,6 +71,10 @@ def test_chain_bad_input_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "chain", "eval", "L2", "--op", "mul",
                          "--x", "0:1/0", "--y", "0:1")
     assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    # a pair is no value of U: the range check comes before the conversion
+    code, out, err = run(capsys, "chain", "eval", "U", "--op", "mul",
+                         "--x", "0:1,2", "--y", "top")
+    assert code == 2 and err == "error: value (1, 2) out of range for U (at position 2)\n"
     for name, table in (
         ("no_imp", {"size": 2, "mul": [[0, 0], [0, 1]]}),
         ("float", {"size": 2, "mul": [[0, 0], [0, 1.0]], "imp": [[1, 0], [0, 1]]}),
