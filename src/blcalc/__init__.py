@@ -18,6 +18,7 @@ from .core import (
     element,
     enumerate_elements,
     fin_luk,
+    kind_embeds,
     lex_omega,
     order_le,
 )
@@ -25,7 +26,6 @@ from .decompose import Decomposition, decompose, flatten, same_component
 from .maps import (
     ChainMap,
     Filter,
-    FilterChain,
     apply_map,
     enumerate_embeddings,
     essentialize,
@@ -45,7 +45,6 @@ from .amalgam import (
 )
 from .classes import (
     ClassExpr,
-    VarietyInput,
     canonical,
     component_member,
     generated_by,

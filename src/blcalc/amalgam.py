@@ -18,7 +18,6 @@ from itertools import product
 from typing import Iterator, Optional, Union
 
 from .core import (
-    CANC,
     CANC_Z,
     FIN,
     LEX,
@@ -27,6 +26,7 @@ from .core import (
     Kind,
     chain,
     fin_luk,
+    kind_embeds,
     lex_omega,
 )
 from .classes import ClassExpr, component_member, match_assignments, member
@@ -39,7 +39,6 @@ from .maps import (
     enumerate_embeddings,
     essentialize,
     is_essential_embedding,
-    local_embeddings,
 )
 
 
@@ -183,7 +182,8 @@ def _kind_embeds(a: Chain, b: Chain) -> bool:
     component kinds alone.
 
     Each component of ``a`` takes the leftmost free component of ``b`` it
-    embeds into (first to first when bounds are designated); for an
+    embeds into by ``core.kind_embeds`` (first to first when bounds are
+    designated); for an
     order-preserving injection the greedy choice fails only when every
     choice does.
     """
@@ -193,7 +193,7 @@ def _kind_embeds(a: Chain, b: Chain) -> bool:
         return not a.bottom or b.is_trivial
     p = 0
     for i, kind in enumerate(a.components):
-        while p < b.index and not local_embeddings(kind, b.components[p], 1):
+        while p < b.index and not kind_embeds(kind, b.components[p]):
             if a.bottom and i == 0:
                 return False
             p += 1
@@ -247,7 +247,7 @@ def _join_kinds(b: Kind, c: Kind) -> Kind:
     into, ``n`` the lcm of their ``W``/``Wo`` parameters."""
     n = math.lcm(*(k.k for k in (b, c) if k.tag in (FIN, LEX)))
     for d in (fin_luk(n), CANC_Z, lex_omega(n), STD_UNIT):
-        if local_embeddings(b, d, 1) and local_embeddings(c, d, 1):
+        if kind_embeds(b, d) and kind_embeds(c, d):
             return d
     raise UnsupportedShapeError(f"no representable join of {b} and {c}")
 
@@ -298,6 +298,10 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Amalgam:
     rest are interleaved with trivial padding, and each slot is amalgamated
     on its own.  Raises UnsupportedShapeError when no consistent alignment
     exists or a slot join is not representable.
+
+    The amalgam need not be the one ``find_amalgam_bruteforce`` returns:
+    the slot joins fix the target, which may differ from the first target
+    in search order and may have a larger index.
     """
     b_chain, c_chain = s.left.target, s.right.target
     for c in (s.apex, b_chain, c_chain):
@@ -339,7 +343,7 @@ def _assemble(s: Span, sum_class, asg_b, asg_c) -> Amalgam:
             c_kind = c_chain.components[pc] if pc is not None else None
             apex_i = anchor_of_b.get(pb)
             apex_scales = (1, 1)
-            if apex_i is not None and s.apex.components[apex_i].tag in (CANC, LEX):
+            if apex_i is not None and s.apex.components[apex_i].cancellative:
                 apex_scales = (s.left.scales[apex_i], s.right.scales[apex_i])
             d_kind, sb, sc = _slot_amalgam(b_kind, c_kind, apex_scales)
             if pb is not None:
@@ -371,12 +375,14 @@ def one_sided_amalgam(
 
     ``None`` means the essential span has no amalgam within the bounds, as
     for ``find_amalgam_bruteforce``.  Raises UnsupportedShapeError when the
-    quotient lies outside the universe.
+    right codomain or its quotient lies outside the universe.
     """
+    if not member(s.right.target, universe):
+        raise UnsupportedShapeError(f"{s.right.target!r} lies outside the universe")
     ess: Essentialization = essentialize(s.right)
-    if not member(ess.quotient, universe):
+    if not member(ess.map.target, universe):
         raise UnsupportedShapeError(
-            f"quotient {ess.quotient!r} escapes the universe; it is not "
+            f"quotient {ess.map.target!r} escapes the universe; it is not "
             "closed under homomorphic images"
         )
     espan = Span(apex=s.apex, left=s.left, right=ess.map)

@@ -5,8 +5,8 @@ A class expression is a union of sum classes; a sum class is a sequence of
 items, each either a single generator atom (consuming at most one non-trivial
 component), a starred atom (any number), or a starred group (any number, each
 drawn from any atom of the group).  An atom matches a component exactly when
-the component lies in the atom's generator closure, decided by a fixed rule
-table over the representable kinds.
+the component lies in the atom's generator closure: when it embeds into the
+atom's kind by ``core.kind_embeds``, or the atom is ``U``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .core import CANC, FIN, LEX, TRIV, TRIVIAL, UNIT, Chain, Kind, chain
+from .core import TRIV, TRIVIAL, UNIT, Chain, Kind, chain, kind_embeds
 
 
 class ModeMismatchError(ValueError):
@@ -82,27 +82,13 @@ def class_expr(sums) -> ClassExpr:
 def component_member(kind: Kind, gen: Kind) -> bool:
     """Membership of a component kind in the generator closure of another.
 
-    The closure of a finite chain holds its finite divisors; a lexicographic
-    chain adds its own divisors and the cancellative kind (its radical); the
-    cancellative kind holds only itself; the unit interval holds everything
-    representable (the cancellative and lexicographic entries live in
-    ultrapowers and are adopted as rule-table facts, checked elsewhere only
-    at the finite level).
+    The trivial kind lies in every closure, and a non-trivial kind lies in
+    the closure of a kind it embeds into.  The unit interval's closure holds
+    every representable kind besides: the cancellative and lexicographic
+    kinds do not embed into ``U`` but live in its ultrapowers, and are
+    adopted as rule-table facts, checked elsewhere only at the finite level.
     """
-    if kind.tag == TRIV:
-        return True
-    g = gen.tag
-    if g == UNIT:
-        return True
-    if g == FIN:
-        return kind.tag == FIN and gen.k % kind.k == 0
-    if g == LEX:
-        if kind.tag in (FIN, LEX):
-            return gen.k % kind.k == 0
-        return kind.tag == CANC
-    if g == CANC:
-        return kind.tag == CANC
-    return False  # gen trivial holds only trivial
+    return kind.tag == TRIV or gen.tag == UNIT or kind_embeds(kind, gen)
 
 
 def _item_matches(comp: Kind, item: Item) -> bool:
@@ -160,21 +146,7 @@ def member(c: Chain, e: ClassExpr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarietyInput:
-    """A variety given by the class expression of its finite-index chains."""
-
-    canonical: ClassExpr
-
-    @property
-    def bl_mode(self) -> bool:
-        return self.canonical.bl_mode
-
-    def __repr__(self):
-        return repr(self.canonical)
-
-
-def generated_by(*chains: Chain) -> VarietyInput:
+def generated_by(*chains: Chain) -> ClassExpr:
     """The variety generated by finitely many chains.
 
     Its finite-index chains are those that embed, component by component and
@@ -201,21 +173,23 @@ def generated_by(*chains: Chain) -> VarietyInput:
         for g in chains
         if not g.is_trivial
     ]
-    return VarietyInput(
-        class_expr(sums or [SumClass((Item((Atom(TRIVIAL, bottom=bottom),)),))])
-    )
+    return class_expr(sums or [SumClass((Item((Atom(TRIVIAL, bottom=bottom),)),))])
 
 
-def canonical(e: ClassExpr) -> VarietyInput:
-    return VarietyInput(e)
+def canonical(e: ClassExpr) -> ClassExpr:
+    """The variety whose finite-index chains are the class ``e``: ``e``
+    itself, since a variety is given by its class expression.  The name is
+    kept for callers that spell out the step, such as the benchmark
+    workloads."""
+    return e
 
 
-def vfc_membership(x: Chain, v: VarietyInput) -> bool:
+def vfc_membership(x: Chain, v: ClassExpr) -> bool:
     """Whether a finite-index chain lies in the variety's chain class; the
     trivial chain of the variety's signature always does."""
     if x.is_trivial and x.bottom == v.bl_mode:
         return True
-    return member(x, v.canonical)
+    return member(x, v)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +261,7 @@ def _first_non_member(chains, e: ClassExpr):
     return None
 
 
-def vfc_equals(v: VarietyInput, e: ClassExpr):
+def vfc_equals(v: ClassExpr, e: ClassExpr):
     """Compare a variety's chain class with a canonical class.
 
     Returns one of ``equal``, ``v_strictly_smaller``,
@@ -296,10 +270,10 @@ def vfc_equals(v: VarietyInput, e: ClassExpr):
     index of its chains and a starred one does not, so a starred ``e`` is
     never inside an unstarred ``v``; the witness is then the pumped chain.
     """
-    return _vfc_compare(v, witness_basis(v.canonical), e)
+    return _vfc_compare(v, witness_basis(v), e)
 
 
-def _vfc_compare(v: VarietyInput, v_basis: list, e: ClassExpr):
+def _vfc_compare(v: ClassExpr, v_basis: list, e: ClassExpr):
     """``vfc_equals`` given the variety's witness basis, so that a scan over
     many classes builds it once."""
     if v.bl_mode != e.bl_mode:
@@ -307,7 +281,7 @@ def _vfc_compare(v: VarietyInput, v_basis: list, e: ClassExpr):
     wit_v = _first_non_member(v_basis, e)
     v_in_e = wit_v is None
 
-    if has_star(e) and not has_star(v.canonical):
+    if has_star(e) and not has_star(v):
         wit_e = pumped_witness(e, v_basis)
     else:
         wit_e = None

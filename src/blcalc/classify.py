@@ -20,9 +20,7 @@ from .classes import (
     ClassExpr,
     Item,
     SumClass,
-    VarietyInput,
     _vfc_compare,
-    canonical,
     class_expr,
     class_includes,
     component_member,
@@ -199,16 +197,16 @@ def normalize_kinds(kinds) -> tuple:
     return tuple(sorted(keep, key=lambda k: k.sort_key()))
 
 
-def _classify_single(v: VarietyInput, bl: bool, prefix: str) -> Verdict:
+def _classify_single(v: ClassExpr, bl: bool, prefix: str) -> Verdict:
     """Amalgamation for a union of one-component generator classes: it holds
     exactly when the normalized generator kinds start an interval, that is
     for one kind, or a finite kind with ``Z``."""
     if v.bl_mode != bl:
         raise ValueError(f"{v!r} has the wrong signature")
-    for s in v.canonical.sums:
+    for s in v.sums:
         if len(s.items) != 1 or s.items[0].star or len(s.items[0].atoms) != 1:
             raise ValueError(f"{v!r} is not a union of single-generator classes")
-    kinds = normalize_kinds(s.items[0].atoms[0].kind for s in v.canonical.sums)
+    kinds = normalize_kinds(s.items[0].atoms[0].kind for s in v.sums)
     if not kinds:
         return Verdict(ap=True, interval="Trivial")
     poset = interval(kinds)
@@ -221,30 +219,30 @@ def _classify_single(v: VarietyInput, bl: bool, prefix: str) -> Verdict:
     )
 
 
-def classify_ap_mv(v: VarietyInput) -> Verdict:
+def classify_ap_mv(v: ClassExpr) -> Verdict:
     """Amalgamation for varieties of totally ordered MV-algebra generators:
     holds exactly for the one-chain-generated ones."""
     return _classify_single(v, bl=True, prefix="MV")
 
 
-def classify_ap_wh(v: VarietyInput) -> Verdict:
+def classify_ap_wh(v: ClassExpr) -> Verdict:
     """Amalgamation for varieties of Wajsberg-hoop chain generators: a single
     generator closure, or a finite chain paired with the cancellative kind."""
     return _classify_single(v, bl=False, prefix="WH")
 
 
-def _component_kinds(v: VarietyInput) -> tuple:
+def _component_kinds(v: ClassExpr) -> tuple:
     return normalize_kinds(
-        a.kind for s in v.canonical.sums for it in s.items for a in it.atoms
+        a.kind for s in v.sums for it in s.items for a in it.atoms
     )
 
 
-def _scan_nodes(v: VarietyInput, nodes) -> Verdict:
+def _scan_nodes(v: ClassExpr, nodes) -> Verdict:
     """The first ``(interval name, node)`` whose class equals the variety's;
     failing that, no amalgamation, witnessed by the first node strictly
     above the variety."""
     witness = None
-    v_basis = witness_basis(v.canonical)
+    v_basis = witness_basis(v)
     for name, node in nodes:
         verdict, wit = _vfc_compare(v, v_basis, node)
         if verdict == "equal":
@@ -254,7 +252,7 @@ def _scan_nodes(v: VarietyInput, nodes) -> Verdict:
     return Verdict(ap=False, witness=witness)
 
 
-def classify_ap_bh(v: VarietyInput) -> Verdict:
+def classify_ap_bh(v: ClassExpr) -> Verdict:
     """Amalgamation for varieties of basic hoops.
 
     The component kinds must normalize to an admissible generator set; the
@@ -311,15 +309,15 @@ def _bl_case_shapes(a: Kind, basic_node: Optional[ClassExpr]) -> list:
     return shapes
 
 
-def classify_ap_bl(v: VarietyInput) -> Verdict:
+def classify_ap_bl(v: ClassExpr) -> Verdict:
     """Amalgamation for varieties of BL-algebras: the first components must
     form a one-chain-generated MV class, the tails an amalgamable basic-hoop
     class, and the whole chain class one of the composite case shapes."""
     if not v.bl_mode:
         raise ValueError("BL classification needs designated-bounds input")
-    sums = v.canonical.sums
+    sums = v.sums
     tails = [SumClass(s.items[1:]) for s in sums if len(s.items) > 1]
-    basic = canonical(ClassExpr(tuple(tails))) if tails else None
+    basic = ClassExpr(tuple(tails)) if tails else None
     heads = normalize_kinds(s.items[0].atoms[0].kind for s in sums)
     if not heads:
         return Verdict(ap=True, interval="Trivial")
@@ -378,8 +376,9 @@ def _dedupe_by_signature(candidates) -> list:
     return out
 
 
-def enumerate_catalog(mode: str, n_max: int, m_max: Optional[int] = None) -> list:
-    """All amalgamation classes with parameters below the bounds.
+def enumerate_catalog(mode: str, n_max: int) -> list:
+    """All amalgamation classes whose ``W``/``Wo`` parameters are at most
+    ``n_max``, in hoop heads and tails alike.
 
     Each entry is (expression or None for the trivial variety, interval name,
     node position).  The hoop catalog has 5 parameterless entries plus 18 per
@@ -404,12 +403,10 @@ def enumerate_catalog(mode: str, n_max: int, m_max: Optional[int] = None) -> lis
             entries.extend((node, p.name, i) for i, node in enumerate(p.nodes))
         return entries
     if mode == "bl":
-        if m_max is None:
-            m_max = n_max
         bh_entries = enumerate_catalog("bh", n_max)
-        heads = [Kind(FIN, m) for m in range(1, m_max + 1)]
+        heads = [Kind(FIN, m) for m in range(1, n_max + 1)]
         heads += [STD_UNIT]
-        heads += [Kind(LEX, m) for m in range(1, m_max + 1)]
+        heads += [Kind(LEX, m) for m in range(1, n_max + 1)]
         candidates = [
             (shape, f"{case}({a!r})", f"{iname}:{pos}")
             for a in heads

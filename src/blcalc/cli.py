@@ -21,7 +21,7 @@ from .amalgam import (
     make_span,
     one_sided_amalgam,
 )
-from .classes import VarietyInput, canonical, generated_by
+from .classes import ClassExpr, generated_by
 from .classify import (
     classify_ap_bh,
     classify_ap_bl,
@@ -69,13 +69,13 @@ def _read_table(path: str) -> RawChain:
     return RawChain.from_json(data)
 
 
-def _variety_input(args) -> VarietyInput:
+def _variety_input(args) -> ClassExpr:
     if args.gens is not None and args.cls is not None:
         raise ValueError("give --gens or --class, not both")
     if args.gens is not None:
         return generated_by(*parse_chain_list(args.gens))
     if args.cls is not None:
-        return canonical(parse_class_expr(args.cls))
+        return parse_class_expr(args.cls)
     raise ValueError("provide --gens or --class")
 
 
@@ -198,10 +198,19 @@ def cmd_logic(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors, so that
+    ``main`` reports them on one line; its subcommand parsers share the
+    class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blcalc",
         description="Exact algebra of totally ordered basic hoops and "
         "BL-algebras: decomposition, amalgamation, classification.",
@@ -262,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     dispatch = {
         "chain": cmd_chain,
         "amalgam": cmd_amalgam,
@@ -271,6 +279,7 @@ def main(argv=None) -> int:
         "logic": cmd_logic,
     }
     try:
+        args = build_parser().parse_args(argv)
         return dispatch[args.command](args)
     except (ValueError, ClosureLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,6 +56,12 @@ class Kind:
     def finite(self) -> bool:
         return self.tag in (FIN, TRIV)
 
+    @property
+    def cancellative(self) -> bool:
+        """Whether the component has a cancellative coordinate, on which
+        embeddings carry a scale."""
+        return self.tag in (CANC, LEX)
+
     def sort_key(self):
         return (_TAG_RANK[self.tag], self.k)
 
@@ -76,6 +82,27 @@ def lex_omega(k: int) -> Kind:
 CANC_Z = Kind(CANC)
 STD_UNIT = Kind(UNIT)
 TRIVIAL = Kind(TRIV)
+
+
+def kind_embeds(src: Kind, dst: Kind) -> bool:
+    """Whether the non-trivial kind ``src`` embeds into ``dst``:
+
+      W k  -> W n, Wo n  exactly when k | n
+      Wo k -> Wo n       exactly when k | n
+      Z    -> Z, Wo n    (into the radical of Wo n)
+      W k  -> U, U -> U
+
+    Nothing cancellative or lexicographic embeds into U, and nothing
+    infinite embeds into a finite chain.
+    """
+    s, d = src.tag, dst.tag
+    if s == CANC:
+        return dst.cancellative
+    if d == UNIT:
+        return s in (FIN, UNIT)
+    if (s == FIN and d in (FIN, LEX)) or s == d == LEX:
+        return dst.k % src.k == 0
+    return False
 
 
 def local_top(kind: Kind) -> LocalValue:

@@ -360,8 +360,9 @@ def closure_size(premise, conclusion, gens) -> int:
 
 
 def dip_report(v) -> dict:
-    """Deductive-interpolation verdict for a variety input, phrased at the
-    logic level; equivalent to the amalgamation classification."""
+    """Deductive-interpolation verdict for a variety, given by its class
+    expression, phrased at the logic level; equivalent to the amalgamation
+    classification."""
     from .classify import classify_ap_bh, classify_ap_bl
     from .dsl import pretty_chain, pretty_class_expr
 

@@ -2,23 +2,23 @@
 the essential-embedding machinery.
 
 An embedding of ordinal sums is an order-embedding of component positions
-together with a local embedding per component.  The local possibilities are
-rigid for the representable kinds:
+together with a local embedding per component.  Which kinds embed into
+which is ``core.kind_embeds``; each local embedding is rigid up to a scale
+``s`` on a cancellative coordinate:
 
-  W k  -> W n    exactly when k | n, via i -> i*(n/k)
-  W k  -> Wo n   exactly when k | n, via i -> (i*(n/k), 0)
-  W k  -> U      via i -> i/k
-  Z    -> Z      one per positive integer scale s, via b -> s*b
-  Z    -> Wo n   one per scale, into the radical: b -> (n, s*b)
-  Wo k -> Wo n   exactly when k | n, one per scale: (a, b) -> (a*(n/k), s*b)
+  W k  -> W n    i -> i*(n/k)
+  W k  -> Wo n   i -> (i*(n/k), 0)
+  W k  -> U      i -> i/k
+  Z    -> Z      b -> s*b
+  Z    -> Wo n   into the radical: b -> (n, s*b)
+  Wo k -> Wo n   (a, b) -> (a*(n/k), s*b)
   U    -> U      the identity
 
-Nothing cancellative or lexicographic embeds into U, and nothing infinite
-embeds into a finite chain.  So a local embedding is fixed by the two kinds
-it joins and a scale on the cancellative coordinate, and a map is its index
-map plus one scale per source component; the kinds are read off the two
-chains.  Cancellative coordinates make some families infinite, so
-enumeration takes a scale cap (canonical representative: scale 1).
+So a local embedding is fixed by the two kinds it joins and its scale, and a
+map is its index map plus one scale per source component; the kinds are
+read off the two chains.  Cancellative coordinates make some families
+infinite, so enumeration takes a scale cap (canonical representative:
+scale 1).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .core import (
     chain,
     element,
     fin_luk,
+    kind_embeds,
 )
 
 
@@ -68,14 +69,9 @@ def local_embeddings(src: Kind, dst: Kind, scale_cap: int = 4) -> tuple:
     """The scales of the local embeddings of one kind into another: 1 to
     ``scale_cap`` when the source has a cancellative coordinate, ``(1,)``
     for the single rigid map, ``()`` when there is none."""
-    s, d = src.tag, dst.tag
-    if (s == CANC and d in (CANC, LEX)) or (s == d == LEX and dst.k % src.k == 0):
-        return tuple(range(1, scale_cap + 1))
-    if (s == FIN and (d == UNIT or (d in (FIN, LEX) and dst.k % src.k == 0))) or (
-        s == d == UNIT
-    ):
-        return (1,)
-    return ()
+    if not kind_embeds(src, dst):
+        return ()
+    return tuple(range(1, scale_cap + 1)) if src.cancellative else (1,)
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ def compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
         target=outer.target,
         index_map=tuple(outer.index_map[p] for p in inner.index_map),
         scales=tuple(
-            s * outer.scales[p] if kind.tag in (CANC, LEX) else 1
+            s * outer.scales[p] if kind.cancellative else 1
             for kind, p, s in zip(inner.source.components, inner.index_map, inner.scales)
         ),
     )
@@ -156,9 +152,9 @@ def verify_embedding(m: ChainMap) -> bool:
     if src.bottom and (m.index_map[0] if m.index_map else tgt.index) != 0:
         return False
     for kind, p, scale in zip(src.components, m.index_map, m.scales):
-        if not local_embeddings(kind, tgt.components[p], 1):
+        if not kind_embeds(kind, tgt.components[p]):
             return False
-        if kind.tag in (CANC, LEX) and scale < 1:
+        if kind.cancellative and scale < 1:
             return False
     return True
 
@@ -213,29 +209,16 @@ class Filter:
         return f"F({self.cut}{'r' if self.radical else ''})"
 
 
-@dataclass(frozen=True)
-class FilterChain:
-    """All filters of a chain, ordered by decreasing inclusion."""
-
-    chain: Chain
-    filters: tuple
-
-    @property
-    def smallest_nontrivial(self) -> Optional[Filter]:
-        if len(self.filters) < 2:
-            return None
-        return self.filters[-2]
-
-
-def filters(c: Chain) -> FilterChain:
-    """The inclusion-ordered filter list: one tail filter per cut position
-    plus one radical refinement per lexicographic component."""
+def filters(c: Chain) -> tuple:
+    """All filters of a chain, ordered by decreasing inclusion: one tail
+    filter per cut position plus one radical refinement per lexicographic
+    component."""
     out = []
     for cut in range(c.index + 1):
         out.append(Filter(cut, False))
         if cut < c.index and c.components[cut].tag == LEX:
             out.append(Filter(cut, True))
-    return FilterChain(chain=c, filters=tuple(out))
+    return tuple(out)
 
 
 def filter_contains(c: Chain, f: Filter, x: Element) -> bool:
@@ -297,7 +280,7 @@ def is_essential_embedding(m: ChainMap) -> bool:
     if m.index_map[-1] != m.target.index - 1:
         return False
     if m.target.components[-1].tag == LEX:
-        return m.source.components[-1].tag in (CANC, LEX)
+        return m.source.components[-1].cancellative
     return True
 
 
@@ -325,17 +308,16 @@ class Essentialization:
     induced essential embedding into the quotient."""
 
     theta0: Filter
-    quotient: Chain
-    map: ChainMap
+    map: ChainMap  # into the quotient by theta0
 
 
 def essentialize(m: ChainMap) -> Essentialization:
     """Quotient the target by the largest filter whose congruence restricts
     trivially to the image; the induced embedding is essential."""
-    for theta0 in filters(m.target).filters:
+    for theta0 in filters(m.target):
         induced = collapse_after(m, theta0)
         if induced is not None:
             break
     if not is_essential_embedding(induced):
         raise AssertionError("essentialization produced a non-essential map")
-    return Essentialization(theta0=theta0, quotient=induced.target, map=induced)
+    return Essentialization(theta0=theta0, map=induced)

@@ -12,7 +12,7 @@ search tests every pair of legs of every target, as the kind pre-filter and
 the composite join of the brute-force search avoid doing.  The catalog
 oracles compare classes pair by pair, as the signature dedupe and the
 per-scan witness basis of ``classify`` avoid doing.  The kind join is the
-case table that ``amalgam._join_kinds`` reads off the local embeddings.
+case table that ``amalgam._join_kinds`` reads off ``core.kind_embeds``.
 The filter-definition essentiality test evaluates the congruence of the
 target's smallest nontrivial filter on windows of image points, where
 ``maps.is_essential_embedding`` reads essentiality off the map's last
@@ -168,10 +168,10 @@ def essential_by_filter_definition(m: ChainMap, caps: int = 3) -> bool:
     validated against.
     """
     tgt = m.target
-    fc = filters(tgt)
-    fmin = fc.smallest_nontrivial
-    if fmin is None:
+    fs = filters(tgt)
+    if len(fs) < 2:
         return m.source.is_trivial
+    fmin = fs[-2]
     if m.source.is_trivial:
         return False
     image = [apply_map(m, x) for x in enumerate_elements(m.source, caps)]
@@ -383,14 +383,12 @@ def decompose_by_scans(t: RawChain) -> Decomposition:
     )
 
 
-def pairwise_bl_catalog(n_max: int, m_max=None) -> list:
+def pairwise_bl_catalog(n_max: int) -> list:
     """Reference for ``enumerate_catalog("bl", ...)``: each candidate shape is
     kept unless ``class_includes`` both ways matches it with a kept one."""
-    if m_max is None:
-        m_max = n_max
-    heads = [Kind(FIN, m) for m in range(1, m_max + 1)]
+    heads = [Kind(FIN, m) for m in range(1, n_max + 1)]
     heads += [STD_UNIT]
-    heads += [Kind(LEX, m) for m in range(1, m_max + 1)]
+    heads += [Kind(LEX, m) for m in range(1, n_max + 1)]
     out = [(None, "Trivial", 0)]
     for a in heads:
         for node, iname, pos in enumerate_catalog("bh", n_max):

@@ -5,7 +5,6 @@ import pytest
 
 from blcalc.classes import (
     ModeMismatchError,
-    canonical,
     class_includes,
     component_member,
     generated_by,
@@ -14,7 +13,7 @@ from blcalc.classes import (
     vfc_membership,
     witness_basis,
 )
-from blcalc.core import CANC_Z, STD_UNIT, chain, fin_luk, lex_omega
+from blcalc.core import CANC_Z, STD_UNIT, TRIVIAL, chain, fin_luk, lex_omega
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain
 
 
@@ -32,6 +31,48 @@ def test_component_member_table():
     assert not component_member(lex_omega(2), CANC_Z)
     assert not component_member(STD_UNIT, lex_omega(2))
     assert component_member(fin_luk(7), STD_UNIT)
+
+
+# component_member(row, column) over W1..W12, Wo1..Wo12, Z, U, T, in this
+# order for rows and columns alike; "1" marks membership.
+MEMBER_TABLE = (
+    "111111111111111111111111.1.",  # W1
+    ".1.1.1.1.1.1.1.1.1.1.1.1.1.",  # W2
+    "..1..1..1..1..1..1..1..1.1.",  # W3
+    "...1...1...1...1...1...1.1.",  # W4
+    "....1....1......1....1...1.",  # W5
+    ".....1.....1.....1.....1.1.",  # W6
+    "......1...........1......1.",  # W7
+    ".......1...........1.....1.",  # W8
+    "........1...........1....1.",  # W9
+    ".........1...........1...1.",  # W10
+    "..........1...........1..1.",  # W11
+    "...........1...........1.1.",  # W12
+    "............111111111111.1.",  # Wo1
+    ".............1.1.1.1.1.1.1.",  # Wo2
+    "..............1..1..1..1.1.",  # Wo3
+    "...............1...1...1.1.",  # Wo4
+    "................1....1...1.",  # Wo5
+    ".................1.....1.1.",  # Wo6
+    "..................1......1.",  # Wo7
+    "...................1.....1.",  # Wo8
+    "....................1....1.",  # Wo9
+    ".....................1...1.",  # Wo10
+    "......................1..1.",  # Wo11
+    ".......................1.1.",  # Wo12
+    "............11111111111111.",  # Z
+    ".........................1.",  # U
+    "111111111111111111111111111",  # T
+)
+
+
+def test_component_member_pinned():
+    kinds = [fin_luk(k) for k in range(1, 13)] + [lex_omega(k) for k in range(1, 13)]
+    kinds += [CANC_Z, STD_UNIT, TRIVIAL]
+    got = tuple(
+        "".join("1" if component_member(a, b) else "." for b in kinds) for a in kinds
+    )
+    assert got == MEMBER_TABLE
 
 
 def test_component_member_matches_embeddability_on_finite_kinds():
@@ -141,7 +182,7 @@ def test_vfc_membership_two_generators_against_oracle():
 
 def test_vfc_equals_examples():
     assert vfc_equals(
-        canonical(parse_class_expr("[W1*]")), parse_class_expr("[W1*]")
+        parse_class_expr("[W1*]"), parse_class_expr("[W1*]")
     ) == ("equal", None)
 
     verdict, witness = vfc_equals(
@@ -151,7 +192,7 @@ def test_vfc_equals_examples():
     assert pretty_chain(witness) == "W1+W1+W1"
 
     verdict, witness = vfc_equals(
-        canonical(parse_class_expr("[W1 Z]|[Z W1]")), parse_class_expr("[W1 Z]")
+        parse_class_expr("[W1 Z]|[Z W1]"), parse_class_expr("[W1 Z]")
     )
     assert verdict == "v_strictly_larger_or_incomparable"
     assert pretty_chain(witness) == "Z+W1"
@@ -159,7 +200,7 @@ def test_vfc_equals_examples():
 
 def test_vfc_equals_group_star_not_equal_to_union():
     verdict, witness = vfc_equals(
-        canonical(parse_class_expr("[W1 Z]|[Z W1]")), parse_class_expr("[(W1 Z)*]")
+        parse_class_expr("[W1 Z]|[Z W1]"), parse_class_expr("[(W1 Z)*]")
     )
     assert verdict == "v_strictly_smaller"
     assert witness is not None and not member(
@@ -174,7 +215,7 @@ def test_vfc_equals_witnesses_separate():
     for mode, n in (("bh", 2), ("bl", 1)):
         entries = [e for e, _, _ in enumerate_catalog(mode, n) if e is not None]
         for e1 in entries:
-            v = canonical(e1)
+            v = e1
             for e2 in entries:
                 verdict, w = vfc_equals(v, e2)
                 if verdict == "equal":

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from blcalc import classify
-from blcalc.classes import canonical, generated_by
+from blcalc.classes import generated_by
 from blcalc.classify import (
     classify_ap_bh,
     classify_ap_bl,
@@ -41,7 +41,7 @@ def test_classify_mv():
     verdict = classify_ap_mv(v)
     assert verdict.ap and pretty_class_expr(verdict.canonical) == "[L4]"
     assert not classify_ap_mv(generated_by(parse_chain("L2"), parse_chain("L3"))).ap
-    assert classify_ap_mv(canonical(parse_class_expr("[UM]"))).ap
+    assert classify_ap_mv(parse_class_expr("[UM]")).ap
     assert classify_ap_mv(
         generated_by(parse_chain("L2"), parse_chain("Lo4"))
     ).ap
@@ -74,7 +74,7 @@ def test_classify_wh():
     assert not classify_ap_wh(generated_by(parse_chain("W2"), parse_chain("W3"))).ap
     assert classify_ap_wh(generated_by(parse_chain("Wo2"))).ap
     assert classify_ap_wh(generated_by(parse_chain("Wo2"), parse_chain("Z"))).ap
-    assert classify_ap_wh(canonical(parse_class_expr("[U]"))).ap
+    assert classify_ap_wh(parse_class_expr("[U]")).ap
     assert not classify_ap_wh(
         generated_by(parse_chain("Wo2"), parse_chain("W3"))
     ).ap
@@ -110,13 +110,13 @@ def test_single_generator_routes_agree():
 
 
 def test_classify_bh_canonical_nodes():
-    verdict = classify_ap_bh(canonical(parse_class_expr("[(W1 Z)*]")))
+    verdict = classify_ap_bh(parse_class_expr("[(W1 Z)*]"))
     assert verdict.ap and verdict.interval == "I(W1,Z):12"
-    verdict = classify_ap_bh(canonical(parse_class_expr("[W2*]")))
+    verdict = classify_ap_bh(parse_class_expr("[W2*]"))
     assert verdict.ap and verdict.interval == "I(W2):1"
-    verdict = classify_ap_bh(canonical(parse_class_expr("[W1* Wo1]")))
+    verdict = classify_ap_bh(parse_class_expr("[W1* Wo1]"))
     assert verdict.ap and verdict.interval == "I(Wo1):1"
-    verdict = classify_ap_bh(canonical(parse_class_expr("[Z]")))
+    verdict = classify_ap_bh(parse_class_expr("[Z]"))
     assert verdict.ap and verdict.interval == "I(Z):0"
 
 
@@ -136,9 +136,9 @@ def test_classify_bh_generators():
 def test_classify_bh_rejects_bad_kind_sets():
     assert not classify_ap_bh(generated_by(parse_chain("W2+W3"))).ap
     assert not classify_ap_bh(
-        canonical(parse_class_expr("[W1 Z]|[Z W1]"))
+        parse_class_expr("[W1 Z]|[Z W1]")
     ).ap
-    assert not classify_ap_bh(canonical(parse_class_expr("[Wo2 W4]"))).ap
+    assert not classify_ap_bh(parse_class_expr("[Wo2 W4]")).ap
 
 
 def test_classify_bh_trivial():
@@ -158,28 +158,28 @@ def test_classify_bl_regressions():
         "[L2 (W1 Z)*]": True,
     }
     for text, expected in cases.items():
-        verdict = classify_ap_bl(canonical(parse_class_expr(text)))
+        verdict = classify_ap_bl(parse_class_expr(text))
         assert verdict.ap == expected, text
     for k in range(1, 7):
-        assert classify_ap_bl(canonical(parse_class_expr(f"[L{k}]"))).ap
+        assert classify_ap_bl(parse_class_expr(f"[L{k}]")).ap
 
 
 def test_classify_bl_case_four():
     text = "[Lo1 W1]|[L1 Z]"
-    verdict = classify_ap_bl(canonical(parse_class_expr(text)))
+    verdict = classify_ap_bl(parse_class_expr(text))
     assert verdict.ap and verdict.interval.startswith("BL-case-4")
     text = "[L1 W1]|[Lo1 Z*]"
-    verdict = classify_ap_bl(canonical(parse_class_expr(text)))
+    verdict = classify_ap_bl(parse_class_expr(text))
     assert verdict.ap and verdict.interval.startswith("BL-case-4")
     # both heads infinite is case 2 over the union node, not case 4
     text = "[Lo1 W1]|[Lo1 Z]"
-    verdict = classify_ap_bl(canonical(parse_class_expr(text)))
+    verdict = classify_ap_bl(parse_class_expr(text))
     assert verdict.ap and verdict.interval.startswith("BL-case-2")
 
 
 def test_classify_bl_case_three():
     text = "[L2 W1*]|[Lo2]"
-    verdict = classify_ap_bl(canonical(parse_class_expr(text)))
+    verdict = classify_ap_bl(parse_class_expr(text))
     assert verdict.ap and verdict.interval.startswith("BL-case-3")
 
 
@@ -199,7 +199,7 @@ def test_gens_and_class_routes_agree():
             if g.is_trivial:
                 continue
             text = "[" + pretty_chain(g).replace("+", " ") + "]"
-            by_class = classify(canonical(parse_class_expr(text))).to_json()
+            by_class = classify(parse_class_expr(text)).to_json()
             assert by_class == classify(generated_by(g)).to_json(), text
 
 
@@ -264,7 +264,7 @@ def test_interval_nodes_classify_to_themselves():
     for p in [interval((fin_luk(2),)), interval((lex_omega(1),)),
               interval((fin_luk(1), CANC_Z))]:
         for i, node in enumerate(p.nodes):
-            verdict = classify_ap_bh(canonical(node))
+            verdict = classify_ap_bh(node)
             assert verdict.ap and verdict.interval == f"{p.name}:{i}", (p.name, i)
 
 
@@ -282,13 +282,13 @@ def test_catalog_pairwise_separated():
         for e2 in entries:
             if e1 is e2:
                 continue
-            verdict, witness = vfc_equals(canonical(e1), e2)
+            verdict, witness = vfc_equals(e1, e2)
             assert verdict != "equal", (pretty_class_expr(e1), pretty_class_expr(e2))
             assert witness is not None
 
 
 def test_bl_catalog_smoke():
-    entries = enumerate_catalog("bl", 1, m_max=1)
+    entries = enumerate_catalog("bl", 1)
     assert entries[0] == (None, "Trivial", 0)
     names = [pretty_class_expr(e) for e, _, _ in entries if e is not None]
     assert "[L1 (W1 Z)*]" in names
@@ -301,20 +301,20 @@ def test_bl_catalog_counts():
     assert len(enumerate_catalog("bl", 3)) == 660
 
 
-@pytest.mark.parametrize("n_max, m_max", [(1, None), (2, None), (2, 1)])
-def test_bl_catalog_matches_pairwise_dedupe(n_max, m_max):
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_bl_catalog_matches_pairwise_dedupe(n_max):
     # the signature dedupe keeps the same entries, in the same order, as the
     # pairwise class_includes scan
-    assert enumerate_catalog("bl", n_max, m_max=m_max) == pairwise_bl_catalog(n_max, m_max)
+    assert enumerate_catalog("bl", n_max) == pairwise_bl_catalog(n_max)
 
 
 def test_verdicts_match_per_node_scan(monkeypatch):
     # one witness basis per scan gives the verdicts of one per node
     cases = [(classify_ap_bl, e) for e, _, _ in enumerate_catalog("bl", 2) if e is not None]
     cases += [(classify_ap_bh, e) for e, _, _ in enumerate_catalog("bh", 3) if e is not None]
-    fast = [f(canonical(e)) for f, e in cases]
+    fast = [f(e) for f, e in cases]
     monkeypatch.setattr(classify, "_scan_nodes", scan_nodes_per_node)
-    slow = [f(canonical(e)) for f, e in cases]
+    slow = [f(e) for f, e in cases]
     assert fast == slow
 
 

@@ -1,10 +1,13 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from blcalc.cli import main
 from blcalc.core import MAX_TABLE_SIZE
@@ -60,6 +63,24 @@ def test_chain_check_and_decompose(tmp_path, capsys):
     code, data, _ = run_json(capsys, "chain", "decompose", "--table", str(gpath))
     assert code == 0
     assert data["chain"] == "W1+W1"
+
+
+def test_chain_tables_read_from_stdin(monkeypatch, capsys):
+    table = json.dumps(flatten(parse_chain("L1+W1")).to_json())
+    monkeypatch.setattr(sys, "stdin", io.StringIO(table))
+    code, data, _ = run_json(capsys, "chain", "check", "--table", "-")
+    assert code == 0 and data["report"]["bl_chain"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(table))
+    code, data, _ = run_json(capsys, "chain", "decompose", "--table", "-")
+    assert code == 0 and data["chain"] == "L1+W1"
+
+
+def test_chain_malformed_json_on_stdin_exit_2(monkeypatch, capsys):
+    for sub in ("check", "decompose"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("{"))
+        code, out, err = run(capsys, "chain", sub, "--table", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_chain_bad_input_exit_2(tmp_path, capsys):
@@ -194,6 +215,36 @@ def test_amalgam_one_sided(capsys):
     assert code == 0
     assert data["amalgam"]["target"] == "W1"
     assert data["amalgam"]["one_sided"] is True
+
+
+def test_amalgam_one_sided_codomain_outside_universe(capsys):
+    # [W1] holds the quotient W1 of W2+W1, but not W2+W1 itself
+    code, data, _ = run_json(
+        capsys,
+        "amalgam", "one-sided",
+        "--apex", "W1", "--left", "W1", "--right", "W2+W1", "--universe", "[W1]",
+    )
+    assert code == 1
+    assert data["result"] == "none-within-bounds"
+    assert data["reason"] == "W2+W1 lies outside the universe"
+
+
+def test_amalgam_construct_unsupported(capsys):
+    # Wo1 and U are both in [U], but no representable kind holds them both
+    code, data, _ = run_json(
+        capsys,
+        "amalgam", "construct",
+        "--apex", "T", "--left", "Wo1", "--right", "U", "--universe", "[U]",
+    )
+    assert code == 1
+    assert data["result"] == "unsupported"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: blcalc")
 
 
 def test_classify_commands(capsys):

@@ -5,8 +5,10 @@ and an input error (exit 2) is one line on stderr.
 ``main`` runs in-process, so an exception that escapes it stands for the
 traceback a shell user would see.  Option values are passed as
 ``--name=value``, so that argparse takes a value starting with ``-`` as a
-value; every argv is well formed for argparse and only the values vary.  The
-searches stay small: ``--max-index`` at most 2 and ``--max-k`` at most 3.
+value.  In ``FAMILIES`` every argv is well formed for argparse and only the
+values vary; every argv of ``USAGE_ERRORS`` is one argparse rejects, and
+must end in exit 2 with one line, like any other input error.  The searches
+stay small: ``--max-index`` at most 2 and ``--max-k`` at most 3.
 """
 
 import io
@@ -109,6 +111,54 @@ FAMILIES = {
 }
 
 
+# Complete argv prefixes and their required options, for dropping some.
+REQUIRED = (
+    (("chain", "eval", "W1"), ("--op=mul", "--x=top", "--y=top")),
+    (("chain", "check"), ("--table=-",)),
+    (("amalgam", "search"), ("--apex=T", "--left=W1", "--right=W1", "--universe=[U*]")),
+    (("poset",), ("--interval=I(W1)", "--format=dot")),
+    (("logic", "consequence"), ("--premise=p", "--conclusion=p", "--gens=L2")),
+)
+INTEGER_OPTIONS = ("max-index", "max-k", "scale-cap", "left-embedding", "right-embedding")
+NOT_INTEGERS = ("x", "1.5", "", "2x", "1e3", "0x1")
+
+
+def drop_required(case):
+    prefix, options = case
+    return st.sets(st.sampled_from(options), min_size=1).map(
+        lambda dropped: list(prefix) + [o for o in options if o not in dropped]
+    )
+
+
+USAGE_ERRORS = {
+    "bad choice": st.one_of(
+        argv("chain", "eval", "W1", opt("op", ("foo", "", "MUL", "mul ")), "--x=top", "--y=top"),
+        argv("amalgam", pick(("find", "", "Search")), "--apex=T", "--left=W1", "--right=W1",
+             "--universe=[U*]"),
+        argv("classify", pick(("ap", "", "BL")), "--gens=L2"),
+        argv("poset", "--interval=I(W1)", opt("format", ("svg", "", "DOT"))),
+    ),
+    "not an integer": st.one_of(
+        argv("amalgam", "search", "--apex=T", "--left=W1", "--right=W1", "--universe=[U*]",
+             st.tuples(pick(INTEGER_OPTIONS), pick(NOT_INTEGERS)).map(lambda t: f"--{t[0]}={t[1]}")),
+        argv("logic", "interpolate", "--premise=p", "--conclusion=p", "--gens=W1",
+             opt("limit", NOT_INTEGERS)),
+    ),
+    "missing required": pick(REQUIRED).flatmap(drop_required),
+    "unknown subcommand": st.one_of(
+        argv(pick(("frobnicate", "Chain", "", "help"))),
+        argv(pick(("chain", "logic")), pick(("nope", "Eval", "interp", ""))),
+    ),
+}
+
+
+def run_main(args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(data=st.data())
@@ -116,10 +166,18 @@ def test_cli_exits_cleanly(tables, family, data):
     args = data.draw(FAMILIES[family], label="argv")
     if family == "chain check":
         args[-1] = tables[args[-1]]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(args)
+    code, _, err = run_main(args)
     assert code in (0, 1, 2), (args, code)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("family", USAGE_ERRORS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_cli_usage_errors_exit_2_in_one_line(family, data):
+    args = data.draw(USAGE_ERRORS[family], label="argv")
+    code, out, err = run_main(args)
+    assert code == 2 and out == "", (args, code)
+    assert err.startswith("error: ") and err.count("\n") == 1, (args, err)

@@ -29,12 +29,12 @@ def test_radical():
     # only lexicographic components carry a radical filter
     for name in ("W3", "U", "Z"):
         c = parse_chain(name)
-        assert not any(f.radical for f in filters(c).filters)
+        assert not any(f.radical for f in filters(c))
         with pytest.raises(ValueError):
             quotient_by_filter(c, Filter(0, radical=True))
     wo2 = parse_chain("Wo2")
     rad = Filter(0, radical=True)
-    assert rad in filters(wo2).filters
+    assert rad in filters(wo2)
     assert filter_contains(wo2, rad, element(wo2, 0, (2, -5)))
     assert not filter_contains(wo2, rad, element(wo2, 0, (1, 7)))
     # the radical is a copy of Z: b -> (2, b) lands in it

@@ -74,7 +74,7 @@ def test_essentialize_output_is_essential_and_maximal():
                 ess = essentialize(m)
                 assert is_essential_embedding(ess.map)
                 # any strictly larger filter identifies two image points
-                fc = filters(m.target).filters
+                fc = filters(m.target)
                 larger = [f for f in fc if fc.index(f) < fc.index(ess.theta0)]
                 for f in larger:
                     _, project = quotient_by_filter(m.target, f)
@@ -86,7 +86,7 @@ def test_essentialize_output_is_essential_and_maximal():
 def test_quotient_shapes_are_prefix_plus_quotient():
     # collapsing any filter keeps a prefix and degrades at most the cut
     for c in small_sums(4, 2) + [parse_chain("W1+Wo2+W2"), parse_chain("Wo1+Wo2")]:
-        for f in filters(c).filters:
+        for f in filters(c):
             q, _ = quotient_by_filter(c, f)
             assert q.components[: f.cut] == c.components[: f.cut]
             if f.radical:

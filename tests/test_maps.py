@@ -239,12 +239,12 @@ def test_mode_mismatch_rejected():
     [("W3", 2), ("W1+W1", 3), ("Wo2", 3), ("W1+Wo1+W2", 5), ("Z", 2), ("U", 2)],
 )
 def test_filter_counts(text, count):
-    assert len(filters(parse_chain(text)).filters) == count
+    assert len(filters(parse_chain(text))) == count
 
 
 def test_filters_ordered_by_inclusion():
     c = parse_chain("W1+Wo2+W1")
-    fs = filters(c).filters
+    fs = filters(c)
     elems = enumerate_elements(c, 3)
     for f1, f2 in zip(fs, fs[1:]):
         s1 = {x for x in elems if filter_contains(c, f1, x)}
@@ -264,7 +264,7 @@ def test_filters_match_upset_scan():
     elems = finite_elements(c)
     ours = {
         frozenset(i for i, x in enumerate(elems) if filter_contains(c, f, x))
-        for f in filters(c).filters
+        for f in filters(c)
     }
     assert ours == set(upsets)
 
@@ -352,17 +352,17 @@ def test_essentialize():
         enumerate_embeddings(w1, g), key=lambda m: m.index_map
     )
     ess = essentialize(into_last)
-    assert ess.theta0 == Filter(2) and ess.quotient == g
+    assert ess.theta0 == Filter(2) and ess.map.target == g
     ess = essentialize(into_first)
     assert ess.theta0 == Filter(1)
-    assert ess.quotient == w1
+    assert ess.map.target == w1
     assert ess.map.index_map == (0,)
     ess = essentialize(identity_map(g))
     assert ess.theta0 == Filter(2)
     # collapsing anything more would identify image points
     triv = enumerate_embeddings(chain(()), parse_chain("Z"))[0]
     ess = essentialize(triv)
-    assert ess.theta0 == Filter(0) and ess.quotient.is_trivial
+    assert ess.theta0 == Filter(0) and ess.map.target.is_trivial
 
 
 def test_essentialize_radical_cut():
@@ -371,7 +371,7 @@ def test_essentialize_radical_cut():
     m = enumerate_embeddings(parse_chain("W2"), parse_chain("Wo2"))[0]
     ess = essentialize(m)
     assert ess.theta0 == Filter(0, radical=True)
-    assert ess.quotient.components == (fin_luk(2),)
+    assert ess.map.target.components == (fin_luk(2),)
     assert is_essential_embedding(ess.map)
 
 
