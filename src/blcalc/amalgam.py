@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Optional, Union
 
 from .core import (
@@ -29,7 +28,7 @@ from .core import (
     kind_embeds,
     lex_omega,
 )
-from .classes import ClassExpr, component_member, match_assignments, member
+from .classes import ClassExpr, greedy_step, match_assignments, member
 from .maps import (
     ChainMap,
     Essentialization,
@@ -157,24 +156,38 @@ def universe_chains(e: ClassExpr, max_index: int, max_k: int) -> Iterator[Chain]
     """Members of a class with bounded index and parameters, yielded lazily
     in search order: the trivial chain first in hoop mode, then by index,
     then componentwise by kind.  A consumer that stops early builds no chain
-    past the one it stopped at."""
-    atoms = [atom.kind for s in e.sums for item in s.items for atom in item.atoms]
+    past the one it stopped at.  Each index is walked depth-first, carrying
+    the ``classes.greedy_step`` positions of the prefix in the sum classes
+    that take it; a prefix of a member is a member, so a prefix that none
+    takes is dropped with all its extensions.
+    """
     # already in Kind.sort_key order
-    candidates = (
+    kinds = (
         [fin_luk(k) for k in range(1, max_k + 1)]
         + [lex_omega(k) for k in range(1, max_k + 1)]
         + [CANC_Z, STD_UNIT]
     )
-    kinds = [k for k in candidates if any(component_member(k, a) for a in atoms)]
-    if not e.bl_mode:
-        yield chain((), bottom=False)
-    for length in range(1, max_index + 1):
-        for combo in product(kinds, repeat=length):
-            if e.bl_mode and not combo[0].bounded:
+    bl = e.bl_mode
+
+    def extend(prefix: tuple, live: list, length: int) -> Iterator[Chain]:
+        # live: (items, scan position) of each sum class that takes the prefix
+        if len(prefix) == length:
+            yield chain(prefix, bottom=bl)
+            return
+        for k in kinds:
+            if bl and not prefix and not k.bounded:
                 continue
-            c = chain(combo, bottom=e.bl_mode)
-            if member(c, e):
-                yield c
+            nxt = [
+                (items, q) for items, p in live if (q := greedy_step(items, p, k)) is not None
+            ]
+            if nxt:
+                yield from extend(prefix + (k,), nxt, length)
+
+    if not bl:
+        yield chain((), bottom=False)
+    start = [(s.items, 0) for s in e.sums]
+    for length in range(1, max_index + 1):
+        yield from extend((), start, length)
 
 
 def _kind_embeds(a: Chain, b: Chain) -> bool:
@@ -218,9 +231,12 @@ def find_amalgam_bruteforce(
     into by kinds is skipped without enumerating legs.  ``None`` means the
     whole bounded universe was walked without a hit; for universes whose
     kind inventory is finite the kind-level embedding rules make that
-    exhaustive up to the scale cap.
+    exhaustive up to the scale cap.  A codomain outside the universe embeds
+    into no member, so it gives ``None`` without a walk.
     """
     b, c = s.left.target, s.right.target
+    if not (member(b, universe) and member(c, universe)):
+        return None
     for target in universe_chains(universe, max_index, max_k):
         if not (_kind_embeds(b, target) and _kind_embeds(c, target)):
             continue
@@ -374,11 +390,12 @@ def one_sided_amalgam(
     the right completion.
 
     ``None`` means the essential span has no amalgam within the bounds, as
-    for ``find_amalgam_bruteforce``.  Raises UnsupportedShapeError when the
-    right codomain or its quotient lies outside the universe.
+    for ``find_amalgam_bruteforce``.  Raises UnsupportedShapeError when a
+    codomain or the right quotient lies outside the universe.
     """
-    if not member(s.right.target, universe):
-        raise UnsupportedShapeError(f"{s.right.target!r} lies outside the universe")
+    for c in (s.left.target, s.right.target):
+        if not member(c, universe):
+            raise UnsupportedShapeError(f"{c!r} lies outside the universe")
     ess: Essentialization = essentialize(s.right)
     if not member(ess.map.target, universe):
         raise UnsupportedShapeError(

@@ -7,13 +7,16 @@ component), a starred atom (any number), or a starred group (any number, each
 drawn from any atom of the group).  An atom matches a component exactly when
 the component lies in the atom's generator closure: when it embeds into the
 atom's kind by ``core.kind_embeds``, or the atom is ``U``.
+
+Membership is one greedy scan per sum class (``greedy_step``);
+``match_assignments`` lists every assignment, for the constructive amalgam.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .core import TRIV, TRIVIAL, UNIT, Chain, Kind, chain, kind_embeds
 
@@ -92,14 +95,33 @@ def component_member(kind: Kind, gen: Kind) -> bool:
 
 
 def _item_matches(comp: Kind, item: Item) -> bool:
-    return any(component_member(comp, a.kind) for a in item.atoms)
+    for a in item.atoms:
+        if component_member(comp, a.kind):
+            return True
+    return False
+
+
+def greedy_step(items: tuple, p: int, comp: Kind) -> Optional[int]:
+    """The scan position after one more component: it takes the leftmost
+    item at or after ``p`` that admits it, past which a plain item advances
+    and a starred one does not; ``None`` when no item does.  A designated-
+    bounds head must take the first component, the only one scanned from 0.
+    """
+    for i in range(p, len(items)):
+        item = items[i]
+        if _item_matches(comp, item):
+            return i if item.star else i + 1
+        if item.atoms[0].bottom:
+            return None
+    return None
 
 
 def _match(comps: tuple, items: tuple, ci: int, ii: int, asg: list) -> Iterator[tuple]:
     """Backtracking matcher; yields item-index assignments per component.
 
     A plain item consumes at most one matching component (its other
-    instances may be trivial); a starred item consumes any number.
+    instances may be trivial); a starred item consumes any number.  A
+    designated-bounds head is never skipped: it takes the first component.
     """
     if ci == len(comps):
         yield tuple(asg)
@@ -109,36 +131,43 @@ def _match(comps: tuple, items: tuple, ci: int, ii: int, asg: list) -> Iterator[
     item = items[ii]
     if _item_matches(comps[ci], item):
         asg.append(ii)
-        if item.star:
-            yield from _match(comps, items, ci + 1, ii, asg)
-        else:
-            yield from _match(comps, items, ci + 1, ii + 1, asg)
+        yield from _match(comps, items, ci + 1, ii if item.star else ii + 1, asg)
         asg.pop()
-    yield from _match(comps, items, ci, ii + 1, asg)
+    if not item.atoms[0].bottom:
+        yield from _match(comps, items, ci, ii + 1, asg)
 
 
 def match_assignments(c: Chain, s: SumClass) -> Iterator[tuple]:
     """Assignments of the chain's components to the sum's items, if any."""
-    items = s.items
-    comps = c.components
-    if items[0].atoms[0].bottom:
-        if c.is_trivial:
-            return
-        if not component_member(comps[0], items[0].atoms[0].kind):
-            return
-        for rest in _match(comps[1:], items[1:], 0, 0, []):
-            yield (0,) + tuple(i + 1 for i in rest)
-    else:
-        yield from _match(comps, items, 0, 0, [])
+    if c.components or not c.bottom:
+        yield from _match(c.components, s.items, 0, 0, [])
 
 
 def member(c: Chain, e: ClassExpr) -> bool:
-    """Whether a structural chain belongs to the class."""
+    """Whether a structural chain belongs to the class: whether one greedy
+    scan (``greedy_step``) of some sum class takes all its components.
+
+    Greedy is exact.  By induction, its position never passes that of any
+    valid assignment: each component takes an item no later than the
+    assignment's, which leaves a position no later.  With designated bounds
+    the head must take a component, so the trivial chain is no member.
+    """
     if c.bottom != e.bl_mode:
         raise ModeMismatchError(
             f"{c!r} and {e!r} disagree on designated bounds"
         )
-    return any(next(match_assignments(c, s), None) is not None for s in e.sums)
+    comps = c.components
+    if not comps:
+        return not c.bottom
+    for s in e.sums:
+        items, p = s.items, 0
+        for comp in comps:
+            p = greedy_step(items, p, comp)
+            if p is None:
+                break
+        else:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ the composite join of the brute-force search avoid doing.  The catalog
 oracles compare classes pair by pair, as the signature dedupe and the
 per-scan witness basis of ``classify`` avoid doing.  The kind join is the
 case table that ``amalgam._join_kinds`` reads off ``core.kind_embeds``.
+The backtracking membership takes the first of every assignment of
+components to items, where ``classes.member`` runs one greedy scan, and the
+filtered universe tests every product of kinds for membership, where
+``amalgam.universe_chains`` walks prefixes that a sum class still takes.
 The filter-definition essentiality test evaluates the congruence of the
 target's smallest nontrivial filter on windows of image points, where
 ``maps.is_essential_embedding`` reads essentiality off the map's last
@@ -36,7 +40,7 @@ from blcalc.amalgam import (
     spans_commute,
     universe_chains,
 )
-from blcalc.classes import class_includes, vfc_equals
+from blcalc.classes import ModeMismatchError, class_includes, component_member, vfc_equals
 from blcalc.classify import (
     IntervalPoset,
     Verdict,
@@ -115,6 +119,61 @@ def find_amalgam_by_pairs(s, universe, max_index=3, max_k=7, scale_cap=4):
                 if spans_commute(s, am):
                     return am
     return None
+
+
+def _assignments(comps, items, ci, ii, asg):
+    if ci == len(comps):
+        yield tuple(asg)
+        return
+    if ii == len(items):
+        return
+    item = items[ii]
+    if any(component_member(comps[ci], a.kind) for a in item.atoms):
+        asg.append(ii)
+        yield from _assignments(comps, items, ci + 1, ii if item.star else ii + 1, asg)
+        asg.pop()
+    yield from _assignments(comps, items, ci, ii + 1, asg)
+
+
+def assignments_by_backtracking(c, s):
+    """Reference for ``classes.match_assignments``: every assignment of the
+    chain's components to the sum's items, in backtracking order; with
+    designated bounds the head takes the first component and the rest are
+    matched against the other items."""
+    items, comps = s.items, c.components
+    if not items[0].atoms[0].bottom:
+        yield from _assignments(comps, items, 0, 0, [])
+    elif comps and component_member(comps[0], items[0].atoms[0].kind):
+        for rest in _assignments(comps[1:], items[1:], 0, 0, []):
+            yield (0,) + tuple(i + 1 for i in rest)
+
+
+def member_by_assignments(c, e) -> bool:
+    """Reference for ``classes.member``: some sum class has an assignment."""
+    if c.bottom != e.bl_mode:
+        raise ModeMismatchError(f"{c!r} and {e!r} disagree on designated bounds")
+    return any(next(assignments_by_backtracking(c, s), None) is not None for s in e.sums)
+
+
+def universe_chains_by_filter(e, max_index, max_k):
+    """Reference for ``amalgam.universe_chains``: every product of the kinds
+    some atom admits, kept when ``member_by_assignments`` holds."""
+    atoms = [atom.kind for s in e.sums for item in s.items for atom in item.atoms]
+    candidates = (
+        [fin_luk(k) for k in range(1, max_k + 1)]
+        + [lex_omega(k) for k in range(1, max_k + 1)]
+        + [CANC_Z, STD_UNIT]
+    )
+    kinds = [k for k in candidates if any(component_member(k, a) for a in atoms)]
+    if not e.bl_mode:
+        yield chain((), bottom=False)
+    for length in range(1, max_index + 1):
+        for combo in product(kinds, repeat=length):
+            if e.bl_mode and not combo[0].bounded:
+                continue
+            c = chain(combo, bottom=e.bl_mode)
+            if member_by_assignments(c, e):
+                yield c
 
 
 def join_kinds_by_cases(b: Kind, c: Kind) -> Kind:

@@ -15,6 +15,7 @@ from oracles import (
     window_commutes,
 )
 
+from blcalc import amalgam
 from blcalc.amalgam import (
     Amalgam,
     CollapsingMap,
@@ -90,6 +91,18 @@ def test_universe_enumeration_order():
     assert names.index("W1") < names.index("W2") < names.index("Z")
     assert all(c.index <= 2 for c in chains)
     assert "W1+Z" in names and "Z+W2" in names
+
+
+def test_codomain_outside_universe(monkeypatch):
+    # [W1] holds neither W2+W1 nor any chain it embeds into
+    universe = parse_class_expr("[W1]")
+    for left, right in (("W1", "W2+W1"), ("W2+W1", "W1")):
+        s = make_span(parse_chain("W1"), parse_chain(left), parse_chain(right))
+        with pytest.raises(UnsupportedShapeError, match=r"W2\+W1 lies outside the universe"):
+            one_sided_amalgam(s, universe)
+        with monkeypatch.context() as m:
+            m.setattr(amalgam, "universe_chains", None)  # the answer needs no walk
+            assert find_amalgam_bruteforce(s, universe) is None
 
 
 def test_universe_enumeration_is_lazy():

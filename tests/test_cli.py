@@ -218,15 +218,16 @@ def test_amalgam_one_sided(capsys):
 
 
 def test_amalgam_one_sided_codomain_outside_universe(capsys):
-    # [W1] holds the quotient W1 of W2+W1, but not W2+W1 itself
-    code, data, _ = run_json(
-        capsys,
-        "amalgam", "one-sided",
-        "--apex", "W1", "--left", "W1", "--right", "W2+W1", "--universe", "[W1]",
-    )
-    assert code == 1
-    assert data["result"] == "none-within-bounds"
-    assert data["reason"] == "W2+W1 lies outside the universe"
+    # [W1] holds the quotient W1 of W2+W1, but not W2+W1 itself, on either side
+    for left, right in (("W1", "W2+W1"), ("W2+W1", "W1")):
+        code, data, _ = run_json(
+            capsys,
+            "amalgam", "one-sided",
+            "--apex", "W1", "--left", left, "--right", right, "--universe", "[W1]",
+        )
+        assert code == 1
+        assert data["result"] == "none-within-bounds"
+        assert data["reason"] == "W2+W1 lies outside the universe"
 
 
 def test_amalgam_construct_unsupported(capsys):

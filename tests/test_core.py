@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blcalc.core import (
     CANC_Z,
@@ -24,7 +26,7 @@ from blcalc.core import (
 from blcalc import core
 from blcalc.decompose import flatten
 from blcalc.dsl import parse_chain
-from oracles import check_axioms_by_scans, differential_tables
+from oracles import check_axioms_by_scans, differential_tables, small_chains
 
 
 def test_component_op_fin_luk():
@@ -220,6 +222,31 @@ def test_check_axioms_matches_scan_oracle():
             imp[x][y] = (imp[x][y] + 1) % t.size
             bad = RawChain(t.size, t.mul, imp, t.bottom)
             assert check_axioms(bad) == check_axioms_by_scans(bad)
+
+
+@st.composite
+def small_tables(draw):
+    """The table of a chain of at most five elements with up to three entries
+    changed, or a table of random entries of at most five elements."""
+    bottom = draw(st.booleans())
+    if draw(st.booleans()):
+        t = flatten(draw(st.sampled_from(small_chains(6, bottom))))
+        n, mul, imp = t.size, [list(r) for r in t.mul], [list(r) for r in t.imp]
+        index = st.integers(min_value=0, max_value=n - 1)
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            tab = draw(st.sampled_from((mul, imp)))
+            tab[draw(index)][draw(index)] = draw(index)
+    else:
+        n = draw(st.integers(min_value=1, max_value=5))
+        row = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n)
+        mul, imp = (draw(st.lists(row, min_size=n, max_size=n)) for _ in "mi")
+    return RawChain(n, mul, imp, bottom)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(small_tables())
+def test_check_axioms_matches_scan_oracle_on_random_tables(t):
+    assert check_axioms(t) == check_axioms_by_scans(t)
 
 
 def test_axiom_report_json_pinned():
