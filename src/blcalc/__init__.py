@@ -22,7 +22,7 @@ from .core import (
     lex_omega,
     order_le,
 )
-from .decompose import Decomposition, decompose, flatten, same_component
+from .decompose import Decomposition, decompose, flatten
 from .maps import (
     ChainMap,
     Filter,

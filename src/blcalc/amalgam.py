@@ -28,7 +28,7 @@ from .core import (
     kind_embeds,
     lex_omega,
 )
-from .classes import ClassExpr, greedy_step, match_assignments, member
+from .classes import ClassExpr, ModeMismatchError, greedy_step, match_assignments, member
 from .maps import (
     ChainMap,
     Essentialization,
@@ -152,14 +152,23 @@ def spans_commute(s: Span, am: Amalgam) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def universe_chains(e: ClassExpr, max_index: int, max_k: int) -> Iterator[Chain]:
-    """Members of a class with bounded index and parameters, yielded lazily
-    in search order: the trivial chain first in hoop mode, then by index,
-    then componentwise by kind.  A consumer that stops early builds no chain
-    past the one it stopped at.  Each index is walked depth-first, carrying
-    the ``classes.greedy_step`` positions of the prefix in the sum classes
-    that take it; a prefix of a member is a member, so a prefix that none
-    takes is dropped with all its extensions.
+def universe_chains(
+    e: ClassExpr, max_index: int, max_k: int, into: tuple = ()
+) -> Iterator[Chain]:
+    """Members of a class with bounded index and parameters into which every
+    chain of ``into`` embeds, yielded lazily in search order: the trivial
+    chain first in hoop mode, then by index, then componentwise by kind.  A
+    consumer that stops early builds no chain past the one it stopped at.
+
+    Each index is walked depth-first, carrying the ``classes.greedy_step``
+    positions of the prefix in the sum classes that take it and how many
+    components of each chain in ``into`` the prefix has taken.  A new
+    component takes a chain's next component when ``core.kind_embeds``
+    allows it (first to first when bounds are designated); for an
+    order-preserving injection that greedy choice fails only when every
+    choice does.  A prefix of a member is a member, so a prefix that no sum
+    class takes is dropped with all its extensions, as is one with fewer
+    slots left than some chain has components untaken.
     """
     # already in Kind.sort_key order
     kinds = (
@@ -168,52 +177,35 @@ def universe_chains(e: ClassExpr, max_index: int, max_k: int) -> Iterator[Chain]
         + [CANC_Z, STD_UNIT]
     )
     bl = e.bl_mode
+    if any(a.bottom != bl for a in into):
+        raise ModeMismatchError(f"a chain of {into!r} and {e!r} disagree on designated bounds")
 
-    def extend(prefix: tuple, live: list, length: int) -> Iterator[Chain]:
-        # live: (items, scan position) of each sum class that takes the prefix
+    def extend(prefix: tuple, live: list, taken: tuple, length: int) -> Iterator[Chain]:
+        # live: (items, scan position) of each sum class that takes the prefix;
+        # taken: components of each chain of ``into`` that the prefix has taken
         if len(prefix) == length:
             yield chain(prefix, bottom=bl)
             return
+        slots = length - len(prefix) - 1  # left after this one
         for k in kinds:
             if bl and not prefix and not k.bounded:
                 continue
-            nxt = [
-                (items, q) for items, p in live if (q := greedy_step(items, p, k)) is not None
-            ]
+            took = tuple(
+                m + (m < a.index and kind_embeds(a.components[m], k))
+                for a, m in zip(into, taken)
+            )
+            # with designated bounds every chain's first component takes slot 0
+            if any(a.index - m > slots or (bl and not m) for a, m in zip(into, took)):
+                continue
+            nxt = [(items, q) for items, p in live if (q := greedy_step(items, p, k)) is not None]
             if nxt:
-                yield from extend(prefix + (k,), nxt, length)
+                yield from extend(prefix + (k,), nxt, took, length)
 
-    if not bl:
+    if not (bl or any(a.index for a in into)):
         yield chain((), bottom=False)
     start = [(s.items, 0) for s in e.sums]
     for length in range(1, max_index + 1):
-        yield from extend((), start, length)
-
-
-def _kind_embeds(a: Chain, b: Chain) -> bool:
-    """Whether ``enumerate_embeddings(a, b)`` finds an embedding, decided on
-    component kinds alone.
-
-    Each component of ``a`` takes the leftmost free component of ``b`` it
-    embeds into by ``core.kind_embeds`` (first to first when bounds are
-    designated); for an
-    order-preserving injection the greedy choice fails only when every
-    choice does.
-    """
-    if a.bottom != b.bottom:
-        raise ValueError("designated-bounds mismatch between source and target")
-    if a.is_trivial:
-        return not a.bottom or b.is_trivial
-    p = 0
-    for i, kind in enumerate(a.components):
-        while p < b.index and not kind_embeds(kind, b.components[p]):
-            if a.bottom and i == 0:
-                return False
-            p += 1
-        if p == b.index:
-            return False
-        p += 1
-    return True
+        yield from extend((), start, (0,) * len(into), length)
 
 
 def find_amalgam_bruteforce(
@@ -225,21 +217,19 @@ def find_amalgam_bruteforce(
 ) -> Optional[Amalgam]:
     """Exhaustive search for a commuting completion inside the universe.
 
-    Targets are drawn lazily from ``universe_chains`` and the search stops at
-    the first commuting completion in (target, left leg, right leg) order, so
-    no target past it is built.  A target that one codomain does not embed
-    into by kinds is skipped without enumerating legs.  ``None`` means the
-    whole bounded universe was walked without a hit; for universes whose
-    kind inventory is finite the kind-level embedding rules make that
-    exhaustive up to the scale cap.  A codomain outside the universe embeds
+    Targets are drawn lazily from ``universe_chains`` with both codomains
+    as ``into``, so the walk builds only targets that both embed into by
+    kinds, and the search stops at the first commuting completion in
+    (target, left leg, right leg) order.  ``None`` means the whole bounded
+    universe was walked without a hit; for universes whose kind inventory
+    is finite the kind-level embedding rules make that exhaustive up to the
+    scale cap.  A codomain outside the universe embeds
     into no member, so it gives ``None`` without a walk.
     """
     b, c = s.left.target, s.right.target
     if not (member(b, universe) and member(c, universe)):
         return None
-    for target in universe_chains(universe, max_index, max_k):
-        if not (_kind_embeds(b, target) and _kind_embeds(c, target)):
-            continue
+    for target in universe_chains(universe, max_index, max_k, into=(b, c)):
         # the square commutes exactly when the composites are equal as data
         # (see spans_commute), so each left leg is looked up among the right
         # composites, each kept with the first right leg that gives it

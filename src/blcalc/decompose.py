@@ -13,7 +13,6 @@ from .core import (
     component_runs,
     enumerate_elements,
     fin_luk,
-    in_one_component,
     is_ordinal_sum_table,
     ordinal_sum_table,
 )
@@ -36,20 +35,6 @@ def flatten(c: Chain) -> RawChain:
     Raises ``ValueError`` above ``core.MAX_TABLE_SIZE`` elements."""
     _require_finite(c)
     return ordinal_sum_table([k.k for k in c.components], c.bottom)
-
-
-def same_component(t: RawChain, a: int, b: int) -> bool:
-    """Whether two non-top elements lie in the same Wajsberg component.
-
-    Tests (a -> b) -> b = (b -> a) -> a on the tables.  The top belongs to
-    every component, so callers must not ask about it.
-    """
-    top = t.top
-    if a == top or b == top:
-        raise ValueError("the top lies in every component")
-    if not (0 <= a < t.size and 0 <= b < t.size):
-        raise ValueError("element index out of range")
-    return in_one_component(t, a, b)
 
 
 @dataclass(frozen=True)

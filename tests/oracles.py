@@ -8,8 +8,10 @@ through ``chain_op`` instead of the integer formulas, and the scan
 decomposition runs the exhaustive axiom check and per-block tests that
 ``decompose`` replaces with one table comparison.  The window oracles evaluate maps point by point
 instead of composing them or reading legality off their data.  The pair
-search tests every pair of legs of every target, as the kind pre-filter and
-the composite join of the brute-force search avoid doing.  The catalog
+search tests every pair of legs of every target, as the codomain-guided
+walk and the composite join of the brute-force search avoid doing, and the
+greedy kind embedding decides each finished target on its own, where
+``amalgam.universe_chains`` carries the greedy match down the walk.  The catalog
 oracles compare classes pair by pair, as the signature dedupe and the
 per-scan witness basis of ``classify`` avoid doing.  The kind join is the
 case table that ``amalgam._join_kinds`` reads off ``core.kind_embeds``.
@@ -64,6 +66,8 @@ from blcalc.core import (
     element,
     enumerate_elements,
     fin_luk,
+    in_one_component,
+    kind_embeds,
     lex_omega,
     local_bottom,
     local_top,
@@ -74,7 +78,6 @@ from blcalc.decompose import (
     Decomposition,
     finite_elements,
     flatten,
-    same_component,
 )
 from blcalc.maps import (
     ChainMap,
@@ -119,6 +122,32 @@ def find_amalgam_by_pairs(s, universe, max_index=3, max_k=7, scale_cap=4):
                 if spans_commute(s, am):
                     return am
     return None
+
+
+def kind_embeds_by_greedy(a, b) -> bool:
+    """Reference for the kind rule of ``amalgam.universe_chains``: whether
+    ``enumerate_embeddings(a, b)`` finds an embedding, decided on one
+    finished target by component kinds alone.
+
+    Each component of ``a`` takes the leftmost free component of ``b`` it
+    embeds into by ``core.kind_embeds`` (first to first when bounds are
+    designated); for an order-preserving injection the greedy choice fails
+    only when every choice does.
+    """
+    if a.bottom != b.bottom:
+        raise ValueError("designated-bounds mismatch between source and target")
+    if a.is_trivial:
+        return not a.bottom or b.is_trivial
+    p = 0
+    for i, kind in enumerate(a.components):
+        while p < b.index and not kind_embeds(kind, b.components[p]):
+            if a.bottom and i == 0:
+                return False
+            p += 1
+        if p == b.index:
+            return False
+        p += 1
+    return True
 
 
 def _assignments(comps, items, ci, ii, asg):
@@ -411,7 +440,7 @@ def decompose_by_scans(t: RawChain) -> Decomposition:
     blocks = []
     current = [0]
     for e in range(1, n - 1):
-        if same_component(t, current[-1], e):
+        if in_one_component(t, current[-1], e):
             current.append(e)
         else:
             blocks.append(tuple(current))
@@ -421,7 +450,7 @@ def decompose_by_scans(t: RawChain) -> Decomposition:
     for block in blocks:
         for a in block:
             for b in block:
-                if not same_component(t, a, b):
+                if not in_one_component(t, a, b):
                     raise ValueError(
                         f"component predicate not transitive on block {block}"
                     )
@@ -429,7 +458,7 @@ def decompose_by_scans(t: RawChain) -> Decomposition:
         for bj in blocks[i + 1:]:
             for a in bi:
                 for b in bj:
-                    if same_component(t, a, b):
+                    if in_one_component(t, a, b):
                         raise ValueError(
                             f"blocks {bi} and {bj} are not separated"
                         )

@@ -12,6 +12,7 @@ from oracles import (
     apply_completion,
     find_amalgam_by_pairs,
     join_kinds_by_cases,
+    kind_embeds_by_greedy,
     window_commutes,
 )
 
@@ -22,7 +23,6 @@ from blcalc.amalgam import (
     Span,
     UnsupportedShapeError,
     _join_kinds,
-    _kind_embeds,
     amalgamate_constructive,
     find_amalgam_bruteforce,
     is_essential_span,
@@ -31,6 +31,7 @@ from blcalc.amalgam import (
     spans_commute,
     universe_chains,
 )
+from blcalc.classes import ModeMismatchError
 from blcalc.core import CANC_Z, STD_UNIT, chain, fin_luk, lex_omega
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain
 from blcalc.maps import Filter, enumerate_embeddings, verify_embedding
@@ -225,7 +226,7 @@ def differential_cases():
 
 
 def test_bruteforce_matches_pair_search():
-    # the kind pre-filter and the composite join return the same first
+    # the codomain-guided walk and the composite join return the same first
     # commuting completion as testing every pair of legs of every target
     cases = differential_cases()
     nones = 0
@@ -258,16 +259,58 @@ DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_exa
 @given(same_bounds)
 def test_kind_embeds_decides_enumeration(pair):
     a, b = pair
-    assert _kind_embeds(a, b) == bool(enumerate_embeddings(a, b))
+    assert kind_embeds_by_greedy(a, b) == bool(enumerate_embeddings(a, b))
 
 
 @settings(DETERMINISTIC, max_examples=100)
 @given(chains_of(False), chains_of(True))
 def test_kind_embeds_bounds_mismatch_raises(hoop, bl):
     for a, b in ((hoop, bl), (bl, hoop)):
-        for check in (_kind_embeds, enumerate_embeddings):
+        for check in (kind_embeds_by_greedy, enumerate_embeddings):
             with pytest.raises(ValueError, match="designated-bounds mismatch"):
                 check(a, b)
+
+
+INTO_UNIVERSES = [
+    parse_class_expr(u)
+    for u in ("[U*]", "[(W2 Z)*]", "[W1 Z*]|[Z W1*]", "[UM U*]", "[L2 (W2 Z)*]", "[Lo2 Z* W1]")
+]
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(
+    st.sampled_from(INTO_UNIVERSES).flatmap(
+        lambda e: st.tuples(
+            st.just(e), chains_of(e.bl_mode), chains_of(e.bl_mode), st.integers(1, 3), st.integers(1, 3)
+        )
+    )
+)
+def test_universe_walk_into_codomains_matches_filter(case):
+    # the walk guided by the codomains yields exactly the plain walk's
+    # members that both codomains embed into by kinds, in the same order
+    e, b, c, max_index, max_k = case
+    walk = universe_chains(e, max_index, max_k)
+    assert list(universe_chains(e, max_index, max_k, into=(b, c))) == [
+        t for t in walk if kind_embeds_by_greedy(b, t) and kind_embeds_by_greedy(c, t)
+    ]
+
+
+def test_universe_walk_into_edge_codomains():
+    # trivial codomains: a bounded one embeds into no member, an unbounded
+    # one into every member
+    bl, hoop = parse_class_expr("[L2 (W2 Z)*]"), parse_class_expr("[W1 Z*]|[Z W1*]")
+    assert list(universe_chains(bl, 3, 3, into=(chain((), bottom=True),))) == []
+    assert list(universe_chains(hoop, 2, 2, into=(chain(()),))) == list(universe_chains(hoop, 2, 2))
+    # the trivial target is left out once a codomain is not trivial
+    assert [pretty_chain(t) for t in universe_chains(hoop, 2, 2, into=(parse_chain("Z"),))] == [
+        "Z", "W1+Z", "Z+W1", "Z+Z",
+    ]
+    # L3's head embeds into the second component of L1+W3, not the first
+    l1w3 = parse_class_expr("[L1 W3*]")
+    assert "L1+W3" in [pretty_chain(t) for t in universe_chains(l1w3, 2, 3)]
+    assert list(universe_chains(l1w3, 3, 3, into=(parse_chain("L3"),))) == []
+    with pytest.raises(ModeMismatchError):
+        list(universe_chains(bl, 2, 2, into=(parse_chain("W1"),)))
 
 
 def test_exact_commutation_matches_window():

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from blcalc.core import RawChain, chain, fin_luk
+from blcalc.core import RawChain, chain, fin_luk, in_one_component
 from blcalc.decompose import (
     decompose,
     finite_elements,
     flatten,
-    same_component,
 )
 from blcalc.dsl import parse_chain, pretty_chain
 from oracles import (
@@ -28,18 +27,12 @@ def godel3() -> RawChain:
 
 def test_same_component():
     t = godel3()
-    assert not same_component(t, 0, 1)
-    assert same_component(t, 0, 0)
+    assert not in_one_component(t, 0, 1)
+    assert in_one_component(t, 0, 0)
     luk = flatten(parse_chain("W3"))
     for a in range(3):
         for b in range(3):
-            assert same_component(luk, a, b)
-
-
-def test_same_component_rejects_top():
-    t = godel3()
-    with pytest.raises(ValueError):
-        same_component(t, 0, t.top)
+            assert in_one_component(luk, a, b)
 
 
 def test_decompose_examples():
@@ -129,12 +122,12 @@ def test_same_component_is_equivalence_on_valid_tables():
     t = flatten(parse_chain("W2+W3+W1"))
     below_top = range(t.size - 1)
     for a in below_top:
-        assert same_component(t, a, a)
+        assert in_one_component(t, a, a)
         for b in below_top:
-            assert same_component(t, a, b) == same_component(t, b, a)
+            assert in_one_component(t, a, b) == in_one_component(t, b, a)
             for c in below_top:
-                if same_component(t, a, b) and same_component(t, b, c):
-                    assert same_component(t, a, c)
+                if in_one_component(t, a, b) and in_one_component(t, b, c):
+                    assert in_one_component(t, a, c)
 
 
 def test_round_trip_randomized():
