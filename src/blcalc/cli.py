@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 negative domain answers (no amalgam, no
 amalgamation property, consequence fails, no interpolant), 2 input errors,
-141 (128 + SIGPIPE) when the reader of stdout closes it early.
+3 internal errors, 141 (128 + SIGPIPE) when stdout's reader closes early.
 All JSON output is versioned with "schema": "blcalc/1" and sorted keys.
 """
 
@@ -66,6 +66,8 @@ def _read_table(path: str) -> RawChain:
                 data = json.load(fh)
     except OSError as exc:
         raise ValueError(str(exc)) from None
+    except RecursionError:
+        raise ValueError("table JSON nests too deeply") from None
     return RawChain.from_json(data)
 
 
@@ -291,6 +293,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except Exception as exc:
+        # a fault of blcalc, not of the input: exit 1 would read as a "no"
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

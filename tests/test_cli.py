@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from blcalc import cli
 from blcalc.cli import main
 from blcalc.core import MAX_TABLE_SIZE
 from blcalc.decompose import flatten
@@ -81,6 +82,29 @@ def test_chain_malformed_json_on_stdin_exit_2(monkeypatch, capsys):
         code, out, err = run(capsys, "chain", sub, "--table", "-")
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_chain_deeply_nested_json_exit_2(tmp_path, monkeypatch, capsys):
+    # the JSON decoder recurses once per level; running out of stack is an
+    # input error, not a negative answer
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for sub in ("check", "decompose"):
+        for source in (str(path), "-"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+            code, out, err = run(capsys, "chain", sub, "--table", source)
+            assert (code, out, err) == (2, "", "error: table JSON nests too deeply\n")
+
+
+def test_internal_error_exit_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom\nagain")
+
+    monkeypatch.setattr(cli, "cmd_chain", broken)
+    code, out, err = run(capsys, "chain", "flatten", "W1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError('boom\\nagain')\n"
 
 
 def test_chain_bad_input_exit_2(tmp_path, capsys):

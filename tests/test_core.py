@@ -1,5 +1,6 @@
 """Element model, chain operations, and axiom checking."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,11 @@ from blcalc.core import (
     chain_op,
     check_axioms,
     component_op,
+    component_runs,
     element,
     enumerate_elements,
     fin_luk,
+    is_ordinal_sum_table,
     lex_omega,
     order_le,
     ordinal_sum_table,
@@ -224,22 +227,26 @@ def test_check_axioms_matches_scan_oracle():
             assert check_axioms(bad) == check_axioms_by_scans(bad)
 
 
+def with_changed_entries(draw, t: RawChain) -> RawChain:
+    """``t`` with up to three mul or imp entries changed."""
+    n, mul, imp = t.size, [list(r) for r in t.mul], [list(r) for r in t.imp]
+    index = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        tab = draw(st.sampled_from((mul, imp)))
+        tab[draw(index)][draw(index)] = draw(index)
+    return RawChain(n, mul, imp, t.bottom)
+
+
 @st.composite
 def small_tables(draw):
     """The table of a chain of at most five elements with up to three entries
     changed, or a table of random entries of at most five elements."""
     bottom = draw(st.booleans())
     if draw(st.booleans()):
-        t = flatten(draw(st.sampled_from(small_chains(6, bottom))))
-        n, mul, imp = t.size, [list(r) for r in t.mul], [list(r) for r in t.imp]
-        index = st.integers(min_value=0, max_value=n - 1)
-        for _ in range(draw(st.integers(min_value=0, max_value=3))):
-            tab = draw(st.sampled_from((mul, imp)))
-            tab[draw(index)][draw(index)] = draw(index)
-    else:
-        n = draw(st.integers(min_value=1, max_value=5))
-        row = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n)
-        mul, imp = (draw(st.lists(row, min_size=n, max_size=n)) for _ in "mi")
+        return with_changed_entries(draw, flatten(draw(st.sampled_from(small_chains(6, bottom)))))
+    n = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n)
+    mul, imp = (draw(st.lists(row, min_size=n, max_size=n)) for _ in "mi")
     return RawChain(n, mul, imp, bottom)
 
 
@@ -247,6 +254,45 @@ def small_tables(draw):
 @given(small_tables())
 def test_check_axioms_matches_scan_oracle_on_random_tables(t):
     assert check_axioms(t) == check_axioms_by_scans(t)
+
+
+@st.composite
+def recognised_tables(draw):
+    """The table of a sum of finite Lukasiewicz chains of at most 40
+    elements, flattened, with up to three mul or imp entries changed."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=12), max_size=8)
+                 .filter(lambda ks: sum(ks) < 40))
+    return with_changed_entries(
+        draw, flatten(chain((fin_luk(k) for k in sizes), bottom=draw(st.booleans()))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(recognised_tables())
+def test_check_axioms_matches_scan_oracle_on_recognised_tables(t):
+    assert check_axioms(t) == check_axioms_by_scans(t)
+
+
+def test_row_comparison_matches_rebuilt_table():
+    # is_ordinal_sum_table compares rows; the route it replaced rebuilt and
+    # compared a whole RawChain
+    recognised = 0
+    for t in differential_tables():
+        runs = component_runs(t)
+        rebuilt = ordinal_sum_table(map(len, runs), t.bottom) == t
+        assert is_ordinal_sum_table(t, runs) == rebuilt, t
+        recognised += rebuilt
+    assert recognised == 36
+
+
+def test_from_json_rejects_entries_equal_to_indices():
+    # 1.0 and true compare equal to the index 1, so a row holding them would
+    # pass the row comparison; only RawChain's entry check keeps them out
+    w1 = ordinal_sum_table([1])
+    assert ((0, 0), (0, 1.0)) == w1.mul == ((0, 0), (0, True))
+    for entry in ("1.0", "true"):
+        text = f'{{"size": 2, "mul": [[0, 0], [0, {entry}]], "imp": [[1, 0], [0, 1]]}}'
+        with pytest.raises(ValueError, match="entries outside the indices"):
+            RawChain.from_json(json.loads(text))
 
 
 def test_axiom_report_json_pinned():

@@ -44,7 +44,7 @@ def test_ordinal_sums_of_finite_components_pass_axioms():
 
 
 def test_scans_accept_every_small_ordinal_sum_table():
-    # the structure theorem that lets check_axioms skip its cubic scans
+    # the structure theorem that lets check_axioms skip five laws' scans
     for bottom in (False, True):
         for c in small_chains(8, bottom):
             t = ordinal_sum_table([k.k for k in c.components], bottom)
