@@ -10,6 +10,7 @@ atom's kind by ``core.kind_embeds``, or the atom is ``U``.
 
 Membership is one greedy scan per sum class (``greedy_step``);
 ``match_assignments`` lists every assignment, for the constructive amalgam.
+Inclusion of one class in another is decided by ``_first_outside`` alone.
 """
 
 from __future__ import annotations
@@ -227,16 +228,14 @@ def vfc_membership(x: Chain, v: ClassExpr) -> bool:
 
 
 def _item_variants(item: Item, lone: bool) -> list:
-    """Kind sequences a single item contributes to the witness basis."""
+    """Kind sequences a single item contributes to the witness basis.  A
+    starred item reads its distinct non-trivial kinds, since a repeated atom
+    or a ``T`` leaves its class as it is."""
     if not item.star:
         return [(item.atoms[0].kind,)]
-    if len(item.atoms) == 1:
-        k = item.atoms[0].kind
-        variants = [(k,), (k, k)]
-        if lone:
-            variants.append((k, k, k))
-        return variants
-    kinds = [a.kind for a in item.atoms]
+    kinds = tuple(dict.fromkeys(a.kind for a in item.atoms if a.kind.tag != TRIV))
+    if len(kinds) < 2:
+        return [kinds * n for n in ((1, 2, 3) if lone else (1, 2))]
     variants = [(k,) for k in kinds]
     variants += [(k1, k2) for k1 in kinds for k2 in kinds if k1 != k2]
     variants += [(k1, k2, k1) for k1 in kinds for k2 in kinds if k1 != k2]
@@ -246,9 +245,9 @@ def _item_variants(item: Item, lone: bool) -> list:
 def witness_basis(e: ClassExpr) -> list:
     """Finitely many member chains that separate the canonical classes.
 
-    Unstarred sums contribute their maximal chain; starred atoms also pump
-    one extra copy (two when the star stands alone); starred groups add
-    single atoms, both orders, and the alternating triples.
+    Unstarred sums contribute their maximal chain; a starred item of one
+    kind also pumps one extra copy (two when the star stands alone); starred
+    groups add single atoms, both orders, and the alternating triples.
     """
     out = []
     seen = set()
@@ -264,28 +263,42 @@ def witness_basis(e: ClassExpr) -> list:
     return out
 
 
-def has_star(e: ClassExpr) -> bool:
-    return any(it.star for s in e.sums for it in s.items)
-
-
-def pumped_witness(e: ClassExpr, gens: tuple) -> Chain:
-    """A member of a starred class whose index exceeds that of every chain
-    in ``gens``."""
-    n = max(2, max((g.index for g in gens), default=1)) + 1
+def _pumped_item(e: ClassExpr):
+    """The sum class and the first non-trivial atom of ``e``'s first
+    unbounded item, a starred one with a non-trivial atom; ``None`` when
+    ``e`` bounds the index of its chains."""
     for s in e.sums:
         for it in s.items:
             if it.star:
-                kinds = []
-                if e.bl_mode:
-                    kinds.append(s.items[0].atoms[0].kind)
-                kinds.extend([it.atoms[0].kind] * n)
-                return chain(kinds, bottom=e.bl_mode)
-    raise ValueError("expression has no starred item")
+                for a in it.atoms:
+                    if a.kind.tag != TRIV:
+                        return s, a
+    return None
 
 
-def _first_non_member(chains, e: ClassExpr):
-    for c in chains:
-        if not member(c, e):
+def pumped_witness(e: ClassExpr, gens: tuple) -> Chain:
+    """A member of an unbounded class whose index exceeds that of every
+    chain in ``gens``: the first non-trivial atom of the first unbounded
+    item, repeated after the bounds atom in BL mode."""
+    s, a = _pumped_item(e)
+    n = max(2, max((g.index for g in gens), default=1)) + 1
+    kinds = [s.items[0].atoms[0].kind] if e.bl_mode else []
+    return chain(kinds + [a.kind] * n, bottom=e.bl_mode)
+
+
+def _first_outside(a: ClassExpr, a_basis: list, b: ClassExpr) -> Optional[Chain]:
+    """The first chain of ``a`` outside ``b``, or ``None`` when ``a ⊆ b``.
+
+    A class with unbounded index is never inside one with bounded index, and
+    the pumped chain shows it.  Otherwise ``a ⊆ b`` exactly when ``b`` holds
+    every chain of ``a``'s witness basis ``a_basis``.
+    """
+    if a.bl_mode != b.bl_mode:
+        raise ModeMismatchError(f"{a!r} and {b!r} disagree on designated bounds")
+    if _pumped_item(a) is not None and _pumped_item(b) is None:
+        return pumped_witness(a, witness_basis(b))
+    for c in a_basis:
+        if not vfc_membership(c, b):
             return c
     return None
 
@@ -295,9 +308,7 @@ def vfc_equals(v: ClassExpr, e: ClassExpr):
 
     Returns one of ``equal``, ``v_strictly_smaller``,
     ``v_strictly_larger_or_incomparable``, together with a separating
-    witness chain when the classes differ.  An unstarred class bounds the
-    index of its chains and a starred one does not, so a starred ``e`` is
-    never inside an unstarred ``v``; the witness is then the pumped chain.
+    witness chain when the classes differ, from ``_first_outside``.
     """
     return _vfc_compare(v, witness_basis(v), e)
 
@@ -305,28 +316,15 @@ def vfc_equals(v: ClassExpr, e: ClassExpr):
 def _vfc_compare(v: ClassExpr, v_basis: list, e: ClassExpr):
     """``vfc_equals`` given the variety's witness basis, so that a scan over
     many classes builds it once."""
-    if v.bl_mode != e.bl_mode:
-        raise ModeMismatchError(f"{v!r} and {e!r} disagree on designated bounds")
-    wit_v = _first_non_member(v_basis, e)
-    v_in_e = wit_v is None
-
-    if has_star(e) and not has_star(v):
-        wit_e = pumped_witness(e, v_basis)
-    else:
-        wit_e = None
-        for b in witness_basis(e):
-            if not vfc_membership(b, v):
-                wit_e = b
-                break
-    e_in_v = wit_e is None
-
-    if v_in_e and e_in_v:
+    wit = _first_outside(v, v_basis, e)
+    if wit is not None:
+        return "v_strictly_larger_or_incomparable", wit
+    wit = _first_outside(e, witness_basis(e), v)
+    if wit is None:
         return "equal", None
-    if v_in_e:
-        return "v_strictly_smaller", wit_e
-    return "v_strictly_larger_or_incomparable", wit_v
+    return "v_strictly_smaller", wit
 
 
 def class_includes(e1: ClassExpr, e2: ClassExpr) -> bool:
-    """Inclusion of canonical classes, decided on witness bases."""
-    return all(member(b, e2) for b in witness_basis(e1))
+    """Inclusion of canonical classes, decided by ``_first_outside``."""
+    return _first_outside(e1, witness_basis(e1), e2) is None

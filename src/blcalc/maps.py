@@ -270,18 +270,14 @@ def is_essential_embedding(m: ChainMap) -> bool:
     """Structural essentiality test.
 
     An embedding is essential exactly when the congruence of the smallest
-    nontrivial filter of the target identifies two image points: the last
-    source component must land in the last target component, and when that
-    target component is lexicographic the image must dip into its radical
-    below the top.
+    nontrivial filter of the target, ``filters(target)[-2]``, identifies two
+    image points: when ``collapse_after`` refuses that collapse.  A trivial
+    target has no such filter, and the image of a trivial source is one
+    point.
     """
-    if m.source.is_trivial:
-        return m.target.is_trivial
-    if m.index_map[-1] != m.target.index - 1:
-        return False
-    if m.target.components[-1].tag == LEX:
-        return m.source.components[-1].cancellative
-    return True
+    if m.source.is_trivial or m.target.is_trivial:
+        return m.source.is_trivial and m.target.is_trivial
+    return collapse_after(m, filters(m.target)[-2]) is None
 
 
 def collapse_after(m: ChainMap, f: Filter) -> Optional[ChainMap]:

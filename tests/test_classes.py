@@ -1,7 +1,10 @@
 """Class expressions, membership, and the finitely-generated variety engine,
 checked against a table-level closure oracle."""
 
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
 
 from blcalc.classes import (
     ModeMismatchError,
@@ -13,11 +16,12 @@ from blcalc.classes import (
     vfc_membership,
     witness_basis,
 )
-from blcalc.core import CANC_Z, STD_UNIT, TRIVIAL, chain, fin_luk, lex_omega
+from blcalc.core import CANC_Z, STD_UNIT, TRIVIAL, Chain, chain, fin_luk, lex_omega
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain
 
 
 from oracles import oracle_membership, small_chains
+from test_roundtrip import class_exprs
 
 
 def test_component_member_table():
@@ -208,22 +212,61 @@ def test_vfc_equals_group_star_not_equal_to_union():
     )
 
 
-def test_vfc_equals_witnesses_separate():
-    # every non-equal verdict's witness lies in the class it names, not the other
+@cache
+def _catalog_nodes(bl_mode):
     from blcalc.classify import enumerate_catalog
 
-    for mode, n in (("bh", 2), ("bl", 1)):
-        entries = [e for e, _, _ in enumerate_catalog(mode, n) if e is not None]
-        for e1 in entries:
-            v = e1
-            for e2 in entries:
-                verdict, w = vfc_equals(v, e2)
-                if verdict == "equal":
-                    assert w is None
-                    continue
-                in_v, in_e = vfc_membership(w, v), member(w, e2)
-                expected = (False, True) if verdict == "v_strictly_smaller" else (True, False)
-                assert (in_v, in_e) == expected, (repr(e1), repr(e2), pretty_chain(w))
+    mode, n = ("bl", 1) if bl_mode else ("bh", 2)
+    return [e for e, _, _ in enumerate_catalog(mode, n) if e is not None]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(class_exprs())
+def test_vfc_equals_witnesses_separate(e):
+    # every non-equal verdict's witness lies in the class it names, not the
+    # other, and class_includes agrees with the verdict
+    for node in _catalog_nodes(e.bl_mode):
+        for v, e2 in ((e, node), (node, e)):
+            verdict, w = vfc_equals(v, e2)
+            assert class_includes(v, e2) == (
+                verdict != "v_strictly_larger_or_incomparable"
+            ), (repr(v), repr(e2))
+            if verdict == "equal":
+                assert w is None
+                continue
+            in_v, in_e = vfc_membership(w, v), vfc_membership(w, e2)
+            expected = (False, True) if verdict == "v_strictly_smaller" else (True, False)
+            assert (in_v, in_e) == expected, (repr(v), repr(e2), pretty_chain(w))
+
+
+def test_unbounded_class_never_inside_bounded_one():
+    v, e = parse_class_expr("[W1*]"), parse_class_expr("[W1 W1 W1]")
+    verdict, witness = vfc_equals(v, e)
+    assert verdict == "v_strictly_larger_or_incomparable"
+    assert pretty_chain(witness) == "W1+W1+W1+W1"
+    assert not class_includes(v, e)
+
+
+def test_starred_trivial_atom_bounds_nothing():
+    assert vfc_equals(parse_class_expr("[W1]"), parse_class_expr("[W1 T*]")) == (
+        "equal",
+        None,
+    )
+
+
+def test_trivial_bl_variety_equals_itself():
+    v = generated_by(Chain((), bottom=True))
+    assert vfc_equals(v, v) == ("equal", None)
+    assert class_includes(v, v)
+
+
+def test_repeated_or_trivial_group_atoms_keep_the_class():
+    # (W1 W1)* and (T W1)* are W1*: the witness basis pumps them alike
+    plain = parse_class_expr("[W1* Z*]")
+    for text in ["[(W1 W1)* Z*]", "[(T W1)* Z*]"]:
+        e = parse_class_expr(text)
+        assert vfc_equals(e, plain) == ("equal", None), text
+        assert not class_includes(e, parse_class_expr("[W1 Z*]")), text
 
 
 def test_class_includes_on_interval_languages():
