@@ -16,7 +16,6 @@ Inclusion of one class in another is decided by ``_first_outside`` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Optional
 
 from .core import TRIV, TRIVIAL, UNIT, Chain, Kind, chain, kind_embeds
@@ -227,80 +226,62 @@ def vfc_membership(x: Chain, v: ClassExpr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _item_variants(item: Item, lone: bool) -> list:
-    """Kind sequences a single item contributes to the witness basis.  A
-    starred item reads its distinct non-trivial kinds, since a repeated atom
-    or a ``T`` leaves its class as it is."""
-    if not item.star:
-        return [(item.atoms[0].kind,)]
-    kinds = tuple(dict.fromkeys(a.kind for a in item.atoms if a.kind.tag != TRIV))
-    if len(kinds) < 2:
-        return [kinds * n for n in ((1, 2, 3) if lone else (1, 2))]
-    variants = [(k,) for k in kinds]
-    variants += [(k1, k2) for k1 in kinds for k2 in kinds if k1 != k2]
-    variants += [(k1, k2, k1) for k1 in kinds for k2 in kinds if k1 != k2]
-    return variants
-
-
-def witness_basis(e: ClassExpr) -> list:
-    """Finitely many member chains that separate the canonical classes.
-
-    Unstarred sums contribute their maximal chain; a starred item of one
-    kind also pumps one extra copy (two when the star stands alone); starred
-    groups add single atoms, both orders, and the alternating triples.
-    """
+def witness_basis(e: ClassExpr, n: int) -> list:
+    """One member chain per sum class of ``e``: each plain atom's kind, and
+    each starred item's distinct non-trivial kinds repeated ``n`` times as
+    one block (``chain`` absorbs the trivial ones)."""
     out = []
-    seen = set()
     for s in e.sums:
-        lone = len(s.items) == 1 or (e.bl_mode and len(s.items) == 2)
-        per_item = [_item_variants(it, lone) for it in s.items]
-        for combo in product(*per_item):
-            kinds = tuple(k for part in combo for k in part)
-            c = chain(kinds, bottom=e.bl_mode)
-            if (c.components, c.bottom) not in seen:
-                seen.add((c.components, c.bottom))
-                out.append(c)
+        kinds = []
+        for it in s.items:
+            if it.star:
+                kinds += tuple(dict.fromkeys(a.kind for a in it.atoms)) * n
+            else:
+                kinds.append(it.atoms[0].kind)
+        out.append(chain(kinds, bottom=e.bl_mode))
     return out
 
 
-def _pumped_item(e: ClassExpr):
-    """The sum class and the first non-trivial atom of ``e``'s first
-    unbounded item, a starred one with a non-trivial atom; ``None`` when
-    ``e`` bounds the index of its chains."""
-    for s in e.sums:
-        for it in s.items:
-            if it.star:
-                for a in it.atoms:
-                    if a.kind.tag != TRIV:
-                        return s, a
-    return None
+def scan_count(e: ClassExpr) -> int:
+    """The number of greedy scan positions of ``e``: ``len(items) + 1`` per
+    sum class."""
+    return sum(len(s.items) + 1 for s in e.sums)
 
 
-def pumped_witness(e: ClassExpr, gens: tuple) -> Chain:
-    """A member of an unbounded class whose index exceeds that of every
-    chain in ``gens``: the first non-trivial atom of the first unbounded
-    item, repeated after the bounds atom in BL mode."""
-    s, a = _pumped_item(e)
-    n = max(2, max((g.index for g in gens), default=1)) + 1
-    kinds = [s.items[0].atoms[0].kind] if e.bl_mode else []
-    return chain(kinds + [a.kind] * n, bottom=e.bl_mode)
-
-
-def _first_outside(a: ClassExpr, a_basis: list, b: ClassExpr) -> Optional[Chain]:
+def _first_outside(a: ClassExpr, b: ClassExpr) -> Optional[Chain]:
     """The first chain of ``a`` outside ``b``, or ``None`` when ``a ⊆ b``.
 
-    A class with unbounded index is never inside one with bounded index, and
-    the pumped chain shows it.  Otherwise ``a ⊆ b`` exactly when ``b`` holds
-    every chain of ``a``'s witness basis ``a_basis``.
+    With ``n = scan_count(b)``, ``a ⊆ b`` exactly when ``b`` holds every
+    chain of ``witness_basis(a, n)``; otherwise the separating chain is the
+    first one of ``witness_basis(a, k)`` outside ``b``, for the least ``k``.
+
+    1. Membership in ``b`` survives dropping a component that is not a
+       designated-bounds head: the scan's assignment, restricted, is valid.
+    2. It survives replacing a component by a kind in its generator closure,
+       since closures are transitive (``component_member``).
+    3. So every chain of ``a`` is covered by a chain of
+       ``witness_basis(a, m)``, with ``m`` its index: keep the slot of each
+       plain item a component takes, and for a starred item one slot of a
+       fresh copy of the block per component, drop the rest, and replace
+       each slot by its component.  The chains of ``witness_basis(a, m)``
+       lie in ``a`` themselves.
+    4. Read ``witness_basis(a, m)`` with the greedy scans of all of ``b``'s
+       sum classes at once.  Each repetition of a starred block either moves
+       some scan forward, or ends it, or changes nothing, and then nothing
+       from then on.  A scan moves forward or ends at most
+       ``len(items) + 1`` times, so after ``n`` repetitions the scans stand
+       still: ``b`` holds the chain for ``m >= n`` exactly when it holds it
+       for ``n``, and the chains for ``m < n`` drop components of it.
     """
     if a.bl_mode != b.bl_mode:
         raise ModeMismatchError(f"{a!r} and {b!r} disagree on designated bounds")
-    if _pumped_item(a) is not None and _pumped_item(b) is None:
-        return pumped_witness(a, witness_basis(b))
-    for c in a_basis:
-        if not vfc_membership(c, b):
-            return c
-    return None
+    n = scan_count(b)
+    if all(vfc_membership(c, b) for c in witness_basis(a, n)):
+        return None
+    for k in range(1, n + 1):
+        for c in witness_basis(a, k):
+            if not vfc_membership(c, b):
+                return c
 
 
 def vfc_equals(v: ClassExpr, e: ClassExpr):
@@ -310,16 +291,10 @@ def vfc_equals(v: ClassExpr, e: ClassExpr):
     ``v_strictly_larger_or_incomparable``, together with a separating
     witness chain when the classes differ, from ``_first_outside``.
     """
-    return _vfc_compare(v, witness_basis(v), e)
-
-
-def _vfc_compare(v: ClassExpr, v_basis: list, e: ClassExpr):
-    """``vfc_equals`` given the variety's witness basis, so that a scan over
-    many classes builds it once."""
-    wit = _first_outside(v, v_basis, e)
+    wit = _first_outside(v, e)
     if wit is not None:
         return "v_strictly_larger_or_incomparable", wit
-    wit = _first_outside(e, witness_basis(e), v)
+    wit = _first_outside(e, v)
     if wit is None:
         return "equal", None
     return "v_strictly_smaller", wit
@@ -327,4 +302,4 @@ def _vfc_compare(v: ClassExpr, v_basis: list, e: ClassExpr):
 
 def class_includes(e1: ClassExpr, e2: ClassExpr) -> bool:
     """Inclusion of canonical classes, decided by ``_first_outside``."""
-    return _first_outside(e1, witness_basis(e1), e2) is None
+    return _first_outside(e1, e2) is None

@@ -20,11 +20,12 @@ from .classes import (
     ClassExpr,
     Item,
     SumClass,
-    _vfc_compare,
     class_expr,
     class_includes,
     component_member,
     member,
+    scan_count,
+    vfc_equals,
     witness_basis,
 )
 
@@ -242,9 +243,8 @@ def _scan_nodes(v: ClassExpr, nodes) -> Verdict:
     failing that, no amalgamation, witnessed by the first node strictly
     above the variety."""
     witness = None
-    v_basis = witness_basis(v)
     for name, node in nodes:
-        verdict, wit = _vfc_compare(v, v_basis, node)
+        verdict, wit = vfc_equals(v, node)
         if verdict == "equal":
             return Verdict(ap=True, canonical=node, interval=name)
         if verdict == "v_strictly_smaller" and witness is None:
@@ -350,13 +350,19 @@ def _dedupe_by_signature(candidates) -> list:
     """The candidates whose classes are new, in first-occurrence order.
 
     A class is keyed by the int whose bit ``i`` says whether the ``i``-th
-    pooled witness chain is a member (see ``enumerate_catalog``).
-    ``class_includes`` confirms every dropped duplicate both ways; a failed
-    confirmation is a bug.
+    pooled chain is a member.  The pool is ``witness_basis(shape, n)`` of
+    every candidate, with ``n`` the largest ``scan_count`` among them.
+    Equal classes have equal signatures.  Equal signatures mean equal
+    classes: each shape's own chains at ``n`` lie in the pool, so each shape
+    holds the other's, and as ``n`` is at least its own scan count, that is
+    inclusion by the rule of ``classes._first_outside``.
+    ``class_includes`` still confirms every dropped duplicate both ways; a
+    failed confirmation is a bug.
     """
+    n = max(scan_count(shape) for shape, _, _ in candidates)
     pool = {}
     for shape, _, _ in candidates:
-        for b in witness_basis(shape):
+        for b in witness_basis(shape, n):
             pool.setdefault((b.components, b.bottom), b)
     pool = list(pool.values())
     kept = {}
@@ -386,10 +392,10 @@ def enumerate_catalog(mode: str, n_max: int) -> list:
 
     The BL candidates are listed head by head, hoop entry by hoop entry, and
     a candidate is kept only when no earlier one has the same class.  Classes
-    are compared by their membership signatures over the pooled witness
-    bases of all candidates: equal classes have equal signatures, and equal
-    signatures mean inclusion both ways, because a class's own witness basis
-    lies in the pool and ``class_includes`` is decided on witness bases.
+    are compared by their membership signatures over one pool of chains: the
+    witness bases of all candidates at the largest scan count among them.
+    Each shape's own chains at that count lie in the pool, so equal
+    signatures mean inclusion both ways (see ``_dedupe_by_signature``).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

@@ -12,8 +12,10 @@ search tests every pair of legs of every target, as the codomain-guided
 walk and the composite join of the brute-force search avoid doing, and the
 greedy kind embedding decides each finished target on its own, where
 ``amalgam.universe_chains`` carries the greedy match down the walk.  The catalog
-oracles compare classes pair by pair, as the signature dedupe and the
-per-scan witness basis of ``classify`` avoid doing.  The kind join is the
+oracle compares classes pair by pair, as the signature dedupe of
+``classify`` avoids doing, and the enumerated inclusion tests every chain
+of a class up to an index, where ``classes.class_includes`` tests one
+chain per sum class.  The kind join is the
 case table that ``amalgam._join_kinds`` reads off ``core.kind_embeds``.
 The backtracking membership takes the first of every assignment of
 components to items, where ``classes.member`` runs one greedy scan, and the
@@ -42,10 +44,9 @@ from blcalc.amalgam import (
     spans_commute,
     universe_chains,
 )
-from blcalc.classes import ModeMismatchError, class_includes, component_member, vfc_equals
+from blcalc.classes import ModeMismatchError, class_includes, component_member, member, vfc_equals
 from blcalc.classify import (
     IntervalPoset,
-    Verdict,
     _bl_case_shapes,
     enumerate_catalog,
 )
@@ -182,6 +183,34 @@ def member_by_assignments(c, e) -> bool:
     if c.bottom != e.bl_mode:
         raise ModeMismatchError(f"{c!r} and {e!r} disagree on designated bounds")
     return any(next(assignments_by_backtracking(c, s), None) is not None for s in e.sums)
+
+
+ENUMERATION_KINDS = (
+    fin_luk(1), fin_luk(2), fin_luk(4), lex_omega(1), lex_omega(2), CANC_Z, STD_UNIT,
+)
+
+
+def includes_by_enumeration(a, b, max_index) -> bool:
+    """Reference for ``classes.class_includes``: ``b`` holds every chain of
+    ``a`` of index at most ``max_index`` over ``ENUMERATION_KINDS``, with
+    membership by ``classes.member`` (which ``tests/test_membership.py``
+    checks against ``member_by_assignments``).  Chains are grown one
+    component at a time while they stay in ``a``; a prefix of a member is a
+    member, since the assignment restricts to it."""
+    frontier = [()]
+    for _ in range(max_index):
+        grown = []
+        for kinds in frontier:
+            for k in ENUMERATION_KINDS:
+                if a.bl_mode and not kinds and not k.bounded:
+                    continue
+                c = chain(kinds + (k,), bottom=a.bl_mode)
+                if member(c, a):
+                    if not member(c, b):
+                        return False
+                    grown.append(c.components)
+        frontier = grown
+    return True
 
 
 def universe_chains_by_filter(e, max_index, max_k):
@@ -488,19 +517,6 @@ def pairwise_bl_catalog(n_max: int) -> list:
                     continue
                 out.append((shape, f"{case}({a!r})", f"{iname}:{pos}"))
     return out
-
-
-def scan_nodes_per_node(v, nodes) -> Verdict:
-    """Reference for ``classify._scan_nodes``: one ``vfc_equals`` per node,
-    each building the variety's witness basis afresh."""
-    witness = None
-    for name, node in nodes:
-        verdict, wit = vfc_equals(v, node)
-        if verdict == "equal":
-            return Verdict(ap=True, canonical=node, interval=name)
-        if verdict == "v_strictly_smaller" and witness is None:
-            witness = wit
-    return Verdict(ap=False, witness=witness)
 
 
 def recompute_cover_relation(p: IntervalPoset) -> tuple:

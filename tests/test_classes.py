@@ -4,7 +4,8 @@ checked against a table-level closure oracle."""
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blcalc.classes import (
     ModeMismatchError,
@@ -20,7 +21,7 @@ from blcalc.core import CANC_Z, STD_UNIT, TRIVIAL, Chain, chain, fin_luk, lex_om
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain
 
 
-from oracles import oracle_membership, small_chains
+from oracles import ENUMERATION_KINDS, includes_by_enumeration, oracle_membership, small_chains
 from test_roundtrip import class_exprs
 
 
@@ -195,6 +196,13 @@ def test_vfc_equals_examples():
     assert verdict == "v_strictly_smaller"
     assert pretty_chain(witness) == "W1+W1+W1"
 
+    # a bounded run of the kind a star repeats: both blocks are pumped
+    verdict, witness = vfc_equals(
+        parse_class_expr("[Z* W1 W1]"), parse_class_expr("[Z* W1*]")
+    )
+    assert verdict == "v_strictly_smaller"
+    assert pretty_chain(witness) == "Z+Z+Z+W1+W1+W1"
+
     verdict, witness = vfc_equals(
         parse_class_expr("[W1 Z]|[Z W1]"), parse_class_expr("[W1 Z]")
     )
@@ -286,8 +294,40 @@ def test_class_includes_on_interval_languages():
 def test_witness_basis_members():
     for text in ["[W2*]", "[W1 Z]", "[W1* Z*]", "[(W1 Z)*]", "[L1 W1*]"]:
         e = parse_class_expr(text)
-        for b in witness_basis(e):
-            assert member(b, e), (text, pretty_chain(b))
+        for n in (1, 2, 3):
+            for b in witness_basis(e, n):
+                assert member(b, e), (text, n, pretty_chain(b))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("[T Z*]", "[W1 W2*]|[W2 U U]"),
+        ("[Lo2 T U*]", "[UM U Wo2* U]"),
+        ("[Z* T*]", "[W1 W1 W2*]|[Z Wo2 W2]"),
+    ],
+)
+def test_class_not_included(a, b):
+    assert not class_includes(parse_class_expr(a), parse_class_expr(b))
+
+
+SMALL_KINDS = st.sampled_from(ENUMERATION_KINDS + (TRIVIAL,))
+SMALL_BOUNDED = st.sampled_from([k for k in ENUMERATION_KINDS if k.bounded])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    class_exprs(SMALL_KINDS, SMALL_BOUNDED), class_exprs(SMALL_KINDS, SMALL_BOUNDED)
+)
+def test_class_includes_matches_enumeration(a, b):
+    # inclusion agrees with the chains of index at most 4, and a witness of
+    # vfc_equals lies in exactly one of the two classes
+    assume(a.bl_mode == b.bl_mode)
+    assert class_includes(a, b) == includes_by_enumeration(a, b, 4), (repr(a), repr(b))
+    verdict, w = vfc_equals(a, b)
+    assert (w is None) == (verdict == "equal")
+    if w is not None:
+        assert vfc_membership(w, a) != vfc_membership(w, b), (repr(a), repr(b))
 
 
 def test_parse_round_trip():

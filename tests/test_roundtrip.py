@@ -38,7 +38,7 @@ def chains(draw):
     return chain([head] + draw(st.lists(kinds, max_size=3)), bottom=bottom)
 
 
-def items():
+def items(kinds=kinds):
     """A plain or starred atom, or a starred group of atoms."""
     atoms = kinds.map(Atom)
     return st.one_of(
@@ -48,14 +48,15 @@ def items():
 
 
 @st.composite
-def class_exprs(draw):
+def class_exprs(draw, kinds=kinds, bounded_kinds=bounded_kinds):
     """A union of one to three sum classes, each led by a designated-bounds
-    atom in BL mode."""
+    atom in BL mode; the atoms are drawn from ``kinds``, the heads from
+    ``bounded_kinds``."""
     bl_mode = draw(st.booleans())
     sums = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         head = [Item((Atom(draw(bounded_kinds), bottom=True),))] if bl_mode else []
-        rest = draw(st.lists(items(), min_size=0 if bl_mode else 1, max_size=3))
+        rest = draw(st.lists(items(kinds), min_size=0 if bl_mode else 1, max_size=3))
         sums.append(SumClass(tuple(head + rest)))
     return class_expr(sums)
 
