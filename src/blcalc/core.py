@@ -457,6 +457,67 @@ def _ordinal_sum_rows(sizes) -> tuple:
     return tuple(map(tuple, mul)), tuple(map(tuple, imp))
 
 
+class RunForm:
+    """Fully finite chains side by side on one index space, operated on by
+    the rules of ``_ordinal_sum_rows`` with no table and no size cap.
+
+    Each chain takes the next block of indices, its elements ascending with
+    its top last, so ``blocks[i]`` is the range of chain ``i``.  Index x
+    stores the start s and end e of the run it lies in, a run of m elements
+    taking the indices s .. e - 1 with e = s + m, and the top t of its
+    chain; a top lies in no run and stores s = e = t.  For x and y of one
+    chain:
+
+      x*y  = max(x + y - e, s) when x and y lie in one run, else min(x, y)
+      x->y = t when x <= y, else e - x + y when they lie in one run, else y
+
+    and meet and join are min and max.  Building the form costs O(n), and
+    each operation O(1); the operations apply pointwise to equally long
+    tuples of indices and return tuples.
+    """
+
+    __slots__ = ("start", "end", "top", "blocks")
+
+    def __init__(self, chains):
+        start, end, top, blocks = [], [], [], []
+        for c in chains:
+            if not c.is_finite:
+                raise ValueError(f"{c!r} has symbolic components")
+            lo = len(start)
+            for kind in c.components:
+                s = len(start)
+                start += [s] * kind.k
+                end += [s + kind.k] * kind.k
+            t = len(start)
+            start.append(t)
+            end.append(t)
+            top += [t] * (t + 1 - lo)
+            blocks.append(range(lo, t + 1))
+        self.start, self.end, self.top = start, end, top
+        self.blocks = tuple(blocks)
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        S, E = self.start, self.end
+        return tuple([
+            (x + y - E[x] if x + y - E[x] > S[x] else S[x]) if S[x] == S[y]
+            else (x if x < y else y)
+            for x, y in zip(a, b)
+        ])
+
+    def imp(self, a: tuple, b: tuple) -> tuple:
+        S, E, T = self.start, self.end, self.top
+        return tuple([
+            T[x] if x <= y else (E[x] - x + y if S[x] == S[y] else y)
+            for x, y in zip(a, b)
+        ])
+
+    def meet(self, a: tuple, b: tuple) -> tuple:
+        return tuple(map(min, a, b))
+
+    def join(self, a: tuple, b: tuple) -> tuple:
+        return tuple(map(max, a, b))
+
+
 def ordinal_sum_table(sizes, bottom: bool = False) -> RawChain:
     """The table of ``_ordinal_sum_rows(sizes)``, a BL-chain if ``bottom``."""
     mul, imp = _ordinal_sum_rows(sizes)

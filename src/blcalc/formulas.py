@@ -17,20 +17,26 @@ holds exactly when ``must_top`` is a subset of ``may_top``, and a vector is an
 interpolant exactly when it is top on ``must_top`` and not top off
 ``may_top``.  ``term_closure`` is the one closure loop: ``find_interpolant``
 walks it and ``closure_size`` counts the same elements.
+
+Consequence, the sweeps and the closure compute on the integer indices of
+``core.RunForm``, an O(1) rule per operation with no table; values are mapped
+back to elements only for a countermodel.  ``eval_formula`` evaluates on
+elements, symbolic chains included.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, islice, product
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import Chain, Element, TOP, bottom_element, chain_op
+from .core import TOP, Chain, Element, RunForm, bottom_element, chain_op
 from .decompose import finite_elements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
@@ -38,7 +44,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     symbol: str  # "1" or "0"
 
@@ -46,7 +52,7 @@ class Const:
         return self.symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str  # mul / imp / meet / join
     left: "Formula"
@@ -214,6 +220,41 @@ def _same_bounds(gens: Sequence[Chain]) -> None:
         raise ValueError("generators must agree on designated bounds")
 
 
+# Valuations are evaluated this many at a time, so a scan's memory stays
+# bounded however many valuations a generator has.
+_BLOCK_ROWS = 4096
+
+
+def _valuation_blocks(names: Sequence[str], gens: Sequence[Chain], form: RunForm):
+    """Yield (generator index, first row, columns) for the valuations of
+    ``names`` into each generator, in generator order and then product
+    order, at most ``_BLOCK_ROWS`` rows at a time.  ``columns`` maps each
+    name to its values, as indices of ``form = RunForm(gens)``, and the
+    constant 1, and 0 on a bounded generator, to theirs."""
+    for gi, block in enumerate(form.blocks):
+        valuations = product(block, repeat=len(names))
+        row = 0
+        while rows := list(islice(valuations, _BLOCK_ROWS)):
+            columns = dict(zip(names, zip(*rows)))
+            columns["1"] = (block[-1],) * len(rows)
+            if gens[gi].bottom:
+                columns["0"] = (block[0],) * len(rows)
+            yield gi, row, columns
+            row += len(rows)
+
+
+def _values(f: Formula, columns: dict, form: RunForm) -> tuple:
+    """The values of ``f`` on one block of ``_valuation_blocks``."""
+    if isinstance(f, BinOp):
+        op = getattr(form, f.op)
+        return op(_values(f.left, columns, form), _values(f.right, columns, form))
+    if isinstance(f, Var):
+        return columns[f.name]
+    if f.symbol not in columns:
+        raise FormulaError("constant 0 needs designated bounds")
+    return columns[f.symbol]
+
+
 @dataclass(frozen=True)
 class ConsequenceResult:
     holds: bool
@@ -226,17 +267,24 @@ def consequence(
     """Truth preservation on every valuation into every generator chain.
 
     Validity on the generators settles validity in the generated variety,
-    consequence being preserved under subalgebras and products.
+    consequence being preserved under subalgebras and products.  The
+    countermodel is the first failing valuation in generator order and then
+    in product order of the ascending elements.
     """
     _same_bounds(gens)
     names = sorted(formula_vars(premise) | formula_vars(conclusion))
-    for gi, g in enumerate(gens):
-        elems = finite_elements(g)
-        for combo in product(elems, repeat=len(names)):
-            val = dict(zip(names, combo))
-            if eval_formula(premise, g, val) == TOP:
-                if eval_formula(conclusion, g, val) != TOP:
-                    return ConsequenceResult(False, (gi, val))
+    form = RunForm(gens)
+    for gi, _, columns in _valuation_blocks(names, gens, form):
+        rows = zip(
+            _values(premise, columns, form),
+            _values(conclusion, columns, form),
+            columns["1"],
+        )
+        for r, (x, y, top) in enumerate(rows):
+            if x == top and y != top:
+                elems, lo = finite_elements(gens[gi]), form.blocks[gi][0]
+                val = {name: elems[columns[name][r] - lo] for name in names}
+                return ConsequenceResult(False, (gi, val))
     return ConsequenceResult(True)
 
 
@@ -248,31 +296,32 @@ class NotLocallyFiniteError(ValueError):
     pass
 
 
-def _valuation_points(shared: Sequence[str], gens: Sequence[Chain]) -> list:
-    """The (generator index, shared-variable values) pairs, in generator order
-    and then product order; position p of every closure vector is the value
-    at the p-th pair."""
+def _points(shared: Sequence[str], form: RunForm) -> list:
+    """The (generator block, shared-variable values) pairs, in generator
+    order and then product order; position p of every closure vector is the
+    value at the p-th pair, an index of ``form``."""
     return [
-        (gi, combo)
-        for gi, g in enumerate(gens)
-        for combo in product(finite_elements(g), repeat=len(shared))
+        (block, combo)
+        for block in form.blocks
+        for combo in product(block, repeat=len(shared))
     ]
 
 
 def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
     """Yield (vector, term) once for each term function in the shared
-    variables, smallest-first.
+    variables, smallest-first.  A vector holds one index of
+    ``RunForm(gens)`` per point of ``_points``.
 
     The seeds are 1, then 0 when the generators are bounded, then the
     projections in the given variable order.  After them, for each i and each
     j <= i, come mul, meet, join, imp(i, j) and imp(j, i) of the i-th and j-th
     yielded vectors.  The first term reaching a vector is the one yielded.
     """
-    points = _valuation_points(shared, gens)
-    chains = [gens[gi] for gi, _ in points]
-    seeds = [(tuple(TOP for _ in points), Const("1"))]
+    form = RunForm(gens)
+    points = _points(shared, form)
+    seeds = [(tuple(block[-1] for block, _ in points), Const("1"))]
     if gens and gens[0].bottom:
-        seeds.append((tuple(bottom_element(g) for g in chains), Const("0")))
+        seeds.append((tuple(block[0] for block, _ in points), Const("0")))
     for vi, name in enumerate(shared):
         seeds.append((tuple(combo[vi] for _, combo in points), Var(name)))
 
@@ -283,19 +332,19 @@ def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
             seen.add(vec)
             queue.append((vec, term))
             yield vec, term
+    mul, meet, join, imp = form.mul, form.meet, form.join, form.imp
     i = 0
     while i < len(queue):
         vec_i, term_i = queue[i]
         for j in range(i + 1):
             vec_j, term_j = queue[j]
-            for op, a, b, ta, tb in (
-                ("mul", vec_i, vec_j, term_i, term_j),
-                ("meet", vec_i, vec_j, term_i, term_j),
-                ("join", vec_i, vec_j, term_i, term_j),
-                ("imp", vec_i, vec_j, term_i, term_j),
-                ("imp", vec_j, vec_i, term_j, term_i),
+            for vec, op, ta, tb in (
+                (mul(vec_i, vec_j), "mul", term_i, term_j),
+                (meet(vec_i, vec_j), "meet", term_i, term_j),
+                (join(vec_i, vec_j), "join", term_i, term_j),
+                (imp(vec_i, vec_j), "imp", term_i, term_j),
+                (imp(vec_j, vec_i), "imp", term_j, term_i),
             ):
-                vec = tuple(chain_op(g, op, x, y) for g, x, y in zip(chains, a, b))
                 if vec not in seen:
                     seen.add(vec)
                     term = BinOp(op, ta, tb)
@@ -323,16 +372,21 @@ def find_interpolant(
                 "unsupported: not locally finite (symbolic generator)"
             )
     shared = sorted(formula_vars(premise) & formula_vars(conclusion))
-    point_index = {pt: p for p, pt in enumerate(_valuation_points(shared, gens))}
+    form = RunForm(gens)
+    tops = [block[-1] for block, _ in _points(shared, form)]
+    first_point = list(
+        accumulate((len(block) ** len(shared) for block in form.blocks), initial=0)
+    )
 
     def sweep(f: Formula):
-        # (point, f is top) for every valuation of f's and the shared variables
-        names = sorted(formula_vars(f) | set(shared))
-        spos = [names.index(s) for s in shared]
-        for gi, g in enumerate(gens):
-            for combo in product(finite_elements(g), repeat=len(names)):
-                pt = point_index[(gi, tuple(combo[p] for p in spos))]
-                yield pt, eval_formula(f, g, dict(zip(names, combo))) == TOP
+        # (point, f is top) for every valuation of the shared variables and
+        # then f's others; the rows of one point are consecutive
+        names = shared + sorted(formula_vars(f) - set(shared))
+        for gi, row, columns in _valuation_blocks(names, gens, form):
+            rows_per_point = len(form.blocks[gi]) ** (len(names) - len(shared))
+            values = zip(_values(f, columns, form), columns["1"])
+            for r, (x, top) in enumerate(values, row):
+                yield first_point[gi] + r // rows_per_point, x == top
 
     # A joint valuation is a point plus independent premise-only and
     # conclusion-only parts, so the consequence holds exactly when must_top is
@@ -341,11 +395,13 @@ def find_interpolant(
     not_may_top = {pt for pt, top in sweep(conclusion) if not top}
     if not must_top.isdisjoint(not_may_top):
         raise ValueError("premise does not entail conclusion on the generators")
+    must = [(p, tops[p]) for p in must_top]
+    must_not = [(p, tops[p]) for p in not_may_top]
     for n, (vec, term) in enumerate(term_closure(shared, gens), 1):
         if n > limit:
             raise ClosureLimitError(f"closure exceeded {limit} elements")
-        if all(vec[p] == TOP for p in must_top) and not any(
-            vec[p] == TOP for p in not_may_top
+        if all(vec[p] == top for p, top in must) and not any(
+            vec[p] == top for p, top in must_not
         ):
             return term
     return None
@@ -385,13 +441,17 @@ def dip_report(v) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _leaf(symbol: str) -> Formula:
+    """One shared node per leaf symbol; nodes are immutable, so the mined
+    formulas need not hold a copy per occurrence."""
+    return Const(symbol) if symbol in ("0", "1") else Var(symbol)
+
+
 def random_formula(rng, names: Sequence[str], depth: int, allow_zero: bool) -> Formula:
     if depth <= 0 or rng.random() < 0.3:
         pool = list(names) + (["0", "1"] if allow_zero else ["1"])
-        pick = rng.choice(pool)
-        if pick in ("0", "1"):
-            return Const(pick)
-        return Var(pick)
+        return _leaf(rng.choice(pool))
     op = rng.choice(["mul", "imp", "meet", "join"])
     return BinOp(
         op,

@@ -30,7 +30,10 @@ component classifier compares a block entry by entry with the finite
 Lukasiewicz table, as ``decompose`` does with one whole-table comparison.
 The rotation table is the disconnected rotation of a cancellative kind,
 written as its own case table, against which acceptance criterion 4 checks
-the lexicographic chains of ``core.component_op``.
+the lexicographic chains of ``core.component_op``.  The element closure,
+sweeps and consequence compute every vector entry through ``chain_op`` and
+every valuation through ``eval_formula``, one at a time, where ``formulas``
+computes on the integer indices of ``core.RunForm``.
 """
 
 import math
@@ -60,7 +63,9 @@ from blcalc.core import (
     UNIT,
     AxiomReport,
     Kind,
+    TOP,
     RawChain,
+    bottom_element,
     chain,
     chain_op,
     component_op,
@@ -79,6 +84,14 @@ from blcalc.decompose import (
     Decomposition,
     finite_elements,
     flatten,
+)
+from blcalc.formulas import (
+    BinOp,
+    ConsequenceResult,
+    Const,
+    Var,
+    eval_formula,
+    formula_vars,
 )
 from blcalc.maps import (
     ChainMap,
@@ -396,6 +409,95 @@ def flatten_by_chain_op(c) -> RawChain:
         tuple(pos[chain_op(c, "imp", x, y)] for y in elems) for x in elems
     )
     return RawChain(size=n, mul=mul, imp=imp, bottom=c.bottom)
+
+
+def valuation_points(shared, gens) -> list:
+    """The (generator index, shared-variable values) pairs of the interpolant
+    search, as elements, in generator order and then product order."""
+    return [
+        (gi, combo)
+        for gi, g in enumerate(gens)
+        for combo in product(finite_elements(g), repeat=len(shared))
+    ]
+
+
+def term_closure_by_chain_op(shared, gens):
+    """Reference for ``formulas.term_closure``: the same seeds and the same
+    smallest-first order, with every vector a tuple of elements computed
+    through ``chain_op``."""
+    points = valuation_points(shared, gens)
+    chains = [gens[gi] for gi, _ in points]
+    seeds = [(tuple(TOP for _ in points), Const("1"))]
+    if gens and gens[0].bottom:
+        seeds.append((tuple(bottom_element(g) for g in chains), Const("0")))
+    for vi, name in enumerate(shared):
+        seeds.append((tuple(combo[vi] for _, combo in points), Var(name)))
+
+    queue = []
+    seen = set()
+    for vec, term in seeds:
+        if vec not in seen:
+            seen.add(vec)
+            queue.append((vec, term))
+            yield vec, term
+    i = 0
+    while i < len(queue):
+        vec_i, term_i = queue[i]
+        for j in range(i + 1):
+            vec_j, term_j = queue[j]
+            for op, a, b, ta, tb in (
+                ("mul", vec_i, vec_j, term_i, term_j),
+                ("meet", vec_i, vec_j, term_i, term_j),
+                ("join", vec_i, vec_j, term_i, term_j),
+                ("imp", vec_i, vec_j, term_i, term_j),
+                ("imp", vec_j, vec_i, term_j, term_i),
+            ):
+                vec = tuple(chain_op(g, op, x, y) for g, x, y in zip(chains, a, b))
+                if vec not in seen:
+                    seen.add(vec)
+                    term = BinOp(op, ta, tb)
+                    queue.append((vec, term))
+                    yield vec, term
+        i += 1
+
+
+def consequence_by_eval(premise, conclusion, gens):
+    """Reference for ``formulas.consequence``: every valuation into every
+    generator, in generator order and then product order, evaluated one at
+    a time by ``eval_formula``; the first failing one is the countermodel."""
+    names = sorted(formula_vars(premise) | formula_vars(conclusion))
+    for gi, g in enumerate(gens):
+        for combo in product(finite_elements(g), repeat=len(names)):
+            val = dict(zip(names, combo))
+            if eval_formula(premise, g, val) == TOP:
+                if eval_formula(conclusion, g, val) != TOP:
+                    return ConsequenceResult(False, (gi, val))
+    return ConsequenceResult(True)
+
+
+def find_interpolant_by_chain_op(premise, conclusion, gens):
+    """Reference for ``formulas.find_interpolant`` on a valid consequence:
+    the point sets come from ``eval_formula`` sweeps and the walk is
+    ``term_closure_by_chain_op``."""
+    shared = sorted(formula_vars(premise) & formula_vars(conclusion))
+    point_index = {pt: p for p, pt in enumerate(valuation_points(shared, gens))}
+
+    def sweep(f):
+        names = sorted(formula_vars(f) | set(shared))
+        spos = [names.index(s) for s in shared]
+        for gi, g in enumerate(gens):
+            for combo in product(finite_elements(g), repeat=len(names)):
+                pt = point_index[(gi, tuple(combo[p] for p in spos))]
+                yield pt, eval_formula(f, g, dict(zip(names, combo))) == TOP
+
+    must_top = {pt for pt, top in sweep(premise) if top}
+    not_may_top = {pt for pt, top in sweep(conclusion) if not top}
+    for vec, term in term_closure_by_chain_op(shared, gens):
+        if all(vec[p] == TOP for p in must_top) and not any(
+            vec[p] == TOP for p in not_may_top
+        ):
+            return term
+    return None
 
 
 def differential_tables():

@@ -347,6 +347,14 @@ def test_logic_commands(capsys):
     assert code == 1
 
 
+def test_logic_consequence_has_no_size_cap(capsys):
+    # consequence computes on run bounds, not on tables, so a generator
+    # above MAX_TABLE_SIZE is answered
+    code, data, err = run_json(capsys, "logic", "consequence", "--premise", "p",
+                               "--conclusion", "p\\/p", "--gens", f"W{MAX_TABLE_SIZE + 500}")
+    assert code == 0 and data["holds"] is True and err == ""
+
+
 def test_logic_formula_depth(capsys):
     n = MAX_FORMULA_DEPTH
     # at the limit in both parentheses and connectives: still answered

@@ -13,6 +13,7 @@ from blcalc.core import (
     TOP,
     TRIVIAL,
     RawChain,
+    RunForm,
     chain,
     chain_op,
     check_axioms,
@@ -406,6 +407,38 @@ def test_chain_op_agrees_with_flatten_tables():
         for j, y in enumerate(elems):
             assert elems.index(chain_op(c, "mul", x, y)) == t.mul[i][j]
             assert elems.index(chain_op(c, "imp", x, y)) == t.imp[i][j]
+
+
+def test_run_form_matches_tables():
+    # the index form restates the rules of the ordinal-sum table builder:
+    # on every pair of indices of every small chain it gives the table entry
+    for bottom in (False, True):
+        for c in small_chains(10, bottom):
+            form, t = RunForm([c]), flatten(c)
+            for x in range(t.size):
+                for y in range(t.size):
+                    a, b = (x,), (y,)
+                    assert form.mul(a, b) == (t.mul[x][y],), (c, x, y)
+                    assert form.imp(a, b) == (t.imp[x][y],), (c, x, y)
+                    assert form.meet(a, b) == (min(x, y),)
+                    assert form.join(a, b) == (max(x, y),)
+
+
+def test_run_form_places_chains_side_by_side():
+    # each chain takes the next block of indices, and the operations of a
+    # block are those of its chain shifted by the block's first index
+    left, right = parse_chain("W2+W1"), parse_chain("W1+W3")
+    form, alone = RunForm([left, right]), RunForm([right])
+    assert form.blocks == (range(0, 4), range(4, 9))
+    lo = form.blocks[1][0]
+    n = len(form.blocks[1])
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    a, b = (tuple(p[i] for p in pairs) for i in (0, 1))
+    for op in ("mul", "imp", "meet", "join"):
+        shifted = getattr(form, op)(tuple(x + lo for x in a), tuple(y + lo for y in b))
+        assert shifted == tuple(v + lo for v in getattr(alone, op)(a, b))
+    with pytest.raises(ValueError, match="symbolic"):
+        RunForm([parse_chain("Z")])
 
 
 def test_chain_validation():

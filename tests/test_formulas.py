@@ -1,11 +1,12 @@
 """Formula evaluation, consequence, and interpolant search."""
 
 import random
+from itertools import islice
 
 import pytest
 
 from blcalc.classes import generated_by
-from blcalc.core import TOP, element
+from blcalc.core import MAX_TABLE_SIZE, TOP, element
 from blcalc.decompose import finite_elements
 from blcalc.dsl import parse_chain, parse_class_expr
 from blcalc.formulas import (
@@ -26,6 +27,12 @@ from blcalc.formulas import (
     parse_formula,
     pretty_formula,
     random_formula,
+    term_closure,
+)
+from oracles import (
+    consequence_by_eval,
+    find_interpolant_by_chain_op,
+    term_closure_by_chain_op,
 )
 
 
@@ -121,6 +128,15 @@ def test_consequence():
     assert eval_formula(parse_formula("p"), L2, val) != TOP
     boolean = parse_chain("W1")
     assert consequence(parse_formula("p"), parse_formula("p*p"), [boolean]).holds
+
+
+def test_consequence_has_no_size_cap():
+    # consequence computes on run bounds, not on tables, so a generator
+    # above MAX_TABLE_SIZE is answered
+    big = parse_chain(f"W{MAX_TABLE_SIZE + 500}")
+    assert consequence(parse_formula("p"), parse_formula("p \\/ p"), [big]).holds
+    res = consequence(parse_formula("p -> p * p"), parse_formula("p"), [big])
+    assert res.countermodel == (0, {"p": element(big, 0, 0)})
 
 
 def test_consequence_rejects_symbolic():
@@ -283,3 +299,52 @@ def test_parse_error_positions_skip_whitespace():
         with pytest.raises(FormulaError) as info:
             parse_formula(text)
         assert str(info.value) == message
+
+
+def _closure_as_elements(shared, gens):
+    """``term_closure`` with each index vector mapped back to elements."""
+    elems = [x for g in gens for x in finite_elements(g)]
+    for vec, term in term_closure(shared, gens):
+        yield tuple(elems[x] for x in vec), term
+
+
+def test_index_route_matches_element_oracle():
+    # the index route and the chain_op route yield the same terms with the
+    # same vectors in the same order, find the same interpolants and the
+    # same first countermodels
+    rng = random.Random(21)
+    for text in ("L2", "L3", "W2", "W3", "L1+W1"):
+        gens = [parse_chain(text)]
+        for prem, conc in mine_valid_consequences(gens, 20, ["p", "q", "r"], rng):
+            assert consequence_by_eval(prem, conc, gens).holds
+            assert find_interpolant(prem, conc, gens) == find_interpolant_by_chain_op(
+                prem, conc, gens
+            )
+            shared = sorted(formula_vars(prem) & formula_vars(conc))
+            assert list(islice(_closure_as_elements(shared, gens), 40)) == list(
+                islice(term_closure_by_chain_op(shared, gens), 40)
+            )
+        for _ in range(40):
+            prem, conc = (random_formula(rng, ["p", "q", "r"], 3, gens[0].bottom)
+                          for _ in range(2))
+            assert consequence(prem, conc, gens) == consequence_by_eval(prem, conc, gens)
+    # more valuations than one block of rows: the countermodel and the
+    # premise sweep of p * (q -> r) run past the first block
+    big = [parse_chain("W16")]
+    prem, conc = parse_formula("p"), parse_formula("q -> r")
+    assert consequence(prem, conc, big) == consequence_by_eval(prem, conc, big)
+    prem, conc = parse_formula("p * (q -> r)"), parse_formula("p \\/ s")
+    assert find_interpolant(prem, conc, big) == find_interpolant_by_chain_op(
+        prem, conc, big
+    )
+    # the certified no-interpolant instance of the benchmark
+    gens = [parse_chain("L2"), parse_chain("L3")]
+    prem = parse_formula("(p -> 0) /\\ ((q -> (q -> 0)) /\\ ((q -> 0) -> q))")
+    conc = parse_formula("p \\/ (r * r -> r * r * r)")
+    assert find_interpolant(prem, conc, gens) is None
+    assert find_interpolant_by_chain_op(prem, conc, gens) is None
+    # whole closures in one shared variable
+    for texts, size in ((("L3",), 64), (("W4",), 150), (("L4",), 300), (("L2", "L3"), 192)):
+        gens = [parse_chain(t) for t in texts]
+        walk = list(_closure_as_elements(["p"], gens))
+        assert len(walk) == size and walk == list(term_closure_by_chain_op(["p"], gens))

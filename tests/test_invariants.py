@@ -113,11 +113,12 @@ def test_closure_is_operation_closed():
     # the interpolation closure is a fixed point under all four connectives
     from blcalc.core import chain_op
     from blcalc.decompose import finite_elements
-    from blcalc.formulas import parse_formula, _valuation_points
+    from blcalc.formulas import parse_formula
+    from oracles import valuation_points
 
     L2 = parse_chain("L2")
     prem, conc = parse_formula("p /\\ q"), parse_formula("q \\/ r")
-    points = _valuation_points(["q"], [L2])
+    points = valuation_points(["q"], [L2])
     vectors = {tuple(TOP for _ in points)}
     vectors.add(tuple(finite_elements(L2)[0] for _ in points))
     vectors.add(tuple(combo[0] for _, combo in points))
