@@ -20,6 +20,7 @@ from .core import (
     fin_luk,
     kind_embeds,
     lex_omega,
+    ordinal_sum_table,
     order_le,
 )
 from .decompose import Decomposition, decompose, flatten

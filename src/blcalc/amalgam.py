@@ -157,8 +157,9 @@ def universe_chains(
 ) -> Iterator[Chain]:
     """Members of a class with bounded index and parameters into which every
     chain of ``into`` embeds, yielded lazily in search order: the trivial
-    chain first in hoop mode, then by index, then componentwise by kind.  A
-    consumer that stops early builds no chain past the one it stopped at.
+    chain first when no chain of ``into`` has components, then by index,
+    then componentwise by kind.  A consumer that stops early builds no
+    chain past the one it stopped at.
 
     Each index is walked depth-first, carrying the ``classes.greedy_step``
     positions of the prefix in the sum classes that take it and how many
@@ -201,8 +202,8 @@ def universe_chains(
             if nxt:
                 yield from extend(prefix + (k,), nxt, took, length)
 
-    if not (bl or any(a.index for a in into)):
-        yield chain((), bottom=False)
+    if not any(a.index for a in into):
+        yield chain((), bottom=bl)
     start = [(s.items, 0) for s in e.sums]
     for length in range(1, max_index + 1):
         yield from extend((), start, (0,) * len(into), length)

@@ -138,9 +138,9 @@ def _match(comps: tuple, items: tuple, ci: int, ii: int, asg: list) -> Iterator[
 
 
 def match_assignments(c: Chain, s: SumClass) -> Iterator[tuple]:
-    """Assignments of the chain's components to the sum's items, if any."""
-    if c.components or not c.bottom:
-        yield from _match(c.components, s.items, 0, 0, [])
+    """Assignments of the chain's components to the sum's items, if any;
+    the trivial chain has the empty one."""
+    yield from _match(c.components, s.items, 0, 0, [])
 
 
 def member(c: Chain, e: ClassExpr) -> bool:
@@ -149,19 +149,17 @@ def member(c: Chain, e: ClassExpr) -> bool:
 
     Greedy is exact.  By induction, its position never passes that of any
     valid assignment: each component takes an item no later than the
-    assignment's, which leaves a position no later.  With designated bounds
-    the head must take a component, so the trivial chain is no member.
+    assignment's, which leaves a position no later.  The trivial chain has
+    no component to scan, so it is a member of every class of its
+    signature, as the trivial algebra lies in every variety.
     """
     if c.bottom != e.bl_mode:
         raise ModeMismatchError(
             f"{c!r} and {e!r} disagree on designated bounds"
         )
-    comps = c.components
-    if not comps:
-        return not c.bottom
     for s in e.sums:
         items, p = s.items, 0
-        for comp in comps:
+        for comp in c.components:
             p = greedy_step(items, p, comp)
             if p is None:
                 break
@@ -214,10 +212,8 @@ def canonical(e: ClassExpr) -> ClassExpr:
 
 
 def vfc_membership(x: Chain, v: ClassExpr) -> bool:
-    """Whether a finite-index chain lies in the variety's chain class; the
-    trivial chain of the variety's signature always does."""
-    if x.is_trivial and x.bottom == v.bl_mode:
-        return True
+    """Whether a finite-index chain lies in the variety's chain class: the
+    same rule as ``member``."""
     return member(x, v)
 
 

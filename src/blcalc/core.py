@@ -426,40 +426,11 @@ class RawChain:
 MAX_TABLE_SIZE = 1000
 
 
-def _ordinal_sum_rows(sizes) -> tuple:
-    """The mul and imp rows of the ordinal sum of the finite Lukasiewicz
-    chains W m, m in ``sizes``, bottom to top, with one shared top.
-
-    Inside a run of m elements starting at index s, with local values
-    lx = x - s and ly = y - s, x*y = s + max(lx + ly - m, 0) and, for
-    x > y, x -> y = s + m - lx + ly.  Across runs x*y = min(x, y) and,
-    for x > y, x -> y = y.  Whenever x <= y, x -> y is the top.
-    """
-    sizes = tuple(sizes)
-    if any(type(m) is not int or m < 0 for m in sizes):
-        raise ValueError("run sizes must be integers >= 0")
-    n = sum(sizes) + 1
-    if n > MAX_TABLE_SIZE:
-        raise ValueError(f"a table of {n} elements exceeds MAX_TABLE_SIZE = {MAX_TABLE_SIZE}")
-    top = n - 1
-    mul, imp = [], []
-    s = 0
-    for m in sizes:
-        below = list(range(s))
-        above = n - s - m
-        for lx in range(m):
-            mul.append(below + [s + max(lx + ly - m, 0) for ly in range(m)] + [s + lx] * above)
-            imp.append(below + [top if ly >= lx else s + m - lx + ly for ly in range(m)]
-                       + [top] * above)
-        s += m
-    mul.append(range(n))
-    imp.append(range(n))
-    return tuple(map(tuple, mul)), tuple(map(tuple, imp))
-
-
 class RunForm:
     """Fully finite chains side by side on one index space, operated on by
-    the rules of ``_ordinal_sum_rows`` with no table and no size cap.
+    the rules of the ordinal sum of finite Lukasiewicz chains, with no table
+    and no size cap.  This is the one statement of those rules: a table is
+    a one-chain form tabulated by ``table_rows``.
 
     Each chain takes the next block of indices, its elements ascending with
     its top last, so ``blocks[i]`` is the range of chain ``i``.  Index x
@@ -518,9 +489,36 @@ class RunForm:
         return tuple(map(max, a, b))
 
 
+def table_rows(c: Chain) -> tuple:
+    """The mul and imp rows of a fully finite chain, tabulated from its
+    ``RunForm``; index order is element order.  Row x, for x in the run
+    s .. e - 1 (a top stores s = e), is the indices below s, then x against
+    each index of the run, then x for mul and the top for imp up to the end.
+    The form is applied once per run, to every pair of its indices.
+
+    Raises ``ValueError`` above ``MAX_TABLE_SIZE`` elements, before building
+    anything."""
+    if c.is_finite and c.size > MAX_TABLE_SIZE:
+        raise ValueError(f"a table of {c.size} elements exceeds MAX_TABLE_SIZE = {MAX_TABLE_SIZE}")
+    form = RunForm([c])
+    n = len(form.start)
+    top = n - 1
+    mul, imp = [], []
+    for x, s, e in zip(range(n), form.start, form.end):
+        if x == s:  # the first index of a run, or the top
+            below, run, m = tuple(range(s)), range(s, e), e - s
+            xs, ys = tuple([v for v in run for _ in run]), tuple(run) * m
+            run_mul, run_imp = form.mul(xs, ys), form.imp(xs, ys)
+        i = (x - s) * m
+        mul.append(below + run_mul[i:i + m] + (x,) * (n - e))
+        imp.append(below + run_imp[i:i + m] + (top,) * (n - e))
+    return tuple(mul), tuple(imp)
+
+
 def ordinal_sum_table(sizes, bottom: bool = False) -> RawChain:
-    """The table of ``_ordinal_sum_rows(sizes)``, a BL-chain if ``bottom``."""
-    mul, imp = _ordinal_sum_rows(sizes)
+    """The table of the ordinal sum of the finite Lukasiewicz chains W m,
+    m in ``sizes``, bottom to top, a BL-chain if ``bottom``."""
+    mul, imp = table_rows(chain(map(fin_luk, sizes), bottom))
     return RawChain(size=len(mul), mul=mul, imp=imp, bottom=bottom)
 
 
@@ -546,7 +544,7 @@ def component_runs(t: RawChain) -> tuple:
 def is_ordinal_sum_table(t: RawChain, runs) -> bool:
     """Whether ``t`` is the table of the ordinal sum its runs spell.  The
     rows compare as they stand, since ``RawChain`` admits int entries only."""
-    return _ordinal_sum_rows(map(len, runs)) == (t.mul, t.imp)
+    return table_rows(chain(fin_luk(len(r)) for r in runs)) == (t.mul, t.imp)
 
 
 @dataclass(frozen=True)

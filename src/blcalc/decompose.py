@@ -14,7 +14,7 @@ from .core import (
     enumerate_elements,
     fin_luk,
     is_ordinal_sum_table,
-    ordinal_sum_table,
+    table_rows,
 )
 
 
@@ -30,11 +30,12 @@ def finite_elements(c: Chain) -> list:
 
 
 def flatten(c: Chain) -> RawChain:
-    """Tabulate a fully finite chain; index order is element order.
+    """Tabulate a fully finite chain by ``core.table_rows``; index order is
+    element order.
 
     Raises ``ValueError`` above ``core.MAX_TABLE_SIZE`` elements."""
-    _require_finite(c)
-    return ordinal_sum_table([k.k for k in c.components], c.bottom)
+    mul, imp = table_rows(c)
+    return RawChain(size=len(mul), mul=mul, imp=imp, bottom=c.bottom)
 
 
 @dataclass(frozen=True)

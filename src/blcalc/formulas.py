@@ -418,17 +418,15 @@ def closure_size(premise, conclusion, gens) -> int:
 def dip_report(v) -> dict:
     """Deductive-interpolation verdict for a variety, given by its class
     expression, phrased at the logic level; equivalent to the amalgamation
-    classification."""
+    classification, so it is the verdict's JSON with ``ap`` read as both."""
     from .classify import classify_ap_bh, classify_ap_bl
-    from .dsl import pretty_chain, pretty_class_expr
 
-    verdict = classify_ap_bl(v) if v.bl_mode else classify_ap_bh(v)
+    report = (classify_ap_bl(v) if v.bl_mode else classify_ap_bh(v)).to_json()
+    ap = report.pop("ap")
     return {
-        "deductive_interpolation": verdict.ap,
-        "amalgamation": verdict.ap,
-        "canonical": pretty_class_expr(verdict.canonical) if verdict.canonical else None,
-        "interval": verdict.interval,
-        "witness": pretty_chain(verdict.witness) if verdict.witness else None,
+        **report,
+        "deductive_interpolation": ap,
+        "amalgamation": ap,
         "equivalent_properties": [
             "strong deductive interpolation",
             "strong Robinson property",

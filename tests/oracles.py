@@ -4,9 +4,10 @@ The table-level oracles work directly on raw operation tables and never call
 the structural engine they are used to check; the scan axiom check runs the
 cubic associativity and residuation scans that ``check_axioms`` skips on
 recognised ordinal sums, the chain-op flattening evaluates every entry
-through ``chain_op`` instead of the integer formulas, and the scan
-decomposition runs the exhaustive axiom check and per-block tests that
-``decompose`` replaces with one table comparison.  The window oracles evaluate maps point by point
+through ``chain_op`` instead of tabulating the rules of ``core.RunForm``,
+as every table of the package does, and the scan decomposition runs the
+exhaustive axiom check and per-block tests that ``decompose`` replaces
+with one table comparison.  The window oracles evaluate maps point by point
 instead of composing them or reading legality off their data.  The pair
 search tests every pair of legs of every target, as the codomain-guided
 walk and the composite join of the brute-force search avoid doing, and the
@@ -20,7 +21,8 @@ case table that ``amalgam._join_kinds`` reads off ``core.kind_embeds``.
 The backtracking membership takes the first of every assignment of
 components to items, where ``classes.member`` runs one greedy scan, and the
 filtered universe tests every product of kinds for membership, where
-``amalgam.universe_chains`` walks prefixes that a sum class still takes.
+``amalgam.universe_chains`` walks prefixes that a sum class still takes;
+both hold the trivial chain of the signature, bounded or not, as a member.
 The filter-definition essentiality test evaluates the congruence of the
 target's smallest nontrivial filter on windows of image points, where
 ``maps.is_essential_embedding`` reads essentiality off the map's last
@@ -182,11 +184,12 @@ def assignments_by_backtracking(c, s):
     """Reference for ``classes.match_assignments``: every assignment of the
     chain's components to the sum's items, in backtracking order; with
     designated bounds the head takes the first component and the rest are
-    matched against the other items."""
+    matched against the other items.  The trivial chain has the empty
+    assignment."""
     items, comps = s.items, c.components
-    if not items[0].atoms[0].bottom:
+    if not items[0].atoms[0].bottom or not comps:
         yield from _assignments(comps, items, 0, 0, [])
-    elif comps and component_member(comps[0], items[0].atoms[0].kind):
+    elif component_member(comps[0], items[0].atoms[0].kind):
         for rest in _assignments(comps[1:], items[1:], 0, 0, []):
             yield (0,) + tuple(i + 1 for i in rest)
 
@@ -228,7 +231,8 @@ def includes_by_enumeration(a, b, max_index) -> bool:
 
 def universe_chains_by_filter(e, max_index, max_k):
     """Reference for ``amalgam.universe_chains``: every product of the kinds
-    some atom admits, kept when ``member_by_assignments`` holds."""
+    some atom admits, kept when ``member_by_assignments`` holds, after the
+    trivial chain of the signature."""
     atoms = [atom.kind for s in e.sums for item in s.items for atom in item.atoms]
     candidates = (
         [fin_luk(k) for k in range(1, max_k + 1)]
@@ -236,8 +240,7 @@ def universe_chains_by_filter(e, max_index, max_k):
         + [CANC_Z, STD_UNIT]
     )
     kinds = [k for k in candidates if any(component_member(k, a) for a in atoms)]
-    if not e.bl_mode:
-        yield chain((), bottom=False)
+    yield chain((), bottom=e.bl_mode)
     for length in range(1, max_index + 1):
         for combo in product(kinds, repeat=length):
             if e.bl_mode and not combo[0].bounded:

@@ -73,6 +73,30 @@ def test_bruteforce_identity_span():
     assert am.target == a
 
 
+def test_span_legs_must_start_at_the_apex():
+    w1, w2 = parse_chain("W1"), parse_chain("W2")
+    leg = enumerate_embeddings(w1, w2)[0]
+    with pytest.raises(ValueError, match="start at the apex"):
+        Span(w2, leg, leg)
+
+
+def test_trivial_bl_span_amalgamates_by_identity():
+    # the trivial BL-chain lies in every BL variety, and it is its own
+    # amalgam: every route answers with the identity legs
+    t, u = chain((), bottom=True), parse_class_expr("[L1 W1*]")
+    s = make_span(t, t, t)
+    ident = s.left
+    assert ident.target == t and ident.index_map == ()
+    for am in (
+        find_amalgam_bruteforce(s, u),
+        amalgamate_constructive(s, u),
+        one_sided_amalgam(s, u),
+    ):
+        right = am.right.embed if isinstance(am.right, CollapsingMap) else am.right
+        assert (am.target, am.left, right, am.one_sided) == (t, ident, ident, False)
+        assert spans_commute(s, am)
+
+
 def test_bruteforce_none_within_bounds():
     s = make_span(chain(()), parse_chain("W1"), parse_chain("Z"))
     universe = parse_class_expr("[W1]|[Z]")
@@ -296,10 +320,12 @@ def test_universe_walk_into_codomains_matches_filter(case):
 
 
 def test_universe_walk_into_edge_codomains():
-    # trivial codomains: a bounded one embeds into no member, an unbounded
-    # one into every member
+    # trivial codomains: a bounded one embeds into no non-trivial member,
+    # only into the trivial one, and an unbounded one into every member
     bl, hoop = parse_class_expr("[L2 (W2 Z)*]"), parse_class_expr("[W1 Z*]|[Z W1*]")
-    assert list(universe_chains(bl, 3, 3, into=(chain((), bottom=True),))) == []
+    assert list(universe_chains(bl, 3, 3, into=(chain((), bottom=True),))) == [
+        chain((), bottom=True)
+    ]
     assert list(universe_chains(hoop, 2, 2, into=(chain(()),))) == list(universe_chains(hoop, 2, 2))
     # the trivial target is left out once a codomain is not trivial
     assert [pretty_chain(t) for t in universe_chains(hoop, 2, 2, into=(parse_chain("Z"),))] == [

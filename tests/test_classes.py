@@ -8,7 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blcalc.classes import (
+    Atom,
+    Item,
     ModeMismatchError,
+    SumClass,
+    class_expr,
     class_includes,
     component_member,
     generated_by,
@@ -131,11 +135,19 @@ def test_member_monotone_under_component_refinement():
     assert member(parse_chain("W1+Z+Z"), e)
 
 
+def test_class_includes_mode_mismatch():
+    with pytest.raises(ModeMismatchError):
+        class_includes(parse_class_expr("[L1]"), parse_class_expr("[W1]"))
+    with pytest.raises(ModeMismatchError):
+        class_includes(parse_class_expr("[W1]"), parse_class_expr("[L1]"))
+
+
 def test_bl_mode_member():
     assert member(parse_chain("L1+W1"), parse_class_expr("[L1 W1*]"))
     assert member(parse_chain("L1"), parse_class_expr("[L1 W1*]"))
     assert not member(parse_chain("L1+W2"), parse_class_expr("[L1 W1*]"))
-    assert not member(chain((), bottom=True), parse_class_expr("[L1]"))
+    # the trivial BL-chain lies in every BL class, as in every variety
+    assert member(chain((), bottom=True), parse_class_expr("[L1]"))
     assert member(parse_chain("L2+Z"), parse_class_expr("[Lo2 Z*]"))
 
 
@@ -148,6 +160,13 @@ def test_vfc_membership_examples():
     assert vfc_membership(parse_chain("W2"), generated_by(parse_chain("Wo2")))
     assert vfc_membership(parse_chain("Z"), generated_by(parse_chain("Wo2")))
     assert not vfc_membership(parse_chain("Wo1"), generated_by(parse_chain("W2")))
+
+
+def test_generated_by_errors():
+    with pytest.raises(ValueError, match="at least one generator"):
+        generated_by()
+    with pytest.raises(ValueError, match="agree on designated bounds"):
+        generated_by(parse_chain("W1"), parse_chain("L1"))
 
 
 def test_vfc_membership_quotient_shapes():
@@ -328,6 +347,23 @@ def test_class_includes_matches_enumeration(a, b):
     assert (w is None) == (verdict == "equal")
     if w is not None:
         assert vfc_membership(w, a) != vfc_membership(w, b), (repr(a), repr(b))
+
+
+def test_class_expr_constructor_errors():
+    w1, l1 = Atom(fin_luk(1)), Atom(fin_luk(1), bottom=True)
+    plain, bounded = Item((w1,)), Item((l1,))
+    cases = (
+        ((), "at least one sum class"),
+        ((SumClass(()),), "at least one item"),
+        ((SumClass((Item((l1,), star=True),)),), "cannot be starred"),
+        ((SumClass((plain, bounded)),), "legal only leading a sum"),
+        ((SumClass((Item((l1, w1)),)),), "legal only leading a sum"),
+        ((SumClass((bounded,)), SumClass((plain,))), "must agree on designated bounds"),
+    )
+    for sums, message in cases:
+        with pytest.raises(ValueError, match=message):
+            class_expr(sums)
+    assert class_expr([SumClass((bounded, plain))]).bl_mode
 
 
 def test_parse_round_trip():

@@ -152,6 +152,11 @@ def test_classify_bh_trivial():
     assert verdict.ap and verdict.interval == "Trivial"
 
 
+def test_classify_bl_trivial():
+    verdict = classify_ap_bl(generated_by(chain((), bottom=True)))
+    assert verdict.ap and verdict.interval == "Trivial"
+
+
 def test_classify_bl_regressions():
     cases = {
         "[UM U*]": True,     # the whole variety
@@ -279,6 +284,13 @@ def test_catalog_counts():
     assert len(enumerate_catalog("bh", 1)) == 23
     assert len(enumerate_catalog("bh", 2)) == 41
     assert len(enumerate_catalog("bh", 3)) == 59
+
+
+def test_catalog_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="n_max"):
+        enumerate_catalog("bh", 0)
+    with pytest.raises(ValueError, match="unknown mode"):
+        enumerate_catalog("mv", 1)
 
 
 def test_catalog_pairwise_separated():

@@ -135,6 +135,15 @@ def test_chain_bad_input_exit_2(tmp_path, capsys):
             assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_chain_check_scalar_rows_exit_2(tmp_path, capsys):
+    # mul and imp must be lists of rows, not bare integers
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps({"size": 1, "mul": 0, "imp": 0}))
+    code, out, err = run(capsys, "chain", "check", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: table JSON mul and imp must be lists of rows\n"
+
+
 def test_chain_flatten_above_size_limit_exit_2(capsys):
     # one element past the limit; the guard runs before any entry is built
     code, out, err = run(capsys, "chain", "flatten", f"W{MAX_TABLE_SIZE}")

@@ -205,6 +205,14 @@ def test_verify_embedding_matches_window_on_random_maps():
     assert (answered, raised, accepted) == (573, 2427, 316)
 
 
+def test_verify_embedding_rejects_ends_that_disagree_on_bounds():
+    # W1 -> W1 is legal as a hoop map, but not from W1 into its BL-chain
+    w1 = parse_chain("W1")
+    assert verify_embedding(ChainMap(w1, w1, (0,), (1,)))
+    assert not verify_embedding(ChainMap(w1, parse_chain("L1"), (0,), (1,)))
+    assert not verify_embedding(ChainMap(parse_chain("L1"), w1, (0,), (1,)))
+
+
 def test_verify_embedding_rejects_malformed_data():
     w1, l2 = parse_chain("W1"), parse_chain("L2")
     # the window check accepts this map, since the trivial window has only

@@ -33,7 +33,7 @@ def test_member_matches_backtracking_on_catalog(mode, n, universe):
             members += got
     # every class has members in the pool, and not every chain is one
     assert 0 < members < checked
-    assert checked == {"bh": 58 * 585, "bl": 317 * 511}[mode]
+    assert checked == {"bh": 58 * 585, "bl": 317 * 512}[mode]
 
 
 @pytest.mark.parametrize("mode, n, universe", CATALOG_CASES)
