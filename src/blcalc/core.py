@@ -424,13 +424,16 @@ class RawChain:
 # A table of n elements holds 2 n^2 entries; the limit keeps a mistyped size
 # such as W100000 from trying to allocate 10^10 of them.
 MAX_TABLE_SIZE = 1000
+# A RunForm holds three list slots, 24 B, per element; the limit
+# keeps a mistyped size such as W1000000000 from trying to allocate 30 GB.
+MAX_FORM_SIZE = 1_000_000
 
 
 class RunForm:
     """Fully finite chains side by side on one index space, operated on by
-    the rules of the ordinal sum of finite Lukasiewicz chains, with no table
-    and no size cap.  This is the one statement of those rules: a table is
-    a one-chain form tabulated by ``table_rows``.
+    the rules of the ordinal sum of finite Lukasiewicz chains, with no table.
+    This is the one statement of those rules: a table is a one-chain form
+    tabulated by ``table_rows``.
 
     Each chain takes the next block of indices, its elements ascending with
     its top last, so ``blocks[i]`` is the range of chain ``i``.  Index x
@@ -444,16 +447,21 @@ class RunForm:
 
     and meet and join are min and max.  Building the form costs O(n), and
     each operation O(1); the operations apply pointwise to equally long
-    tuples of indices and return tuples.
+    tuples of indices and return tuples.  Raises ``ValueError`` above
+    ``MAX_FORM_SIZE`` elements in all, before building anything.
     """
 
     __slots__ = ("start", "end", "top", "blocks")
 
     def __init__(self, chains):
-        start, end, top, blocks = [], [], [], []
         for c in chains:
             if not c.is_finite:
                 raise ValueError(f"{c!r} has symbolic components")
+        size = sum(c.size for c in chains)
+        if size > MAX_FORM_SIZE:
+            raise ValueError(f"an index form of {size} elements exceeds MAX_FORM_SIZE = {MAX_FORM_SIZE}")
+        start, end, top, blocks = [], [], [], []
+        for c in chains:
             lo = len(start)
             for kind in c.components:
                 s = len(start)

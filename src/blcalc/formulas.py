@@ -317,6 +317,7 @@ def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
     j <= i, come mul, meet, join, imp(i, j) and imp(j, i) of the i-th and j-th
     yielded vectors.  The first term reaching a vector is the one yielded.
     """
+    _same_bounds(gens)
     form = RunForm(gens)
     points = _points(shared, form)
     seeds = [(tuple(block[-1] for block, _ in points), Const("1"))]
@@ -410,7 +411,6 @@ def find_interpolant(
 def closure_size(premise, conclusion, gens) -> int:
     """Size of the shared-variable term-function closure that
     ``find_interpolant`` walks (diagnostic)."""
-    _same_bounds(gens)
     shared = sorted(formula_vars(premise) & formula_vars(conclusion))
     return sum(1 for _ in term_closure(shared, gens))
 

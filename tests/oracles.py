@@ -13,8 +13,9 @@ search tests every pair of legs of every target, as the codomain-guided
 walk and the composite join of the brute-force search avoid doing, and the
 greedy kind embedding decides each finished target on its own, where
 ``amalgam.universe_chains`` carries the greedy match down the walk.  The catalog
-oracle compares classes pair by pair, as the signature dedupe of
-``classify`` avoids doing, and the enumerated inclusion tests every chain
+oracle drops a candidate whose class equals a kept one's, compared pair by
+pair, where ``classify`` lists classes distinct by construction, and the
+enumerated inclusion tests every chain
 of a class up to an index, where ``classes.class_includes`` tests one
 chain per sum class.  The kind join is the
 case table that ``amalgam._join_kinds`` reads off ``core.kind_embeds``.
@@ -27,7 +28,8 @@ The filter-definition essentiality test evaluates the congruence of the
 target's smallest nontrivial filter on windows of image points, where
 ``maps.is_essential_embedding`` reads essentiality off the map's last
 component.  The cover recomputation re-derives an interval's Hasse relation
-from pairwise class inclusions instead of reading the stored covers.  The
+from class inclusions over all ordered pairs, where
+``IntervalPoset.covers`` takes only the pairs up the node order.  The
 component classifier compares a block entry by entry with the finite
 Lukasiewicz table, as ``decompose`` does with one whole-table comparison.
 The rotation table is the disconnected rotation of a cancellative kind,
@@ -87,6 +89,7 @@ from blcalc.decompose import (
     finite_elements,
     flatten,
 )
+from blcalc.dsl import parse_class_expr
 from blcalc.formulas import (
     BinOp,
     ConsequenceResult,
@@ -607,14 +610,20 @@ def decompose_by_scans(t: RawChain) -> Decomposition:
 
 def pairwise_bl_catalog(n_max: int) -> list:
     """Reference for ``enumerate_catalog("bl", ...)``: each candidate shape is
-    kept unless ``class_includes`` both ways matches it with a kept one."""
+    kept unless ``class_includes`` both ways matches it with a kept one.
+    The candidates are ``_bl_case_shapes`` plus, for each ``Wo m`` head over
+    the trivial tail, the BL-case-3 shape ``[L m]|[Lo m]`` that it leaves
+    out, so the comparison has that duplicate to drop."""
     heads = [Kind(FIN, m) for m in range(1, n_max + 1)]
     heads += [STD_UNIT]
     heads += [Kind(LEX, m) for m in range(1, n_max + 1)]
     out = [(None, "Trivial", 0)]
     for a in heads:
         for node, iname, pos in enumerate_catalog("bh", n_max):
-            for case, shape in _bl_case_shapes(a, node):
+            shapes = _bl_case_shapes(a, node)
+            if a.tag == LEX and node is None:
+                shapes.append(("BL-case-3", parse_class_expr(f"[L{a.k}]|[Lo{a.k}]")))
+            for case, shape in shapes:
                 if any(
                     class_includes(shape, other) and class_includes(other, shape)
                     for other, _, _ in out[1:]

@@ -6,6 +6,7 @@ import pytest
 
 from blcalc.classes import generated_by
 from blcalc.classify import (
+    _check_distinct_classes,
     classify_ap_bh,
     classify_ap_bl,
     classify_ap_mv,
@@ -261,14 +262,14 @@ def test_interval_by_name_unknown(name):
 
 
 def test_interval_covers_rederived_from_inclusions():
-    for p in [
-        interval((fin_luk(1),)),
-        interval((CANC_Z,)),
-        interval((lex_omega(2),)),
-        interval((fin_luk(1), CANC_Z)),
-        interval((fin_luk(2), CANC_Z)),
-    ]:
-        assert set(recompute_cover_relation(p)) == set(p.covers), p.name
+    # nodes are listed bottom-up, so every cover goes up the node order, and
+    # the covers read over the pairs i < j equal the all-pairs reduction
+    kind_lists = [(CANC_Z,), (STD_UNIT,)]
+    for n in range(1, 5):
+        kind_lists += [(fin_luk(n),), (lex_omega(n),), (fin_luk(n), CANC_Z)]
+    for p in map(interval, kind_lists):
+        assert all(i < j for i, j in p.covers), p.name
+        assert p.covers == recompute_cover_relation(p), p.name
 
 
 def test_interval_nodes_classify_to_themselves():
@@ -315,15 +316,24 @@ def test_bl_catalog_smoke():
 
 
 def test_bl_catalog_counts():
-    assert len(enumerate_catalog("bl", 1)) == 100
-    assert len(enumerate_catalog("bl", 2)) == 318
-    assert len(enumerate_catalog("bl", 3)) == 660
+    # the closed form of enumerate_catalog's docstring: 100, 318, 660
+    for n in (1, 2, 3):
+        assert len(enumerate_catalog("bl", n)) == 62 * n * n + 32 * n + 6
+
+
+def test_bl_catalog_distinctness_check():
+    # BL-case-3 over the trivial tail is the class of [Lo1]; listed beside
+    # the catalog, it repeats a signature
+    shapes = [e for e, _, _ in enumerate_catalog("bl", 1)[1:]]
+    _check_distinct_classes(shapes)
+    with pytest.raises(AssertionError, match="share a signature"):
+        _check_distinct_classes(shapes + [parse_class_expr("[L1]|[Lo1]")])
 
 
 @pytest.mark.parametrize("n_max", [1, 2])
 def test_bl_catalog_matches_pairwise_dedupe(n_max):
-    # the signature dedupe keeps the same entries, in the same order, as the
-    # pairwise class_includes scan
+    # the direct listing has the same entries, in the same order, as the
+    # pairwise class_includes scan, which drops the one duplicate it is given
     assert enumerate_catalog("bl", n_max) == pairwise_bl_catalog(n_max)
 
 

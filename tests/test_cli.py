@@ -11,7 +11,7 @@ import pytest
 
 from blcalc import cli
 from blcalc.cli import main
-from blcalc.core import MAX_TABLE_SIZE
+from blcalc.core import MAX_FORM_SIZE, MAX_TABLE_SIZE
 from blcalc.decompose import flatten
 from blcalc.dsl import parse_chain
 from blcalc.formulas import MAX_FORMULA_DEPTH
@@ -362,6 +362,15 @@ def test_logic_consequence_has_no_size_cap(capsys):
     code, data, err = run_json(capsys, "logic", "consequence", "--premise", "p",
                                "--conclusion", "p\\/p", "--gens", f"W{MAX_TABLE_SIZE + 500}")
     assert code == 0 and data["holds"] is True and err == ""
+
+
+def test_logic_consequence_form_size_limit(capsys):
+    # W n has n + 1 elements, so this is one above the limit; it is refused
+    # before the index form is built
+    code, out, err = run(capsys, "logic", "consequence", "--premise", "p",
+                         "--conclusion", "p\\/p", "--gens", f"W{MAX_FORM_SIZE}")
+    assert code == 2 and out == ""
+    assert "MAX_FORM_SIZE" in err and err.count("\n") == 1
 
 
 def test_logic_formula_depth(capsys):

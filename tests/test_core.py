@@ -351,6 +351,16 @@ def test_table_size_limit(monkeypatch):
         ordinal_sum_table([2, -1])
 
 
+def test_run_form_size_limit(monkeypatch):
+    # the limit counts every generator's elements and is read at call time
+    monkeypatch.setattr(core, "MAX_FORM_SIZE", 10)
+    assert len(RunForm([parse_chain("W4"), parse_chain("W4")]).start) == 10
+    with pytest.raises(ValueError, match="MAX_FORM_SIZE"):
+        RunForm([parse_chain("W4"), parse_chain("W5")])
+    with pytest.raises(ValueError, match="symbolic"):
+        RunForm([parse_chain("W4"), parse_chain("Z")])
+
+
 def test_check_axioms_trivial():
     t = RawChain(size=1, mul=((0,),), imp=((0,),), bottom=True)
     report = check_axioms(t)

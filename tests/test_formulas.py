@@ -209,13 +209,17 @@ def test_closure_is_fixed_point():
 
 def test_mixed_bounds_generators_rejected():
     # a generator list is one variety's; mixing bounded and unbounded chains
-    # is an input error in either order
+    # is an input error in either order.  term_closure checks it itself, as
+    # its closure would otherwise depend on the order: 0 is a seed only when
+    # the first generator is bounded
     L2, W2 = parse_chain("L2"), parse_chain("W2")
     p = parse_formula("p")
     for gens in ([L2, W2], [W2, L2]):
         for call in (consequence, find_interpolant, closure_size):
             with pytest.raises(ValueError, match="designated bounds"):
                 call(p, p, gens)
+        with pytest.raises(ValueError, match="designated bounds"):
+            next(term_closure(["p"], gens))
 
 
 def test_mined_interpolants_verify():
