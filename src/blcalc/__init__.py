@@ -20,7 +20,6 @@ from .core import (
     fin_luk,
     kind_embeds,
     lex_omega,
-    ordinal_sum_table,
     order_le,
 )
 from .decompose import Decomposition, decompose, flatten

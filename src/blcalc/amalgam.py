@@ -177,7 +177,7 @@ def universe_chains(
         + [lex_omega(k) for k in range(1, max_k + 1)]
         + [CANC_Z, STD_UNIT]
     )
-    bl = e.bl_mode
+    bl = e.bottom
     if any(a.bottom != bl for a in into):
         raise ModeMismatchError(f"a chain of {into!r} and {e!r} disagree on designated bounds")
 
@@ -198,7 +198,7 @@ def universe_chains(
             # with designated bounds every chain's first component takes slot 0
             if any(a.index - m > slots or (bl and not m) for a, m in zip(into, took)):
                 continue
-            nxt = [(items, q) for items, p in live if (q := greedy_step(items, p, k)) is not None]
+            nxt = [(items, q) for items, p in live if (q := greedy_step(items, p, k, bl)) is not None]
             if nxt:
                 yield from extend(prefix + (k,), nxt, took, length)
 

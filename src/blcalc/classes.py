@@ -2,11 +2,14 @@
 the membership engine for finitely generated varieties.
 
 A class expression is a union of sum classes; a sum class is a sequence of
-items, each either a single generator atom (consuming at most one non-trivial
-component), a starred atom (any number), or a starred group (any number, each
-drawn from any atom of the group).  An atom matches a component exactly when
-the component lies in the atom's generator closure: when it embeds into the
-atom's kind by ``core.kind_embeds``, or the atom is ``U``.
+items, each either one plain kind (consuming at most one non-trivial
+component), a starred kind (any number), or a starred group of kinds (any
+number, each drawn from any kind of the group).  A kind admits a component
+exactly when the component lies in the kind's generator closure: when it
+embeds into the kind by ``core.kind_embeds``, or the kind is ``U``.  Like a
+chain, a class carries its designated bounds once, as ``bottom``; with them,
+each sum class starts with one unstarred kind, its head, which takes the
+first component.
 
 Membership is one greedy scan per sum class (``greedy_step``);
 ``match_assignments`` lists every assignment, for the constructive amalgam.
@@ -26,14 +29,8 @@ class ModeMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class Atom:
-    kind: Kind
-    bottom: bool = False  # designated-bounds atom; legal only leading a sum
-
-
-@dataclass(frozen=True)
 class Item:
-    atoms: tuple
+    kinds: tuple
     star: bool = False
 
 
@@ -45,10 +42,7 @@ class SumClass:
 @dataclass(frozen=True)
 class ClassExpr:
     sums: tuple
-
-    @property
-    def bl_mode(self) -> bool:
-        return self.sums[0].items[0].atoms[0].bottom
+    bottom: bool = False  # designated bounds, as on ``Chain``
 
     def __repr__(self):
         from .dsl import pretty_class_expr
@@ -56,30 +50,18 @@ class ClassExpr:
         return pretty_class_expr(self)
 
 
-def class_expr(sums) -> ClassExpr:
-    """Validated constructor: bounds atoms appear exactly as unstarred heads,
-    uniformly across the union."""
+def class_expr(sums, bottom: bool = False) -> ClassExpr:
+    """Validated constructor: with designated bounds, each sum class starts
+    with one unstarred kind, its head."""
     sums = tuple(sums)
     if not sums:
         raise ValueError("a class expression needs at least one sum class")
-    modes = set()
     for s in sums:
         if not s.items:
             raise ValueError("a sum class needs at least one item")
-        head = s.items[0]
-        head_bottom = len(head.atoms) == 1 and head.atoms[0].bottom
-        modes.add(head_bottom)
-        if head_bottom and head.star:
-            raise ValueError("a designated-bounds atom cannot be starred")
-        for i, item in enumerate(s.items):
-            for a in item.atoms:
-                if a.bottom and not (i == 0 and len(item.atoms) == 1):
-                    raise ValueError(
-                        "designated-bounds atoms are legal only leading a sum"
-                    )
-    if len(modes) != 1:
-        raise ValueError("all sum classes must agree on designated bounds")
-    return ClassExpr(sums)
+        if bottom and (s.items[0].star or len(s.items[0].kinds) != 1):
+            raise ValueError("a designated-bounds head cannot be starred or grouped")
+    return ClassExpr(sums, bottom)
 
 
 def component_member(kind: Kind, gen: Kind) -> bool:
@@ -95,33 +77,37 @@ def component_member(kind: Kind, gen: Kind) -> bool:
 
 
 def _item_matches(comp: Kind, item: Item) -> bool:
-    for a in item.atoms:
-        if component_member(comp, a.kind):
+    for k in item.kinds:
+        if component_member(comp, k):
             return True
     return False
 
 
-def greedy_step(items: tuple, p: int, comp: Kind) -> Optional[int]:
+def greedy_step(items: tuple, p: int, comp: Kind, bottom: bool) -> Optional[int]:
     """The scan position after one more component: it takes the leftmost
     item at or after ``p`` that admits it, past which a plain item advances
-    and a starred one does not; ``None`` when no item does.  A designated-
-    bounds head must take the first component, the only one scanned from 0.
+    and a starred one does not; ``None`` when no item does.  With designated
+    bounds the head must take the first component, the only one scanned
+    from 0.
     """
     for i in range(p, len(items)):
         item = items[i]
         if _item_matches(comp, item):
             return i if item.star else i + 1
-        if item.atoms[0].bottom:
+        if bottom and not i:
             return None
     return None
 
 
-def _match(comps: tuple, items: tuple, ci: int, ii: int, asg: list) -> Iterator[tuple]:
+def _match(
+    comps: tuple, items: tuple, ci: int, ii: int, asg: list, bottom: bool
+) -> Iterator[tuple]:
     """Backtracking matcher; yields item-index assignments per component.
 
     A plain item consumes at most one matching component (its other
-    instances may be trivial); a starred item consumes any number.  A
-    designated-bounds head is never skipped: it takes the first component.
+    instances may be trivial); a starred item consumes any number.  With
+    designated bounds the head is never skipped: it takes the first
+    component.
     """
     if ci == len(comps):
         yield tuple(asg)
@@ -131,16 +117,16 @@ def _match(comps: tuple, items: tuple, ci: int, ii: int, asg: list) -> Iterator[
     item = items[ii]
     if _item_matches(comps[ci], item):
         asg.append(ii)
-        yield from _match(comps, items, ci + 1, ii if item.star else ii + 1, asg)
+        yield from _match(comps, items, ci + 1, ii if item.star else ii + 1, asg, bottom)
         asg.pop()
-    if not item.atoms[0].bottom:
-        yield from _match(comps, items, ci, ii + 1, asg)
+    if not (bottom and not ii):
+        yield from _match(comps, items, ci, ii + 1, asg, bottom)
 
 
 def match_assignments(c: Chain, s: SumClass) -> Iterator[tuple]:
     """Assignments of the chain's components to the sum's items, if any;
     the trivial chain has the empty one."""
-    yield from _match(c.components, s.items, 0, 0, [])
+    yield from _match(c.components, s.items, 0, 0, [], c.bottom)
 
 
 def member(c: Chain, e: ClassExpr) -> bool:
@@ -153,14 +139,15 @@ def member(c: Chain, e: ClassExpr) -> bool:
     no component to scan, so it is a member of every class of its
     signature, as the trivial algebra lies in every variety.
     """
-    if c.bottom != e.bl_mode:
+    bottom = c.bottom
+    if bottom != e.bottom:
         raise ModeMismatchError(
             f"{c!r} and {e!r} disagree on designated bounds"
         )
     for s in e.sums:
         items, p = s.items, 0
         for comp in c.components:
-            p = greedy_step(items, p, comp)
+            p = greedy_step(items, p, comp, bottom)
             if p is None:
                 break
         else:
@@ -191,16 +178,11 @@ def generated_by(*chains: Chain) -> ClassExpr:
         raise ValueError("generators must agree on designated bounds")
     bottom = modes.pop()
     sums = [
-        SumClass(
-            tuple(
-                Item((Atom(k, bottom=bottom and i == 0),))
-                for i, k in enumerate(g.components)
-            )
-        )
+        SumClass(tuple(Item((k,)) for k in g.components))
         for g in chains
         if not g.is_trivial
     ]
-    return class_expr(sums or [SumClass((Item((Atom(TRIVIAL, bottom=bottom),)),))])
+    return class_expr(sums or [SumClass((Item((TRIVIAL,)),))], bottom)
 
 
 def canonical(e: ClassExpr) -> ClassExpr:
@@ -223,7 +205,7 @@ def vfc_membership(x: Chain, v: ClassExpr) -> bool:
 
 
 def witness_basis(e: ClassExpr, n: int) -> list:
-    """One member chain per sum class of ``e``: each plain atom's kind, and
+    """One member chain per sum class of ``e``: each plain item's kind, and
     each starred item's distinct non-trivial kinds repeated ``n`` times as
     one block (``chain`` absorbs the trivial ones)."""
     out = []
@@ -231,10 +213,10 @@ def witness_basis(e: ClassExpr, n: int) -> list:
         kinds = []
         for it in s.items:
             if it.star:
-                kinds += tuple(dict.fromkeys(a.kind for a in it.atoms)) * n
+                kinds += tuple(dict.fromkeys(it.kinds)) * n
             else:
-                kinds.append(it.atoms[0].kind)
-        out.append(chain(kinds, bottom=e.bl_mode))
+                kinds.append(it.kinds[0])
+        out.append(chain(kinds, bottom=e.bottom))
     return out
 
 
@@ -251,8 +233,9 @@ def _first_outside(a: ClassExpr, b: ClassExpr) -> Optional[Chain]:
     chain of ``witness_basis(a, n)``; otherwise the separating chain is the
     first one of ``witness_basis(a, k)`` outside ``b``, for the least ``k``.
 
-    1. Membership in ``b`` survives dropping a component that is not a
-       designated-bounds head: the scan's assignment, restricted, is valid.
+    1. Membership in ``b`` survives dropping a component that is not the
+       head of a class with designated bounds: the scan's assignment,
+       restricted, is valid.
     2. It survives replacing a component by a kind in its generator closure,
        since closures are transitive (``component_member``).
     3. So every chain of ``a`` is covered by a chain of
@@ -269,7 +252,7 @@ def _first_outside(a: ClassExpr, b: ClassExpr) -> Optional[Chain]:
        still: ``b`` holds the chain for ``m >= n`` exactly when it holds it
        for ``n``, and the chains for ``m < n`` drop components of it.
     """
-    if a.bl_mode != b.bl_mode:
+    if a.bottom != b.bottom:
         raise ModeMismatchError(f"{a!r} and {b!r} disagree on designated bounds")
     n = scan_count(b)
     if all(vfc_membership(c, b) for c in witness_basis(a, n)):

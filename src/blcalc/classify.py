@@ -16,7 +16,6 @@ from typing import Optional
 
 from .core import CANC, CANC_Z, FIN, LEX, STD_UNIT, TRIV, UNIT, Chain, Kind, chain
 from .classes import (
-    Atom,
     ClassExpr,
     Item,
     SumClass,
@@ -65,24 +64,20 @@ class IntervalPoset:
         ))
 
 
-def _plain(kind: Kind, bottom: bool = False) -> Item:
-    return Item((Atom(kind, bottom),))
+def _plain(kind: Kind) -> Item:
+    return Item((kind,))
 
 
-def _star(kind: Kind) -> Item:
-    return Item((Atom(kind),), star=True)
-
-
-def _gstar(*kinds: Kind) -> Item:
-    return Item(tuple(Atom(k) for k in kinds), star=True)
+def _star(*kinds: Kind) -> Item:
+    return Item(kinds, star=True)
 
 
 def _sum(*items: Item) -> SumClass:
     return SumClass(tuple(items))
 
 
-def _expr(*sums: SumClass) -> ClassExpr:
-    return class_expr(sums)
+def _expr(*sums: SumClass, bottom: bool = False) -> ClassExpr:
+    return class_expr(sums, bottom)
 
 
 def interval(kinds: tuple) -> Optional[IntervalPoset]:
@@ -120,7 +115,7 @@ def interval(kinds: tuple) -> Optional[IntervalPoset]:
             _expr(_sum(_star(w)), _sum(_star(z))),          # 9  [Wn*]|[Z*]
             _expr(_sum(_star(w), _star(z))),                # 10 [Wn* Z*]
             _expr(_sum(_star(z), _star(w))),                # 11 [Z* Wn*]
-            _expr(_sum(_gstar(w, z))),                      # 12 [(Wn Z)*]
+            _expr(_sum(_star(w, z))),                       # 12 [(Wn Z)*]
         )
         return IntervalPoset(name, nodes)
     return None
@@ -192,12 +187,12 @@ def _classify_single(v: ClassExpr, bl: bool, prefix: str) -> Verdict:
     """Amalgamation for a union of one-component generator classes: it holds
     exactly when the normalized generator kinds start an interval, that is
     for one kind, or a finite kind with ``Z``."""
-    if v.bl_mode != bl:
+    if v.bottom != bl:
         raise ValueError(f"{v!r} has the wrong signature")
     for s in v.sums:
-        if len(s.items) != 1 or s.items[0].star or len(s.items[0].atoms) != 1:
+        if len(s.items) != 1 or s.items[0].star or len(s.items[0].kinds) != 1:
             raise ValueError(f"{v!r} is not a union of single-generator classes")
-    kinds = normalize_kinds(s.items[0].atoms[0].kind for s in v.sums)
+    kinds = normalize_kinds(s.items[0].kinds[0] for s in v.sums)
     if not kinds:
         return Verdict(ap=True, interval="Trivial")
     poset = interval(kinds)
@@ -205,7 +200,7 @@ def _classify_single(v: ClassExpr, bl: bool, prefix: str) -> Verdict:
         return Verdict(ap=False, witness=chain((kinds[0],), bottom=bl))
     return Verdict(
         ap=True,
-        canonical=_expr(*(_sum(_plain(k, bottom=bl)) for k in kinds)),
+        canonical=_expr(*(_sum(_plain(k)) for k in kinds), bottom=bl),
         interval=prefix + poset.name[1:],
     )
 
@@ -223,9 +218,7 @@ def classify_ap_wh(v: ClassExpr) -> Verdict:
 
 
 def _component_kinds(v: ClassExpr) -> tuple:
-    return normalize_kinds(
-        a.kind for s in v.sums for it in s.items for a in it.atoms
-    )
+    return normalize_kinds(k for s in v.sums for it in s.items for k in it.kinds)
 
 
 def _scan_nodes(v: ClassExpr, nodes) -> Verdict:
@@ -249,7 +242,7 @@ def classify_ap_bh(v: ClassExpr) -> Verdict:
     chain class must then coincide with one of the interval's nodes.  A
     strictly-between class inherits a witness from the smallest node above.
     """
-    if v.bl_mode:
+    if v.bottom:
         raise ValueError("basic-hoop classification needs hoop input")
     kinds = _component_kinds(v)
     if not kinds:
@@ -262,9 +255,9 @@ def classify_ap_bh(v: ClassExpr) -> Verdict:
     )
 
 
-def _prepend(atom_kind: Kind, node: Optional[ClassExpr]) -> tuple:
+def _prepend(head_kind: Kind, node: Optional[ClassExpr]) -> tuple:
     """Sum classes of an MV head followed by a basic-hoop class's sums."""
-    head = _plain(atom_kind, bottom=True)
+    head = _plain(head_kind)
     if node is None:
         return (_sum(head),)
     return tuple(SumClass((head,) + s.items) for s in node.sums)
@@ -277,17 +270,17 @@ def _bl_case_shapes(a: Kind, basic_node: Optional[ClassExpr]) -> list:
     Over the trivial tail (``None``) only BL-case-2 is listed: BL-case-3
     would be ``[L m]|[Lo m]``, the class of ``[Lo m]``, as ``W m`` embeds
     into ``Wo m``."""
-    shapes = [("BL-case-2", _expr(*_prepend(a, basic_node)))]
+    shapes = [("BL-case-2", _expr(*_prepend(a, basic_node), bottom=True))]
     if a.tag in (FIN, UNIT) or basic_node is None:
         return shapes
     # lexicographic head: plain stacking, head-splitting, and the two
     # asymmetric union variants over a finite/cancellative tail pair
     m = Kind(FIN, a.k)
     shapes.append(
-        ("BL-case-3", _expr(*(_prepend(m, basic_node) + (_sum(_plain(a, True)),))))
+        ("BL-case-3", _expr(*_prepend(m, basic_node), _sum(_plain(a)), bottom=True))
     )
     if len(basic_node.sums) == 2:
-        tags = [s.items[0].atoms[0].kind.tag for s in basic_node.sums]
+        tags = [s.items[0].kinds[0].tag for s in basic_node.sums]
         if len(basic_node.sums[0].items) == 1 and len(basic_node.sums[1].items) == 1:
             if set(tags) == {FIN, CANC}:
                 k_fin = basic_node.sums[tags.index(FIN)]
@@ -295,10 +288,10 @@ def _bl_case_shapes(a: Kind, basic_node: Optional[ClassExpr]) -> list:
                 e1 = ClassExpr((k_fin,))
                 e2 = ClassExpr((k_canc,))
                 shapes.append(
-                    ("BL-case-4", _expr(*(_prepend(a, e1) + _prepend(m, e2))))
+                    ("BL-case-4", _expr(*_prepend(a, e1), *_prepend(m, e2), bottom=True))
                 )
                 shapes.append(
-                    ("BL-case-4", _expr(*(_prepend(m, e1) + _prepend(a, e2))))
+                    ("BL-case-4", _expr(*_prepend(m, e1), *_prepend(a, e2), bottom=True))
                 )
     return shapes
 
@@ -307,12 +300,12 @@ def classify_ap_bl(v: ClassExpr) -> Verdict:
     """Amalgamation for varieties of BL-algebras: the first components must
     form a one-chain-generated MV class, the tails an amalgamable basic-hoop
     class, and the whole chain class one of the composite case shapes."""
-    if not v.bl_mode:
+    if not v.bottom:
         raise ValueError("BL classification needs designated-bounds input")
     sums = v.sums
     tails = [SumClass(s.items[1:]) for s in sums if len(s.items) > 1]
     basic = ClassExpr(tuple(tails)) if tails else None
-    heads = normalize_kinds(s.items[0].atoms[0].kind for s in sums)
+    heads = normalize_kinds(s.items[0].kinds[0] for s in sums)
     if not heads:
         return Verdict(ap=True, interval="Trivial")
     if len(heads) > 1:

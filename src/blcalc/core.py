@@ -523,13 +523,6 @@ def table_rows(c: Chain) -> tuple:
     return tuple(mul), tuple(imp)
 
 
-def ordinal_sum_table(sizes, bottom: bool = False) -> RawChain:
-    """The table of the ordinal sum of the finite Lukasiewicz chains W m,
-    m in ``sizes``, bottom to top, a BL-chain if ``bottom``."""
-    mul, imp = table_rows(chain(map(fin_luk, sizes), bottom))
-    return RawChain(size=len(mul), mul=mul, imp=imp, bottom=bottom)
-
-
 def in_one_component(t: RawChain, a: int, b: int) -> bool:
     """(a -> b) -> b = (b -> a) -> a, without argument checks: on a
     basic-hoop chain, whether non-top a and b lie in one Wajsberg component."""

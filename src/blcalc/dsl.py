@@ -27,7 +27,7 @@ from .core import (
     chain,
     element,
 )
-from .classes import Atom, ClassExpr, Item, SumClass, class_expr
+from .classes import ClassExpr, Item, SumClass, class_expr
 
 
 class DSLError(ValueError):
@@ -67,14 +67,16 @@ def _tokenize(text: str, start: int, end: int):
     return tokens
 
 
-def _comp_to_atom(token: str, pos: int) -> Atom:
+def _component(token: str, pos: int) -> tuple:
+    """The component's kind, and whether it is spelled with designated
+    bounds."""
     if token in "[]()*|+":
         raise DSLError(f"expected a component, got {token!r}", pos)
     head = token.rstrip("0123456789")
     digits = token[len(head):]
     if digits and int(digits) < 1:
         raise DSLError("component parameter must be >= 1", pos)
-    return Atom(Kind(_SPELLINGS[head], int(digits or 0)), bottom=head in _BOUNDS_SPELLINGS)
+    return Kind(_SPELLINGS[head], int(digits or 0)), head in _BOUNDS_SPELLINGS
 
 
 def parse_chain(text: str) -> Chain:
@@ -97,10 +99,10 @@ def _parse_chain(text: str, start: int, end: int) -> Chain:
     if not tokens:
         raise DSLError("empty chain", start)
     expect_comp = True
-    atoms = []
+    comps = []
     for tok, pos in tokens:
         if expect_comp:
-            atoms.append((_comp_to_atom(tok, pos), pos))
+            comps.append((*_component(tok, pos), pos))
             expect_comp = False
         else:
             if tok != "+":
@@ -108,11 +110,10 @@ def _parse_chain(text: str, start: int, end: int) -> Chain:
             expect_comp = True
     if expect_comp:
         raise DSLError("dangling '+'", tokens[-1][1])
-    for a, pos in atoms[1:]:
-        if a.bottom:
+    for _, bounds, pos in comps[1:]:
+        if bounds:
             raise DSLError("designated-bounds component after the first", pos)
-    kinds = [a.kind for a, _ in atoms]
-    return chain(kinds, bottom=atoms[0][0].bottom)
+    return chain([k for k, _, _ in comps], bottom=comps[0][1])
 
 
 def parse_class_expr(text: str) -> ClassExpr:
@@ -135,47 +136,51 @@ def parse_class_expr(text: str) -> ClassExpr:
         i += 1
         return tok, pos
 
-    def parse_item(first: bool) -> Item:
+    def parse_item(first: bool) -> tuple:
+        """The next item, and whether it is spelled with designated bounds."""
         if peek() == "(":
             _, start = take("(")
-            atoms = []
+            kinds = []
             while peek() != ")":
                 if peek() is None:
                     raise DSLError("unclosed '('", len(text))
                 tok, pos = take()
-                atom = _comp_to_atom(tok, pos)
-                if atom.bottom:
+                kind, bounds = _component(tok, pos)
+                if bounds:
                     raise DSLError("designated-bounds atom inside a group", pos)
-                atoms.append(atom)
+                kinds.append(kind)
             take(")")
             take("*")
-            if not atoms:
+            if not kinds:
                 raise DSLError("empty group", start)
-            return Item(tuple(atoms), star=True)
+            return Item(tuple(kinds), star=True), False
         tok, pos = take()
-        atom = _comp_to_atom(tok, pos)
+        kind, bounds = _component(tok, pos)
         star = False
         if peek() == "*":
             take("*")
             star = True
-            if atom.bottom:
+            if bounds:
                 raise DSLError("designated-bounds atom cannot be starred", pos)
-        if atom.bottom and not first:
+        if bounds and not first:
             raise DSLError("designated-bounds atom in non-initial position", pos)
-        return Item((atom,), star=star)
+        return Item((kind,), star=star), bounds
 
     def parse_sum() -> tuple:
-        """The next sum class and the position of its '['."""
+        """The next sum class, the position of its '[' and whether its head
+        is spelled with designated bounds."""
         _, start = take("[")
-        items = []
+        items, bounds = [], False
         while peek() != "]":
             if peek() is None:
                 raise DSLError("unclosed '['", len(text))
-            items.append(parse_item(first=not items))
+            item, item_bounds = parse_item(first=not items)
+            bounds = bounds or item_bounds
+            items.append(item)
         take("]")
         if not items:
             raise DSLError("empty sum class", start)
-        return SumClass(tuple(items)), start
+        return SumClass(tuple(items)), start, bounds
 
     sums = [parse_sum()]
     while peek() == "|":
@@ -183,14 +188,13 @@ def parse_class_expr(text: str) -> ClassExpr:
         sums.append(parse_sum())
     if i != len(tokens):
         raise DSLError(f"trailing input {tokens[i][0]!r}", tokens[i][1])
-    # validate growing prefixes, so that an error points at the first sum
-    # class that the ones before it do not admit
-    for j, (_, start) in enumerate(sums, 1):
-        try:
-            expr = class_expr(sum_class for sum_class, _ in sums[:j])
-        except ValueError as exc:
-            raise DSLError(str(exc), start) from None
-    return expr
+    # the first head sets the signature; an error points at the first sum
+    # class whose head disagrees
+    bottom = sums[0][2]
+    for _, start, bounds in sums:
+        if bounds != bottom:
+            raise DSLError("all sum classes must agree on designated bounds", start)
+    return class_expr((s for s, _, _ in sums), bottom)
 
 
 def _kind_token(kind: Kind, bottom: bool) -> str:
@@ -211,19 +215,18 @@ def pretty_chain(c: Chain) -> str:
     return "+".join(parts)
 
 
-def pretty_atom(a: Atom) -> str:
-    return _kind_token(a.kind, a.bottom)
-
-
-def pretty_item(item: Item) -> str:
-    if len(item.atoms) > 1:
-        return "(" + " ".join(pretty_atom(a) for a in item.atoms) + ")*"
-    return pretty_atom(item.atoms[0]) + ("*" if item.star else "")
+def pretty_item(item: Item, head: bool = False) -> str:
+    """An item's spelling; ``head`` spells the head of a class with
+    designated bounds."""
+    if len(item.kinds) > 1:
+        return "(" + " ".join(map(repr, item.kinds)) + ")*"
+    return _kind_token(item.kinds[0], head) + ("*" if item.star else "")
 
 
 def pretty_class_expr(e: ClassExpr) -> str:
     return "|".join(
-        "[" + " ".join(pretty_item(it) for it in s.items) + "]" for s in e.sums
+        "[" + " ".join(pretty_item(it, e.bottom and not i) for i, it in enumerate(s.items)) + "]"
+        for s in e.sums
     )
 
 

@@ -421,7 +421,7 @@ def dip_report(v) -> dict:
     classification, so it is the verdict's JSON with ``ap`` read as both."""
     from .classify import classify_ap_bh, classify_ap_bl
 
-    report = (classify_ap_bl(v) if v.bl_mode else classify_ap_bh(v)).to_json()
+    report = (classify_ap_bl(v) if v.bottom else classify_ap_bh(v)).to_json()
     ap = report.pop("ap")
     return {
         **report,

@@ -82,7 +82,6 @@ from blcalc.core import (
     local_bottom,
     local_top,
     order_le,
-    ordinal_sum_table,
 )
 from blcalc.decompose import (
     Decomposition,
@@ -176,7 +175,7 @@ def _assignments(comps, items, ci, ii, asg):
     if ii == len(items):
         return
     item = items[ii]
-    if any(component_member(comps[ci], a.kind) for a in item.atoms):
+    if any(component_member(comps[ci], k) for k in item.kinds):
         asg.append(ii)
         yield from _assignments(comps, items, ci + 1, ii if item.star else ii + 1, asg)
         asg.pop()
@@ -190,16 +189,16 @@ def assignments_by_backtracking(c, s):
     matched against the other items.  The trivial chain has the empty
     assignment."""
     items, comps = s.items, c.components
-    if not items[0].atoms[0].bottom or not comps:
+    if not c.bottom or not comps:
         yield from _assignments(comps, items, 0, 0, [])
-    elif component_member(comps[0], items[0].atoms[0].kind):
+    elif component_member(comps[0], items[0].kinds[0]):
         for rest in _assignments(comps[1:], items[1:], 0, 0, []):
             yield (0,) + tuple(i + 1 for i in rest)
 
 
 def member_by_assignments(c, e) -> bool:
     """Reference for ``classes.member``: some sum class has an assignment."""
-    if c.bottom != e.bl_mode:
+    if c.bottom != e.bottom:
         raise ModeMismatchError(f"{c!r} and {e!r} disagree on designated bounds")
     return any(next(assignments_by_backtracking(c, s), None) is not None for s in e.sums)
 
@@ -221,9 +220,9 @@ def includes_by_enumeration(a, b, max_index) -> bool:
         grown = []
         for kinds in frontier:
             for k in ENUMERATION_KINDS:
-                if a.bl_mode and not kinds and not k.bounded:
+                if a.bottom and not kinds and not k.bounded:
                     continue
-                c = chain(kinds + (k,), bottom=a.bl_mode)
+                c = chain(kinds + (k,), bottom=a.bottom)
                 if member(c, a):
                     if not member(c, b):
                         return False
@@ -234,21 +233,21 @@ def includes_by_enumeration(a, b, max_index) -> bool:
 
 def universe_chains_by_filter(e, max_index, max_k):
     """Reference for ``amalgam.universe_chains``: every product of the kinds
-    some atom admits, kept when ``member_by_assignments`` holds, after the
+    some item kind admits, kept when ``member_by_assignments`` holds, after the
     trivial chain of the signature."""
-    atoms = [atom.kind for s in e.sums for item in s.items for atom in item.atoms]
+    item_kinds = [k for s in e.sums for item in s.items for k in item.kinds]
     candidates = (
         [fin_luk(k) for k in range(1, max_k + 1)]
         + [lex_omega(k) for k in range(1, max_k + 1)]
         + [CANC_Z, STD_UNIT]
     )
-    kinds = [k for k in candidates if any(component_member(k, a) for a in atoms)]
-    yield chain((), bottom=e.bl_mode)
+    kinds = [k for k in candidates if any(component_member(k, g) for g in item_kinds)]
+    yield chain((), bottom=e.bottom)
     for length in range(1, max_index + 1):
         for combo in product(kinds, repeat=length):
-            if e.bl_mode and not combo[0].bounded:
+            if e.bottom and not combo[0].bounded:
                 continue
-            c = chain(combo, bottom=e.bl_mode)
+            c = chain(combo, bottom=e.bottom)
             if member_by_assignments(c, e):
                 yield c
 
@@ -533,7 +532,7 @@ def differential_tables():
 def classify_component(t: RawChain, block) -> Kind:
     """Identify a component block (indices below top) as a finite chain kind.
 
-    The block plus the top must carry the table ``ordinal_sum_table([m])``,
+    The block plus the top must carry the table of ``W m``,
     m the block size, under the order isomorphism sending the i-th smallest
     block element to i.  The top lies in every component, so a block must
     not hold it.
@@ -547,7 +546,7 @@ def classify_component(t: RawChain, block) -> Kind:
         raise ValueError("block repeats an element")
     kind = fin_luk(len(block))  # an empty block fails here, before any table is read
     elems = block + [t.top]
-    luk = ordinal_sum_table([len(block)])
+    luk = flatten(chain((kind,)))
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
             for op in ("mul", "imp"):

@@ -305,7 +305,7 @@ INTO_UNIVERSES = [
 @given(
     st.sampled_from(INTO_UNIVERSES).flatmap(
         lambda e: st.tuples(
-            st.just(e), chains_of(e.bl_mode), chains_of(e.bl_mode), st.integers(1, 3), st.integers(1, 3)
+            st.just(e), chains_of(e.bottom), chains_of(e.bottom), st.integers(1, 3), st.integers(1, 3)
         )
     )
 )

@@ -58,3 +58,21 @@ def test_every_traced_layer_function_is_called(tmp_path):
         tracer.uninstall()
     never = [name for name, stat in tracer.stats.items() if not stat.calls]
     assert not never, never
+
+
+def test_readme_cli_examples_are_the_workload_commands():
+    # the cli workload checks README_COMMANDS against golden bytes, so an
+    # edited README example must be mirrored there; table files are the
+    # workload's {l2} and {g3} placeholders
+    import shlex
+
+    readme = (BENCH.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    tables = {"l2.json": "{l2}", "g3.json": "{g3}"}
+    examples = [
+        tuple(tables.get(arg, arg) for arg in shlex.split(line, comments=True)[1:])
+        for line in block.splitlines()
+        if line.startswith("blcalc ")
+    ]
+    workloads = _load("bench_workloads", BENCH / "workloads.py")
+    assert examples == list(workloads.README_COMMANDS)

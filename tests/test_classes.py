@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blcalc.classes import (
-    Atom,
     Item,
     ModeMismatchError,
     SumClass,
@@ -252,7 +251,7 @@ def _catalog_nodes(bl_mode):
 def test_vfc_equals_witnesses_separate(e):
     # every non-equal verdict's witness lies in the class it names, not the
     # other, and class_includes agrees with the verdict
-    for node in _catalog_nodes(e.bl_mode):
+    for node in _catalog_nodes(e.bottom):
         for v, e2 in ((e, node), (node, e)):
             verdict, w = vfc_equals(v, e2)
             assert class_includes(v, e2) == (
@@ -341,7 +340,7 @@ SMALL_BOUNDED = st.sampled_from([k for k in ENUMERATION_KINDS if k.bounded])
 def test_class_includes_matches_enumeration(a, b):
     # inclusion agrees with the chains of index at most 4, and a witness of
     # vfc_equals lies in exactly one of the two classes
-    assume(a.bl_mode == b.bl_mode)
+    assume(a.bottom == b.bottom)
     assert class_includes(a, b) == includes_by_enumeration(a, b, 4), (repr(a), repr(b))
     verdict, w = vfc_equals(a, b)
     assert (w is None) == (verdict == "equal")
@@ -350,20 +349,19 @@ def test_class_includes_matches_enumeration(a, b):
 
 
 def test_class_expr_constructor_errors():
-    w1, l1 = Atom(fin_luk(1)), Atom(fin_luk(1), bottom=True)
-    plain, bounded = Item((w1,)), Item((l1,))
+    w1 = fin_luk(1)
+    plain = Item((w1,))
     cases = (
-        ((), "at least one sum class"),
-        ((SumClass(()),), "at least one item"),
-        ((SumClass((Item((l1,), star=True),)),), "cannot be starred"),
-        ((SumClass((plain, bounded)),), "legal only leading a sum"),
-        ((SumClass((Item((l1, w1)),)),), "legal only leading a sum"),
-        ((SumClass((bounded,)), SumClass((plain,))), "must agree on designated bounds"),
+        ((), False, "at least one sum class"),
+        ((SumClass(()),), False, "at least one item"),
+        ((SumClass((Item((w1,), star=True),)),), True, "cannot be starred"),
+        ((SumClass((Item((w1, CANC_Z), star=True), plain)),), True, "or grouped"),
+        ((SumClass((Item((w1, CANC_Z)), plain)),), True, "or grouped"),
     )
-    for sums, message in cases:
+    for sums, bottom, message in cases:
         with pytest.raises(ValueError, match=message):
-            class_expr(sums)
-    assert class_expr([SumClass((bounded, plain))]).bl_mode
+            class_expr(sums, bottom)
+    assert class_expr([SumClass((plain, plain))], bottom=True).bottom
 
 
 def test_parse_round_trip():
@@ -465,6 +463,12 @@ def test_class_expr_error_positions_point_at_the_offender():
     assert dsl_error(parse_class_expr, "[]") == "empty sum class (at position 0)"
     assert dsl_error(parse_class_expr, "[W1] | []") == "empty sum class (at position 7)"
     assert dsl_error(parse_class_expr, "[W1 ()*]") == "empty group (at position 4)"
+    assert dsl_error(parse_class_expr, "[L1*]") == (
+        "designated-bounds atom cannot be starred (at position 1)"
+    )
+    assert dsl_error(parse_class_expr, "[(L1 W1)*]") == (
+        "designated-bounds atom inside a group (at position 2)"
+    )
     assert dsl_error(parse_class_expr, "[W1] | [L1]") == (
         "all sum classes must agree on designated bounds (at position 7)"
     )

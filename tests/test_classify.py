@@ -1,10 +1,11 @@
 """Amalgamation-property verdicts, interval posets, and the catalog."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from blcalc.classes import generated_by
+from blcalc.amalgam import Span, UnsupportedShapeError, one_sided_amalgam, universe_chains
+from blcalc.classes import generated_by, vfc_equals
 from blcalc.classify import (
     _check_distinct_classes,
     classify_ap_bh,
@@ -19,6 +20,7 @@ from blcalc.classify import (
 )
 from blcalc.core import CANC_Z, STD_UNIT, chain, fin_luk, lex_omega
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain, pretty_class_expr
+from blcalc.maps import enumerate_embeddings
 
 from oracles import (
     pairwise_bl_catalog,
@@ -352,3 +354,111 @@ def test_emit_poset():
     assert len(data["nodes"]) == 13 and len(data["covers"]) == 22
     with pytest.raises(ValueError):
         emit_poset(p, "")
+
+
+# ---------------------------------------------------------------------------
+# Every small class against a bounded one-sided amalgam search
+# ---------------------------------------------------------------------------
+
+SEARCH_ITEMS = ("W1", "Z", "W1*", "Z*", "(W1 Z)*")
+
+
+def _sums(head: tuple, sizes) -> list:
+    """Sum-class texts: ``head``, then ``n`` of ``SEARCH_ITEMS`` for each
+    ``n`` in ``sizes``."""
+    return [
+        "[" + " ".join(head + items) + "]"
+        for n in sizes
+        for items in product(SEARCH_ITEMS, repeat=n)
+    ]
+
+
+def _small_hoop_exprs() -> list:
+    """One sum class of 1-3 items, or two with at most 3 items in all."""
+    ones = _sums((), (1,))
+    return (
+        _sums((), (1, 2, 3))
+        + [f"{a}|{b}" for a, b in combinations(ones, 2)]
+        + [f"{a}|{b}" for a in ones for b in _sums((), (2,))]
+    )
+
+
+def _small_bl_exprs() -> list:
+    """A head L1 or Lo1 followed by 0-2 items: one sum class, or two with
+    one head and at most 4 tokens in all; and [L1 X]|[Lo1 Y] for X and Y
+    none, W1 or Z."""
+    out = []
+    for head in (("L1",), ("Lo1",)):
+        bare, one, two = _sums(head, (0,)), _sums(head, (1,)), _sums(head, (2,))
+        out += bare + one + two
+        out += [f"{a}|{b}" for a in bare for b in one + two]
+        out += [f"{a}|{b}" for a, b in combinations(one, 2)]
+    out += [f"[L1{x}]|[Lo1{y}]" for x, y in product(("", " W1", " Z"), repeat=2)]
+    return out
+
+
+def _classes(texts) -> list:
+    """The parsed expressions grouped by class (``vfc_equals``), in the
+    order their classes first occur."""
+    groups = []
+    for text in texts:
+        e = parse_class_expr(text)
+        for group in groups:
+            if vfc_equals(e, group[0])[0] == "equal":
+                group.append(e)
+                break
+        else:
+            groups.append([e])
+    return groups
+
+
+def _failing_span(e, k: int):
+    """The first span over the chains of ``universe_chains(e, k, 1)``, legs
+    at scale cap 1, with no one-sided amalgam within ``max_index`` 4 and
+    ``max_k`` 1 (or outside the route's shapes); ``None`` when every span
+    has one."""
+    chains = list(universe_chains(e, k, 1))
+    for apex, b in product(chains, repeat=2):
+        for left in enumerate_embeddings(apex, b, 1):
+            for c in chains:
+                for right in enumerate_embeddings(apex, c, 1):
+                    s = Span(apex, left, right)
+                    try:
+                        if one_sided_amalgam(s, e, max_index=4, max_k=1, scale_cap=1) is None:
+                            return s
+                    except UnsupportedShapeError:
+                        return s
+    return None
+
+
+# Their failing span, W1 -> W1+W1 and W1 -> W1+W1+W1 (or the same over Z),
+# has index 3, past the hoop search's span index 2.
+BEYOND_HOOP_SPANS = ("[W1 W1 W1]", "[Z Z Z]")
+
+
+def test_classification_matches_bounded_one_sided_search():
+    # by the congruence extension property, a variety has AP exactly when
+    # its spans of chains have one-sided amalgams: each small class is ap
+    # exactly when every span of its bounded universe has one
+    hoop_true = []
+    for texts, k, classify, counts in (
+        (_small_hoop_exprs(), 2, classify_ap_bh, (290, 57, 17)),
+        (_small_bl_exprs(), 3, classify_ap_bl, (151, 44, 40)),
+    ):
+        groups = _classes(texts)
+        n_true = 0
+        for group in groups:
+            e = group[0]
+            ap = _failing_span(e, k) is None
+            if repr(e) in BEYOND_HOOP_SPANS:
+                assert ap and _failing_span(e, 3) is not None, repr(e)
+                ap = False
+            for v in group:
+                assert classify(v).ap == ap, (repr(v), repr(e))
+            n_true += ap
+            if ap and classify is classify_ap_bh:
+                hoop_true.append(e)
+        assert (len(texts), len(groups), n_true) == counts
+    for kinds in ((fin_luk(1),), (CANC_Z,), (fin_luk(1), CANC_Z)):
+        for node in interval(kinds).nodes:
+            assert any(vfc_equals(node, e)[0] == "equal" for e in hoop_true), repr(node)

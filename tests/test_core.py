@@ -25,7 +25,6 @@ from blcalc.core import (
     is_ordinal_sum_table,
     lex_omega,
     order_le,
-    ordinal_sum_table,
 )
 from blcalc import core
 from blcalc.decompose import flatten
@@ -279,7 +278,7 @@ def test_row_comparison_matches_rebuilt_table():
     recognised = 0
     for t in differential_tables():
         runs = component_runs(t)
-        rebuilt = ordinal_sum_table(map(len, runs), t.bottom) == t
+        rebuilt = flatten(chain((fin_luk(len(r)) for r in runs), t.bottom)) == t
         assert is_ordinal_sum_table(t, runs) == rebuilt, t
         recognised += rebuilt
     assert recognised == 36
@@ -288,7 +287,7 @@ def test_row_comparison_matches_rebuilt_table():
 def test_from_json_rejects_entries_equal_to_indices():
     # 1.0 and true compare equal to the index 1, so a row holding them would
     # pass the row comparison; only RawChain's entry check keeps them out
-    w1 = ordinal_sum_table([1])
+    w1 = flatten(chain((fin_luk(1),)))
     assert ((0, 0), (0, 1.0)) == w1.mul == ((0, 0), (0, True))
     for entry in ("1.0", "true"):
         text = f'{{"size": 2, "mul": [[0, 0], [0, {entry}]], "imp": [[1, 0], [0, 1]]}}'
@@ -342,13 +341,13 @@ def test_table_size_limit(monkeypatch):
     # the limit is read at call time, so a small one exercises the boundary
     # without building a large table
     monkeypatch.setattr(core, "MAX_TABLE_SIZE", 10)
-    assert ordinal_sum_table([4, 5]).size == 10
+    assert flatten(chain(map(fin_luk, [4, 5]))).size == 10
     with pytest.raises(ValueError, match="MAX_TABLE_SIZE"):
-        ordinal_sum_table([4, 6])
+        flatten(chain(map(fin_luk, [4, 6])))
     with pytest.raises(ValueError, match="MAX_TABLE_SIZE"):
         flatten(parse_chain("W10"))
-    with pytest.raises(ValueError):
-        ordinal_sum_table([2, -1])
+    with pytest.raises(ValueError, match="parameter >= 1"):
+        flatten(chain(map(fin_luk, [2, -1])))
 
 
 def test_run_form_size_limit(monkeypatch):

@@ -8,7 +8,6 @@ from blcalc.core import (
     check_axioms,
     enumerate_elements,
     fin_luk,
-    ordinal_sum_table,
 )
 from blcalc.decompose import decompose, flatten
 from blcalc.dsl import parse_chain, pretty_chain
@@ -47,7 +46,7 @@ def test_scans_accept_every_small_ordinal_sum_table():
     # the structure theorem that lets check_axioms skip five laws' scans
     for bottom in (False, True):
         for c in small_chains(8, bottom):
-            t = ordinal_sum_table([k.k for k in c.components], bottom)
+            t = flatten(c)
             report = check_axioms_by_scans(t)
             assert report.is_basic_hoop_chain and report.bounded == bottom, pretty_chain(c)
 

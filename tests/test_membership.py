@@ -50,7 +50,7 @@ def test_universe_walk_matches_filter_on_catalog(mode, n, universe):
 @given(class_exprs(), st.lists(chains(), min_size=1, max_size=5))
 def test_member_matches_backtracking(e, sample):
     for c in sample:
-        if c.bottom != e.bl_mode:
+        if c.bottom != e.bottom:
             with pytest.raises(ModeMismatchError):
                 member(c, e)
             continue

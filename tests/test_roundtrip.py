@@ -4,13 +4,13 @@ formulas.
 
 The bounded trivial chain is left out: it prints as ``T``, which parses as
 the trivial hoop chain, and it has no spelling of its own.  For the same
-reason a designated-bounds atom is never ``T``.
+reason a head is never ``T``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blcalc.classes import Atom, Item, SumClass, class_expr
+from blcalc.classes import Item, SumClass, class_expr
 from blcalc.core import CANC_Z, STD_UNIT, TRIVIAL, chain, enumerate_elements, fin_luk, lex_omega
 from blcalc.dsl import (
     parse_chain,
@@ -39,26 +39,25 @@ def chains(draw):
 
 
 def items(kinds=kinds):
-    """A plain or starred atom, or a starred group of atoms."""
-    atoms = kinds.map(Atom)
+    """A plain or starred kind, or a starred group of kinds."""
     return st.one_of(
-        st.builds(Item, st.tuples(atoms), st.booleans()),
-        st.builds(Item, st.lists(atoms, min_size=2, max_size=3).map(tuple), st.just(True)),
+        st.builds(Item, st.tuples(kinds), st.booleans()),
+        st.builds(Item, st.lists(kinds, min_size=2, max_size=3).map(tuple), st.just(True)),
     )
 
 
 @st.composite
 def class_exprs(draw, kinds=kinds, bounded_kinds=bounded_kinds):
-    """A union of one to three sum classes, each led by a designated-bounds
-    atom in BL mode; the atoms are drawn from ``kinds``, the heads from
+    """A union of one to three sum classes, each led by a head in BL mode;
+    the items' kinds are drawn from ``kinds``, the heads from
     ``bounded_kinds``."""
     bl_mode = draw(st.booleans())
     sums = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        head = [Item((Atom(draw(bounded_kinds), bottom=True),))] if bl_mode else []
+        head = [Item((draw(bounded_kinds),))] if bl_mode else []
         rest = draw(st.lists(items(kinds), min_size=0 if bl_mode else 1, max_size=3))
         sums.append(SumClass(tuple(head + rest)))
-    return class_expr(sums)
+    return class_expr(sums, bl_mode)
 
 
 @ROUND_TRIP
