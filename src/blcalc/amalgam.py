@@ -3,11 +3,14 @@ constructive amalgamation by componentwise alignment.
 
 The brute-force search is the oracle: it enumerates candidate targets inside
 a class expression in a fixed order (index, then component kinds, then
-embedding choices) and returns the first commuting completion.  The
-constructive route aligns the three ordinal-sum decompositions against a sum
-class of the universe, pads with trivial summands, amalgamates slot by slot
-(finite chains into their lcm chain, cancellative components by scale
-balancing, lexicographic components by radical transport), and reassembles.
+embedding choices) and returns the first commuting completion.  It searches
+legs as ``(positions, scales)`` data from ``maps.embedding_choices``, keyed
+by ``maps._composite``, the one composite rule, and builds ``ChainMap``s only
+for the amalgam it returns.  The constructive route aligns the three
+ordinal-sum decompositions against a sum class of the universe, pads with
+trivial summands, amalgamates slot by slot (finite chains into their lcm
+chain, cancellative components by scale balancing, lexicographic components
+by radical transport), and reassembles.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ from .maps import (
     ChainMap,
     Essentialization,
     Filter,
+    _composite,
     collapse_after,
     compose,
+    embedding_choices,
     enumerate_embeddings,
     essentialize,
     is_essential_embedding,
@@ -126,6 +131,14 @@ def make_span(
     return Span(apex=apex, left=lefts[left_index], right=rights[right_index])
 
 
+def check_in_universe(chains, universe: ClassExpr) -> None:
+    """Raise UnsupportedShapeError naming the first of ``chains`` that lies
+    outside the universe."""
+    for c in chains:
+        if not member(c, universe):
+            raise UnsupportedShapeError(f"{c!r} lies outside the universe")
+
+
 def is_essential_span(s: Span) -> bool:
     return is_essential_embedding(s.right)
 
@@ -135,7 +148,10 @@ def spans_commute(s: Span, am: Amalgam) -> bool:
 
     Both composites are embeddings given by an index map and one scale per
     component (1 where there is no cancellative coordinate), so they agree
-    as functions exactly when they agree as data.  A collapsing right completion first collapses
+    as functions exactly when they agree as data.  ``maps.compose`` builds
+    each from ``maps._composite``, the composite rule that
+    ``find_amalgam_bruteforce`` keys its legs on, so the search needs no
+    ``ChainMap`` per leg.  A collapsing right completion first collapses
     the right leg; when that identifies image points the square cannot
     commute, because the left composite is injective.
     """
@@ -233,14 +249,19 @@ def find_amalgam_bruteforce(
     for target in universe_chains(universe, max_index, max_k, into=(b, c)):
         # the square commutes exactly when the composites are equal as data
         # (see spans_commute), so each left leg is looked up among the right
-        # composites, each kept with the first right leg that gives it
+        # composites, each kept with the first right leg that gives it; legs
+        # are (positions, scales) data until one completes
         by_composite = {}
-        for psi2 in enumerate_embeddings(c, target, scale_cap):
-            by_composite.setdefault(compose(psi2, s.right), psi2)
-        for psi1 in enumerate_embeddings(b, target, scale_cap):
-            psi2 = by_composite.get(compose(psi1, s.left))
+        for psi2 in embedding_choices(c, target, scale_cap):
+            by_composite.setdefault(_composite(*psi2, s.right), psi2)
+        for psi1 in embedding_choices(b, target, scale_cap):
+            psi2 = by_composite.get(_composite(*psi1, s.left))
             if psi2 is not None:
-                return Amalgam(target=target, left=psi1, right=psi2)
+                return Amalgam(
+                    target=target,
+                    left=ChainMap(b, target, *psi1),
+                    right=ChainMap(c, target, *psi2),
+                )
     return None
 
 
@@ -311,9 +332,7 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Amalgam:
     in search order and may have a larger index.
     """
     b_chain, c_chain = s.left.target, s.right.target
-    for c in (s.apex, b_chain, c_chain):
-        if not member(c, universe):
-            raise UnsupportedShapeError(f"{c!r} lies outside the universe")
+    check_in_universe((s.apex, b_chain, c_chain), universe)
 
     f1, f2 = s.left.index_map, s.right.index_map
     for sum_class in universe.sums:
@@ -384,9 +403,7 @@ def one_sided_amalgam(
     for ``find_amalgam_bruteforce``.  Raises UnsupportedShapeError when a
     codomain or the right quotient lies outside the universe.
     """
-    for c in (s.left.target, s.right.target):
-        if not member(c, universe):
-            raise UnsupportedShapeError(f"{c!r} lies outside the universe")
+    check_in_universe((s.left.target, s.right.target), universe)
     ess: Essentialization = essentialize(s.right)
     if not member(ess.map.target, universe):
         raise UnsupportedShapeError(

@@ -17,6 +17,7 @@ import sys
 from .amalgam import (
     UnsupportedShapeError,
     amalgamate_constructive,
+    check_in_universe,
     find_amalgam_bruteforce,
     make_span,
     one_sided_amalgam,
@@ -122,6 +123,14 @@ def cmd_amalgam(args) -> int:
         right_index=args.right_embedding,
         scale_cap=args.scale_cap,
     )
+    if args.mode != "construct":
+        # a codomain outside the universe embeds into no member at any bound,
+        # so no bounded search runs
+        try:
+            check_in_universe((left, right), universe)
+        except UnsupportedShapeError as exc:
+            _emit({"result": "outside-universe", "reason": str(exc)})
+            return 1
     if args.mode == "search":
         am = find_amalgam_bruteforce(span, universe, **bounds)
         if am is None:

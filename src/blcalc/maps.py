@@ -114,19 +114,27 @@ def apply_map(m: ChainMap, x: Element) -> Element:
     return element(m.target, pos, apply_local(src, dst, m.scales[x.ci], x.value))
 
 
-def compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
-    """outer o inner.  Scales multiply on the cancellative coordinate; a
-    source component without one keeps scale 1."""
-    if inner.target.components != outer.source.components:
-        raise ValueError("maps do not compose")
-    return ChainMap(
-        source=inner.source,
-        target=outer.target,
-        index_map=tuple(outer.index_map[p] for p in inner.index_map),
-        scales=tuple(
-            s * outer.scales[p] if kind.cancellative else 1
+def _composite(positions: tuple, scales: tuple, inner: ChainMap) -> tuple:
+    """The index map and scales of ``outer o inner``, ``outer`` given as its
+    ``positions`` and ``scales``: positions compose, and scales multiply on
+    the cancellative coordinate; a source component without one keeps scale
+    1.  Two composites out of one chain into one chain are equal as
+    functions exactly when these tuples are equal."""
+    return (
+        tuple(positions[p] for p in inner.index_map),
+        tuple(
+            s * scales[p] if kind.cancellative else 1
             for kind, p, s in zip(inner.source.components, inner.index_map, inner.scales)
         ),
+    )
+
+
+def compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
+    """outer o inner, by ``_composite``."""
+    if inner.target != outer.source:
+        raise ValueError(f"maps do not compose: {inner.target!r} is not {outer.source!r}")
+    return ChainMap(
+        inner.source, outer.target, *_composite(outer.index_map, outer.scales, inner)
     )
 
 
@@ -167,28 +175,33 @@ def position_choices(a: Chain, b: Chain):
     return combinations(range(b.index), a.index)
 
 
-def enumerate_embeddings(a: Chain, b: Chain, scale_cap: int = 4) -> list:
-    """All embeddings of a into b (cancellative scales capped), sorted by
-    position choice then by local scales."""
+def embedding_choices(a: Chain, b: Chain, scale_cap: int = 4):
+    """The index map and scales of every embedding of a into b (cancellative
+    scales capped), yielded as ``(positions, scales)`` tuples by position
+    choice, then by local scales."""
     if a.bottom != b.bottom:
         raise ValueError("designated-bounds mismatch between source and target")
     if a.is_trivial:
-        if a.bottom and not b.is_trivial:
-            return []  # the collapsed bottom cannot reach the target bottom
-        return [ChainMap(a, b, (), ())]
+        # a trivial BL-chain's collapsed bottom reaches only a trivial target
+        if not a.bottom or b.is_trivial:
+            yield (), ()
+        return
     if a.index > b.index:
-        return []
-    out = []
+        return
     for positions in position_choices(a, b):
         per_comp = [
             local_embeddings(a.components[i], b.components[p], scale_cap)
             for i, p in enumerate(positions)
         ]
-        if any(not opts for opts in per_comp):
-            continue
-        for scales in product(*per_comp):
-            out.append(ChainMap(a, b, tuple(positions), scales))
-    return out
+        if all(per_comp):
+            for scales in product(*per_comp):
+                yield positions, scales
+
+
+def enumerate_embeddings(a: Chain, b: Chain, scale_cap: int = 4) -> list:
+    """All embeddings of a into b (cancellative scales capped), in the order
+    of ``embedding_choices``."""
+    return [ChainMap(a, b, *leg) for leg in embedding_choices(a, b, scale_cap)]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ computes on the integer indices of ``core.RunForm``.
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from blcalc.amalgam import (
     Amalgam,
@@ -104,6 +104,7 @@ from blcalc.maps import (
     filter_contains,
     filters,
     quotient_by_filter,
+    verify_embedding,
 )
 
 
@@ -140,6 +141,20 @@ def find_amalgam_by_pairs(s, universe, max_index=3, max_k=7, scale_cap=4):
                 if spans_commute(s, am):
                     return am
     return None
+
+
+def embeddings_by_verification(a, b, scale_cap=4) -> list:
+    """Reference for ``maps.embedding_choices``: every increasing choice of
+    positions with every scale up to ``scale_cap`` on a cancellative
+    component (1 elsewhere) that ``verify_embedding`` accepts, as
+    ``(positions, scales)`` in lexicographic order."""
+    per_comp = [range(1, scale_cap + 1) if k.cancellative else (1,) for k in a.components]
+    return [
+        (positions, scales)
+        for positions in combinations(range(b.index), a.index)
+        for scales in product(*per_comp)
+        if verify_embedding(ChainMap(a, b, positions, scales))
+    ]
 
 
 def kind_embeds_by_greedy(a, b) -> bool:

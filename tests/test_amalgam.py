@@ -2,7 +2,6 @@
 one-sided route through essentialization."""
 
 import math
-import random
 from itertools import islice, product
 
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     apply_completion,
+    embeddings_by_verification,
     find_amalgam_by_pairs,
     join_kinds_by_cases,
     kind_embeds_by_greedy,
@@ -32,9 +32,18 @@ from blcalc.amalgam import (
     universe_chains,
 )
 from blcalc.classes import ModeMismatchError
-from blcalc.core import CANC_Z, STD_UNIT, chain, fin_luk, lex_omega
+from blcalc.core import CANC_Z, STD_UNIT, chain, enumerate_elements, fin_luk, lex_omega
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain
-from blcalc.maps import Filter, enumerate_embeddings, verify_embedding
+from blcalc.maps import (
+    ChainMap,
+    Filter,
+    _composite,
+    apply_map,
+    compose,
+    embedding_choices,
+    enumerate_embeddings,
+    verify_embedding,
+)
 
 ALL_WAJSBERG = parse_class_expr("[U]")
 
@@ -208,8 +217,8 @@ NO_AMALGAM = (
 
 def differential_cases():
     """(span, universe, max_index, max_k): the spans searched in this module,
-    the no-amalgam spans, and a seeded sample of spans over SPAN_CHAINS with
-    seeded leg choices."""
+    the no-amalgam spans, and every span over SPAN_CHAINS with every choice
+    of its two legs."""
     u_star = parse_class_expr("[U*]")
     cases = [
         (make_span(parse_chain(a), parse_chain(b), parse_chain(c)), u_star, 3, 7)
@@ -237,15 +246,11 @@ def differential_cases():
         cases.append(
             (make_span(parse_chain(a), parse_chain(b), parse_chain(c)), parse_class_expr(u), 3, 7)
         )
-    rng = random.Random(11)
     chains = {t: parse_chain(t) for t in SPAN_CHAINS}
-    spans = []
     for a, b, c in product(SPAN_CHAINS, repeat=3):
-        lefts = enumerate_embeddings(chains[a], chains[b])
-        rights = enumerate_embeddings(chains[a], chains[c])
-        if lefts and rights:
-            spans.append(Span(chains[a], rng.choice(lefts), rng.choice(rights)))
-    cases += [(s, u_star, 3, 7) for s in rng.sample(spans, 150)]
+        for left in enumerate_embeddings(chains[a], chains[b]):
+            for right in enumerate_embeddings(chains[a], chains[c]):
+                cases.append((Span(chains[a], left, right), u_star, 3, 7))
     return cases
 
 
@@ -258,7 +263,47 @@ def test_bruteforce_matches_pair_search():
         am = find_amalgam_bruteforce(s, universe, max_index=max_index, max_k=max_k)
         assert am == find_amalgam_by_pairs(s, universe, max_index, max_k), s
         nones += am is None
-    assert (len(cases), nones) == (199, 4)
+    assert (len(cases), nones) == (1043, 4)
+
+
+def test_bruteforce_builds_chain_maps_only_for_the_answer(monkeypatch):
+    # legs are searched as (positions, scales) data: a search that finds an
+    # amalgam builds its two legs and nothing more, one that finds none
+    # builds no map
+    built = []
+    init = ChainMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    u_star = parse_class_expr("[U*]")
+    spans = [(make_span(parse_chain(a), parse_chain(b), parse_chain(c)), u_star)
+             for a, b, c, *_ in PINNED_BRUTEFORCE]
+    spans += [(make_span(parse_chain(a), parse_chain(b), parse_chain(c)), parse_class_expr(u))
+              for a, b, c, u in NO_AMALGAM]
+    monkeypatch.setattr(ChainMap, "__init__", counting_init)
+    for s, universe in spans:
+        built.clear()
+        am = find_amalgam_bruteforce(s, universe)
+        assert len(built) == (0 if am is None else 2), s
+
+
+def test_composite_is_the_composed_function():
+    # the composite rule that keys the brute-force search, on every pair of
+    # span legs of the differential cases that compose: compose builds its
+    # map from it, and that map is the pointwise composite on a window
+    legs = set()
+    for s, *_ in differential_cases():
+        legs |= {s.left, s.right}
+    pairs = [(outer, inner) for outer in legs for inner in legs if inner.target == outer.source]
+    for outer, inner in pairs:
+        both = compose(outer, inner)
+        assert _composite(outer.index_map, outer.scales, inner) == (both.index_map, both.scales)
+        assert verify_embedding(both)
+        for x in enumerate_elements(inner.source, 2):
+            assert apply_map(both, x) == apply_map(outer, apply_map(inner, x))
+    assert len(pairs) == 512
 
 
 KINDS = [parse_chain(n).components[0] for n in "W1 W2 W3 W4 Wo1 Wo2 Z U".split()]
@@ -284,6 +329,18 @@ DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_exa
 def test_kind_embeds_decides_enumeration(pair):
     a, b = pair
     assert kind_embeds_by_greedy(a, b) == bool(enumerate_embeddings(a, b))
+
+
+@DETERMINISTIC
+@given(same_bounds, st.integers(1, 4))
+def test_embedding_choices_are_the_enumeration(pair, scale_cap):
+    # the search's leg data and the listed maps come in one order, and both
+    # are every verified embedding up to the scale cap, sorted by positions
+    # then by scales
+    a, b = pair
+    legs = list(embedding_choices(a, b, scale_cap))
+    assert legs == [(m.index_map, m.scales) for m in enumerate_embeddings(a, b, scale_cap)]
+    assert legs == embeddings_by_verification(a, b, scale_cap)
 
 
 @settings(DETERMINISTIC, max_examples=100)

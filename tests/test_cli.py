@@ -250,17 +250,37 @@ def test_amalgam_one_sided(capsys):
     assert data["amalgam"]["one_sided"] is True
 
 
-def test_amalgam_one_sided_codomain_outside_universe(capsys):
-    # [W1] holds the quotient W1 of W2+W1, but not W2+W1 itself, on either side
+def _outside_universe(capsys, mode):
+    # [W1] holds the quotient W1 of W2+W1, but not W2+W1 itself, on either
+    # side; no bound changes that, so the answer states no bounds
     for left, right in (("W1", "W2+W1"), ("W2+W1", "W1")):
         code, data, _ = run_json(
             capsys,
-            "amalgam", "one-sided",
+            "amalgam", mode,
             "--apex", "W1", "--left", left, "--right", right, "--universe", "[W1]",
         )
         assert code == 1
-        assert data["result"] == "none-within-bounds"
-        assert data["reason"] == "W2+W1 lies outside the universe"
+        assert data == {
+            "result": "outside-universe",
+            "reason": "W2+W1 lies outside the universe",
+            "schema": "blcalc/1",
+        }
+
+
+def test_amalgam_one_sided_codomain_outside_universe(capsys):
+    _outside_universe(capsys, "one-sided")
+
+
+def test_amalgam_search_codomain_outside_universe(capsys):
+    _outside_universe(capsys, "search")
+    code, data, _ = run_json(
+        capsys,
+        "amalgam", "search",
+        "--apex", "W1", "--left", "W2", "--right", "W3", "--universe", "[W2]",
+    )
+    assert (code, data["result"], data["reason"]) == (
+        1, "outside-universe", "W3 lies outside the universe"
+    )
 
 
 def test_amalgam_construct_unsupported(capsys):

@@ -151,6 +151,17 @@ def test_compose_embeddings():
                     assert apply_map(both, x) == apply_map(outer, apply_map(inner, x))
 
 
+def test_compose_rejects_chains_that_differ_in_bounds():
+    # W2 and L2 have the same components; only the designated bounds differ
+    from blcalc.maps import compose
+
+    inner = enumerate_embeddings(parse_chain("W1"), parse_chain("W2"))[0]
+    outer = enumerate_embeddings(parse_chain("L2"), parse_chain("L4"))[0]
+    assert inner.target.components == outer.source.components
+    with pytest.raises(ValueError, match="maps do not compose"):
+        compose(outer, inner)
+
+
 def test_trivial_source_embeddings():
     assert len(enumerate_embeddings(chain(()), parse_chain("W2+Z"))) == 1
     # with designated bounds the collapsed bottom cannot move
