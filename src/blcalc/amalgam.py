@@ -10,7 +10,9 @@ for the amalgam it returns.  The constructive route aligns the three
 ordinal-sum decompositions against a sum class of the universe, pads with
 trivial summands, amalgamates slot by slot (finite chains into their lcm
 chain, cancellative components by scale balancing, lexicographic components
-by radical transport), and reassembles.
+by radical transport), and reassembles.  It is complete (the proof is in
+``amalgamate_constructive``), so the one-sided route, which runs it on the
+essentialized span, needs no bounds and no search.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .core import (
 from .classes import ClassExpr, ModeMismatchError, greedy_step, match_assignments, member
 from .maps import (
     ChainMap,
-    Essentialization,
     Filter,
     _composite,
     collapse_after,
@@ -47,7 +48,8 @@ from .maps import (
 
 
 class UnsupportedShapeError(ValueError):
-    """The constructive route does not cover this span/universe shape."""
+    """A codomain lies outside the universe, or no chain of the universe
+    amalgamates the span (``amalgamate_constructive``)."""
 
 
 @dataclass(frozen=True)
@@ -61,13 +63,6 @@ class Span:
     def __post_init__(self):
         if self.left.source != self.apex or self.right.source != self.apex:
             raise ValueError("span legs must start at the apex")
-
-    def to_json(self) -> dict:
-        return {
-            "apex": repr(self.apex),
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
 
 
 @dataclass(frozen=True)
@@ -324,15 +319,50 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Amalgam:
     Both codomains are matched against one sum class of the universe; the
     apex components pin down which of their components must be fused, the
     rest are interleaved with trivial padding, and each slot is amalgamated
-    on its own.  Raises UnsupportedShapeError when no consistent alignment
-    exists or a slot join is not representable.
+    on its own.  Raises UnsupportedShapeError when a codomain lies outside
+    the universe (the apex embeds into both, so it lies inside with them),
+    or when no alignment gives an amalgam.
+
+    The route is complete: it raises only when no chain of the universe
+    amalgamates the span, at any index, parameter or scale.  Take any
+    amalgam ``(D, g, h)`` of the span ``B <- A -> C`` in the universe, and
+    let a sum class ``S`` take ``D`` by an assignment ``α``.
+
+    1. ``α∘g.index_map`` and ``α∘h.index_map`` are assignments of ``B`` and
+       ``C`` to ``S``.  A component of ``B`` embeds into the component of
+       ``D`` it is sent to, which its item admits, and closures are
+       transitive (``component_member``).  ``g`` is injective, so a plain
+       item takes at most one component.  With designated bounds ``g``
+       sends first to first, so the head takes the first component.
+    2. The two assignments agree on the apex anchors: the square commutes,
+       so ``g`` and ``h`` send the two images of each apex component to one
+       component of ``D``.  ``match_assignments`` lists every assignment,
+       so the loop reaches this pair.
+    3. A fused slot joins two kinds that both embed into one component of
+       ``D``: an anchored pair by step 2, and the pair of a plain item
+       because the item takes one component of ``D`` at most.  When two
+       kinds embed into a kind ``d``, ``_join_kinds`` returns one that
+       embeds into ``d`` too.  With ``n`` the lcm of their ``W``/``Wo``
+       parameters: both embed into ``W m`` or ``Wo m`` only when ``n``
+       divides ``m``, and then ``W n``, ``Z`` or ``Wo n`` does; into ``Z``
+       only when both are ``Z``; into ``U`` only when each is ``W k`` or
+       ``U``, and then ``W n`` or ``U`` does.  So the item admits the join,
+       by transitivity again.  Every other slot keeps its own kind, which
+       its item admits by step 1.  A plain item gets one slot at most, and
+       with designated bounds the heads fuse in the first slot, so ``S``
+       takes the target.
+    4. Each apex component reaches its fused slot both ways, at the product
+       of its two scales both ways by the crosswise scales, so the square
+       commutes.
+
+    So this pair gives an amalgam, if no earlier pair did.
 
     The amalgam need not be the one ``find_amalgam_bruteforce`` returns:
     the slot joins fix the target, which may differ from the first target
     in search order and may have a larger index.
     """
     b_chain, c_chain = s.left.target, s.right.target
-    check_in_universe((s.apex, b_chain, c_chain), universe)
+    check_in_universe((b_chain, c_chain), universe)
 
     f1, f2 = s.left.index_map, s.right.index_map
     for sum_class in universe.sums:
@@ -346,7 +376,7 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Amalgam:
                     continue
                 if member(am.target, universe) and spans_commute(s, am):
                     return am
-    raise UnsupportedShapeError("no consistent componentwise alignment found")
+    raise UnsupportedShapeError("no chain of the universe amalgamates the span")
 
 
 def _assemble(s: Span, sum_class, asg_b, asg_c) -> Amalgam:
@@ -388,37 +418,24 @@ def _assemble(s: Span, sum_class, asg_b, asg_c) -> Amalgam:
     return Amalgam(target=target, left=left, right=right)
 
 
-def one_sided_amalgam(
-    s: Span,
-    universe: ClassExpr,
-    max_index: int = 3,
-    max_k: int = 7,
-    scale_cap: int = 4,
-) -> Optional[Amalgam]:
+def one_sided_amalgam(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
     """Collapse the right codomain along its largest image-avoiding filter,
     amalgamate the resulting essential span, and compose the collapse into
     the right completion.
 
-    ``None`` means the essential span has no amalgam within the bounds, as
-    for ``find_amalgam_bruteforce``.  Raises UnsupportedShapeError when a
-    codomain or the right quotient lies outside the universe.
+    The quotient is a prefix of the right codomain, its cut ``Wo k``
+    possibly turned into ``W k``, so it embeds into the codomain and lies in
+    the universe with it.  ``None`` means that no chain of the universe
+    amalgamates the essential span, at any bound, since
+    ``amalgamate_constructive`` is complete.  Raises UnsupportedShapeError
+    when a codomain lies outside the universe.
     """
     check_in_universe((s.left.target, s.right.target), universe)
-    ess: Essentialization = essentialize(s.right)
-    if not member(ess.map.target, universe):
-        raise UnsupportedShapeError(
-            f"quotient {ess.map.target!r} escapes the universe; it is not "
-            "closed under homomorphic images"
-        )
-    espan = Span(apex=s.apex, left=s.left, right=ess.map)
+    ess = essentialize(s.right)
     try:
-        core = amalgamate_constructive(espan, universe)
+        core = amalgamate_constructive(Span(apex=s.apex, left=s.left, right=ess.map), universe)
     except UnsupportedShapeError:
-        core = find_amalgam_bruteforce(
-            espan, universe, max_index=max_index, max_k=max_k, scale_cap=scale_cap
-        )
-        if core is None:
-            return None
+        return None
     right = CollapsingMap(source=s.right.target, collapse=ess.theta0, embed=core.right)
     return Amalgam(
         target=core.target,

@@ -123,38 +123,29 @@ def cmd_amalgam(args) -> int:
         right_index=args.right_embedding,
         scale_cap=args.scale_cap,
     )
-    if args.mode != "construct":
-        # a codomain outside the universe embeds into no member at any bound,
-        # so no bounded search runs
-        try:
-            check_in_universe((left, right), universe)
-        except UnsupportedShapeError as exc:
-            _emit({"result": "outside-universe", "reason": str(exc)})
-            return 1
+    # a codomain outside the universe embeds into no member, so no route runs
+    try:
+        check_in_universe((left, right), universe)
+    except UnsupportedShapeError as exc:
+        _emit({"result": "outside-universe", "reason": str(exc)})
+        return 1
     if args.mode == "search":
         am = find_amalgam_bruteforce(span, universe, **bounds)
         if am is None:
             _emit({"result": "none-within-bounds", "bounds": bounds})
             return 1
-        _emit({"amalgam": am.to_json()})
-        return 0
-    if args.mode == "construct":
+    elif args.mode == "construct":
         try:
             am = amalgamate_constructive(span, universe)
         except UnsupportedShapeError as exc:
-            _emit({"result": "unsupported", "reason": str(exc)})
+            _emit({"result": "no-amalgam", "reason": str(exc)})
             return 1
-        _emit({"amalgam": am.to_json()})
-        return 0
-    # the parser admits no other mode than one-sided
-    try:
-        am = one_sided_amalgam(span, universe, **bounds)
-        reason = "essential span has no amalgam within bounds"
-    except UnsupportedShapeError as exc:
-        am, reason = None, str(exc)
-    if am is None:
-        _emit({"result": "none-within-bounds", "reason": reason, "bounds": bounds})
-        return 1
+    else:  # the parser admits no other mode than one-sided
+        am = one_sided_amalgam(span, universe)
+        if am is None:
+            reason = "no chain of the universe amalgamates the essential span"
+            _emit({"result": "no-amalgam", "reason": reason})
+            return 1
     _emit({"amalgam": am.to_json()})
     return 0
 
@@ -250,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_am.add_argument("--universe", required=True)
     p_am.add_argument("--left-embedding", type=int, default=0)
     p_am.add_argument("--right-embedding", type=int, default=0)
-    p_am.add_argument("--max-index", type=int, default=3)
-    p_am.add_argument("--max-k", type=int, default=7)
+    p_am.add_argument("--max-index", type=int, default=3, help="search only")
+    p_am.add_argument("--max-k", type=int, default=7, help="search only")
     p_am.add_argument("--scale-cap", type=int, default=4)
 
     p_cl = sub.add_parser("classify", help="amalgamation-property verdicts")

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from blcalc.amalgam import Span, UnsupportedShapeError, one_sided_amalgam, universe_chains
+from blcalc.amalgam import Span, one_sided_amalgam, universe_chains
 from blcalc.classes import generated_by, vfc_equals
 from blcalc.classify import (
     _check_distinct_classes,
@@ -357,7 +357,7 @@ def test_emit_poset():
 
 
 # ---------------------------------------------------------------------------
-# Every small class against a bounded one-sided amalgam search
+# Every small class against the one-sided amalgams of its small spans
 # ---------------------------------------------------------------------------
 
 SEARCH_ITEMS = ("W1", "Z", "W1*", "Z*", "(W1 Z)*")
@@ -414,19 +414,15 @@ def _classes(texts) -> list:
 
 def _failing_span(e, k: int):
     """The first span over the chains of ``universe_chains(e, k, 1)``, legs
-    at scale cap 1, with no one-sided amalgam within ``max_index`` 4 and
-    ``max_k`` 1 (or outside the route's shapes); ``None`` when every span
-    has one."""
+    at scale cap 1, with no one-sided amalgam in ``e``; ``None`` when every
+    span has one."""
     chains = list(universe_chains(e, k, 1))
     for apex, b in product(chains, repeat=2):
         for left in enumerate_embeddings(apex, b, 1):
             for c in chains:
                 for right in enumerate_embeddings(apex, c, 1):
                     s = Span(apex, left, right)
-                    try:
-                        if one_sided_amalgam(s, e, max_index=4, max_k=1, scale_cap=1) is None:
-                            return s
-                    except UnsupportedShapeError:
+                    if one_sided_amalgam(s, e) is None:
                         return s
     return None
 

@@ -210,9 +210,13 @@ def test_amalgam_one_sided_none_within_bounds(capsys):
         "--apex", "W1", "--left", "W1+Z", "--right", "Z+W1",
         "--universe", "[W1 Z]|[Z W1]",
     )
+    # the constructive route is complete, so the answer states no bounds
     assert code == 1
-    assert data["result"] == "none-within-bounds"
-    assert data["reason"] == "essential span has no amalgam within bounds"
+    assert data == {
+        "result": "no-amalgam",
+        "reason": "no chain of the universe amalgamates the essential span",
+        "schema": "blcalc/1",
+    }
 
 
 def test_amalgam_search(capsys):
@@ -271,6 +275,10 @@ def test_amalgam_one_sided_codomain_outside_universe(capsys):
     _outside_universe(capsys, "one-sided")
 
 
+def test_amalgam_construct_codomain_outside_universe(capsys):
+    _outside_universe(capsys, "construct")
+
+
 def test_amalgam_search_codomain_outside_universe(capsys):
     _outside_universe(capsys, "search")
     code, data, _ = run_json(
@@ -291,7 +299,11 @@ def test_amalgam_construct_unsupported(capsys):
         "--apex", "T", "--left", "Wo1", "--right", "U", "--universe", "[U]",
     )
     assert code == 1
-    assert data["result"] == "unsupported"
+    assert data == {
+        "result": "no-amalgam",
+        "reason": "no chain of the universe amalgamates the span",
+        "schema": "blcalc/1",
+    }
 
 
 def test_help_exits_0(capsys):
