@@ -6,13 +6,14 @@ a class expression in a fixed order (index, then component kinds, then
 embedding choices) and returns the first commuting completion.  It searches
 legs as ``(positions, scales)`` data from ``maps.embedding_choices``, keyed
 by ``maps._composite``, the one composite rule, and builds ``ChainMap``s only
-for the amalgam it returns.  The constructive route aligns the three
-ordinal-sum decompositions against a sum class of the universe, pads with
-trivial summands, amalgamates slot by slot (finite chains into their lcm
-chain, cancellative components by scale balancing, lexicographic components
-by radical transport), and reassembles.  It is complete (the proof is in
-``amalgamate_constructive``), so the one-sided route, which runs it on the
-essentialized span, needs no bounds and no search.
+for the amalgam it returns; the span fixes the largest completion scale it
+needs.  The constructive route aligns the three ordinal-sum decompositions
+against a sum class of the universe, pads with trivial summands, amalgamates
+slot by slot (finite chains into their lcm chain, cancellative components by
+scale balancing, lexicographic components by radical transport), and
+reassembles.  It is complete (the proof is in ``amalgamate_constructive``),
+so the one-sided route, which runs it on the essentialized span, needs no
+bounds and no search.
 """
 
 from __future__ import annotations
@@ -221,35 +222,57 @@ def universe_chains(
 
 
 def find_amalgam_bruteforce(
-    s: Span,
-    universe: ClassExpr,
-    max_index: int = 3,
-    max_k: int = 7,
-    scale_cap: int = 4,
+    s: Span, universe: ClassExpr, max_index: int = 3, max_k: int = 7
 ) -> Optional[Amalgam]:
     """Exhaustive search for a commuting completion inside the universe.
 
     Targets are drawn lazily from ``universe_chains`` with both codomains
     as ``into``, so the walk builds only targets that both embed into by
     kinds, and the search stops at the first commuting completion in
-    (target, left leg, right leg) order.  ``None`` means the whole bounded
-    universe was walked without a hit; for universes whose kind inventory
-    is finite the kind-level embedding rules make that exhaustive up to the
-    scale cap.  A codomain outside the universe embeds
-    into no member, so it gives ``None`` without a walk.
+    (target, left leg, right leg) order.  ``None`` means that no target
+    within ``max_index`` and ``max_k`` completes the span, at any scale.  A
+    codomain outside the universe embeds into no member, so it gives
+    ``None`` without a walk.
+
+    Completion legs are enumerated with scales up to ``D``, the largest
+    scale either span leg carries on a cancellative apex component (1 when
+    there is none), and no larger scale changes the answer:
+
+    1. The square commutes exactly when the composites agree as data
+       (``maps._composite``): equal positions, and ``s_l[i]·x = s_r[i]·y``
+       on each cancellative apex component ``i``, where ``s_l``, ``s_r``
+       are the span legs' scales and ``x``, ``y`` the completion scales at
+       its two images.
+    2. No other completion scale enters a composite: a composite keeps
+       scale 1 on an apex component without a cancellative coordinate.
+    3. The legs are injective, so at fixed positions each completion scale
+       enters one equation at most, and the commuting scale tuples form a
+       product.  Its lexicographically first element is ``x = s_r[i]/g``,
+       ``y = s_l[i]/g`` (``g`` their gcd), and 1 everywhere else; all of
+       these are at most ``D``.
+    4. So a pair of position choices completes at some scale exactly when
+       it completes within ``D``, and its first completing scales are the
+       same at every cap ``≥ D``.  Legs come by position choice, then by
+       scales, so every such cap returns the same first completion, and a
+       completion found at any scale has one within ``D``.
     """
     b, c = s.left.target, s.right.target
     if not (member(b, universe) and member(c, universe)):
         return None
+    cap = max(
+        (leg.scales[i] for leg in (s.left, s.right)
+         for i, k in enumerate(s.apex.components) if k.cancellative),
+        default=1,
+    )
     for target in universe_chains(universe, max_index, max_k, into=(b, c)):
         # the square commutes exactly when the composites are equal as data
         # (see spans_commute), so each left leg is looked up among the right
         # composites, each kept with the first right leg that gives it; legs
         # are (positions, scales) data until one completes
         by_composite = {}
-        for psi2 in embedding_choices(c, target, scale_cap):
+        for psi2 in embedding_choices(c, target, cap):
             by_composite.setdefault(_composite(*psi2, s.right), psi2)
-        for psi1 in embedding_choices(b, target, scale_cap):
+        for psi1 in embedding_choices(b, target, cap):
             psi2 = by_composite.get(_composite(*psi1, s.left))
             if psi2 is not None:
                 return Amalgam(

@@ -265,7 +265,7 @@ def _prepend(head_kind: Kind, node: Optional[ClassExpr]) -> tuple:
 
 def _bl_case_shapes(a: Kind, basic_node: Optional[ClassExpr]) -> list:
     """Candidate chain-class shapes for a BL variety with first components
-    generated by ``a`` and tail class ``basic_node``.
+    generated by ``a`` and tail class ``basic_node``, an interval node.
 
     Over the trivial tail (``None``) only BL-case-2 is listed: BL-case-3
     would be ``[L m]|[Lo m]``, the class of ``[Lo m]``, as ``W m`` embeds
@@ -279,20 +279,11 @@ def _bl_case_shapes(a: Kind, basic_node: Optional[ClassExpr]) -> list:
     shapes.append(
         ("BL-case-3", _expr(*_prepend(m, basic_node), _sum(_plain(a)), bottom=True))
     )
+    # the two-sum tails are nodes 0, 3, 4 and 9 of I(W n,Z), the W sum first
     if len(basic_node.sums) == 2:
-        tags = [s.items[0].kinds[0].tag for s in basic_node.sums]
-        if len(basic_node.sums[0].items) == 1 and len(basic_node.sums[1].items) == 1:
-            if set(tags) == {FIN, CANC}:
-                k_fin = basic_node.sums[tags.index(FIN)]
-                k_canc = basic_node.sums[tags.index(CANC)]
-                e1 = ClassExpr((k_fin,))
-                e2 = ClassExpr((k_canc,))
-                shapes.append(
-                    ("BL-case-4", _expr(*_prepend(a, e1), *_prepend(m, e2), bottom=True))
-                )
-                shapes.append(
-                    ("BL-case-4", _expr(*_prepend(m, e1), *_prepend(a, e2), bottom=True))
-                )
+        e1, e2 = (ClassExpr((s,)) for s in basic_node.sums)
+        shapes.append(("BL-case-4", _expr(*_prepend(a, e1), *_prepend(m, e2), bottom=True)))
+        shapes.append(("BL-case-4", _expr(*_prepend(m, e1), *_prepend(a, e2), bottom=True)))
     return shapes
 
 

@@ -31,7 +31,7 @@ from .classify import (
     emit_poset,
     interval_by_name,
 )
-from .core import RawChain, chain_op, check_axioms
+from .core import STD_UNIT, RawChain, chain_op, check_axioms
 from .decompose import decompose, flatten
 from .dsl import (
     parse_chain,
@@ -105,11 +105,19 @@ def cmd_chain(args) -> int:
     return 0
 
 
+def _no_amalgam(reason: str, universe: ClassExpr) -> int:
+    """Report that no chain of the universe amalgamates the span.  The
+    answer is certified unless the universe has a ``U`` item, which admits
+    chains that no kind spells (see the README)."""
+    certified = not any(STD_UNIT in item.kinds for s in universe.sums for item in s.items)
+    _emit({"result": "no-amalgam", "reason": reason, "certified": certified})
+    return 1
+
+
 def cmd_amalgam(args) -> int:
-    bounds = {flag: getattr(args, flag) for flag in ("max_index", "max_k", "scale_cap")}
     # A bound below 1 is an input error, not an empty search.
-    for flag, value in bounds.items():
-        if value < 1:
+    for flag in ("max_index", "max_k", "scale_cap"):
+        if getattr(args, flag) < 1:
             raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
     apex = parse_chain(args.apex)
     left = parse_chain(args.left)
@@ -130,6 +138,7 @@ def cmd_amalgam(args) -> int:
         _emit({"result": "outside-universe", "reason": str(exc)})
         return 1
     if args.mode == "search":
+        bounds = {"max_index": args.max_index, "max_k": args.max_k}
         am = find_amalgam_bruteforce(span, universe, **bounds)
         if am is None:
             _emit({"result": "none-within-bounds", "bounds": bounds})
@@ -138,14 +147,12 @@ def cmd_amalgam(args) -> int:
         try:
             am = amalgamate_constructive(span, universe)
         except UnsupportedShapeError as exc:
-            _emit({"result": "no-amalgam", "reason": str(exc)})
-            return 1
+            return _no_amalgam(str(exc), universe)
     else:  # the parser admits no other mode than one-sided
         am = one_sided_amalgam(span, universe)
         if am is None:
             reason = "no chain of the universe amalgamates the essential span"
-            _emit({"result": "no-amalgam", "reason": reason})
-            return 1
+            return _no_amalgam(reason, universe)
     _emit({"amalgam": am.to_json()})
     return 0
 
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_am.add_argument("--right-embedding", type=int, default=0)
     p_am.add_argument("--max-index", type=int, default=3, help="search only")
     p_am.add_argument("--max-k", type=int, default=7, help="search only")
-    p_am.add_argument("--scale-cap", type=int, default=4)
+    p_am.add_argument("--scale-cap", type=int, default=4, help="span legs")
 
     p_cl = sub.add_parser("classify", help="amalgamation-property verdicts")
     p_cl.add_argument("mode", choices=["mv", "wh", "bh", "bl"])

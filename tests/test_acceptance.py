@@ -157,8 +157,7 @@ def test_criterion_5_essential_machinery():
     # kind-exhaustive universe under the bounds
     names = [pretty_chain(c) for c in universe_chains(universe, 3, 3)]
     assert names == ["T", "W1", "Z"]
-    assert find_amalgam_bruteforce(span, universe, max_index=3, max_k=3,
-                                   scale_cap=6) is None
+    assert find_amalgam_bruteforce(span, universe, max_index=3, max_k=3) is None
     assert not is_essential_span(span)
     am = one_sided_amalgam(span, universe)
     assert am.one_sided

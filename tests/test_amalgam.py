@@ -242,14 +242,18 @@ def differential_cases():
     ident = enumerate_embeddings(w1, w1)[0]
     w2z = parse_chain("W2+Z")
     w2z_ident = enumerate_embeddings(w2z, w2z)[0]
-    lex_left = enumerate_embeddings(z, parse_chain("Wo2"), scale_cap=3)[1]
-    lex_right = enumerate_embeddings(z, z, scale_cap=3)[2]
+    into_wo2 = enumerate_embeddings(z, parse_chain("Wo2"), scale_cap=3)
+    into_z = enumerate_embeddings(z, z, scale_cap=3)
+    lex_left, lex_right = into_wo2[1], into_z[2]  # scales 2 and 3
+    lex_left3, lex_right2 = into_wo2[2], into_z[1]  # scales 3 and 2
     cases += [
         (Span(w2z, w2z_ident, w2z_ident), parse_class_expr("[W2 Z]"), 2, 2),
         (Span(w1, into_last, ident), parse_class_expr("[W1*]"), 2, 1),
         (Span(w1, into_first, into_last), parse_class_expr("[W1*]"), 3, 1),
         (Span(z, lex_left, lex_right), parse_class_expr("[Wo2]"), 2, 4),
         (Span(z, lex_left, lex_right), u_star, 2, 4),
+        (Span(z, lex_left3, lex_right2), parse_class_expr("[Wo2]"), 2, 4),
+        (Span(z, lex_left3, lex_right2), u_star, 2, 4),
         (make_span(parse_chain("L1"), parse_chain("L2"), parse_chain("L3+Z")),
          parse_class_expr("[UM U*]"), 3, 6),
     ]
@@ -265,16 +269,36 @@ def differential_cases():
     return cases
 
 
+def span_scale(s) -> int:
+    """The largest scale either leg of ``s`` carries on a cancellative apex
+    component, 1 when there is none."""
+    return max((leg.scales[i] for leg in (s.left, s.right)
+                for i, k in enumerate(s.apex.components) if k.cancellative), default=1)
+
+
 def test_bruteforce_matches_pair_search():
     # the codomain-guided walk and the composite join return the same first
-    # commuting completion as testing every pair of legs of every target
+    # commuting completion as testing every pair of legs of every target,
+    # with completion scales up to the span's own largest one and beyond
     cases = differential_cases()
     nones = 0
     for s, universe, max_index, max_k in cases:
         am = find_amalgam_bruteforce(s, universe, max_index=max_index, max_k=max_k)
         assert am == find_amalgam_by_pairs(s, universe, max_index, max_k), s
+        for cap in (span_scale(s), span_scale(s) + 2):
+            assert am == find_amalgam_by_pairs(s, universe, max_index, max_k, cap), (s, cap)
         nones += am is None
-    assert (len(cases), nones) == (1043, 4)
+    assert (len(cases), nones) == (1045, 4)
+
+
+def test_bruteforce_reads_completion_scales_off_the_span():
+    # legs at scales 5 and 7 need completion scales 7 and 5, beyond the
+    # default cap of the span legs; a larger cap finds the same amalgam
+    z = parse_chain("Z")
+    s = make_span(z, z, z, left_index=4, right_index=6, scale_cap=7)
+    am = find_amalgam_bruteforce(s, parse_class_expr("[Z]"))
+    assert (am.target, am.left.scales, am.right.scales) == (z, (7,), (5,))
+    assert am == find_amalgam_by_pairs(s, parse_class_expr("[Z]"), scale_cap=9)
 
 
 def test_bruteforce_builds_chain_maps_only_for_the_answer(monkeypatch):
@@ -608,24 +632,22 @@ def test_oracle_constructive_agreement(g, a, b):
 DIFFERENTIAL_UNIVERSES = ("[(W2 Wo1)*]", "[L1 (W1 Z)*]", "[Lo1 Z]|[L1]", "[UM U*]")
 
 
-def _within(am, max_index, max_k, scale_cap) -> bool:
+def _within(am, max_index, max_k) -> bool:
     t = am.target
-    return (
-        t.index <= max_index
-        and all(k.k <= max_k for k in t.components if k.tag in (FIN, LEX))
-        and max(am.left.scales + am.right.scales, default=1) <= scale_cap
-    )
+    return t.index <= max_index and all(k.k <= max_k for k in t.components if k.tag in (FIN, LEX))
 
 
 def test_constructive_route_is_complete_against_bruteforce():
     # amalgamate_constructive's docstring proves it finds an amalgam whenever
     # one exists in the universe; over every span of small chains the bounded
-    # search never finds one it misses, and finds the constructive target
-    # whenever that lies within its bounds
+    # search never finds one it misses, and finds one whenever the
+    # constructive target lies within its index and parameter bounds (the
+    # constructive scales are the span's, crosswise, so the search reaches
+    # them)
     universes = [e for name in ("I(W1)", "I(Wo1)", "I(Z)", "I(W1,Z)")
                  for e in interval_by_name(name).nodes]
     universes += [parse_class_expr(u) for u in DIFFERENTIAL_UNIVERSES]
-    bounds = {"max_index": 3, "max_k": 2, "scale_cap": 2}
+    bounds = {"max_index": 3, "max_k": 2}
     spans = by_brute = by_route = within = 0
     for u in universes:
         chains = list(universe_chains(u, 2, 2))

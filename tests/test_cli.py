@@ -210,13 +210,31 @@ def test_amalgam_one_sided_none_within_bounds(capsys):
         "--apex", "W1", "--left", "W1+Z", "--right", "Z+W1",
         "--universe", "[W1 Z]|[Z W1]",
     )
-    # the constructive route is complete, so the answer states no bounds
+    # the constructive route is complete, so the answer states no bounds,
+    # and over a universe without U items it is certified
     assert code == 1
     assert data == {
         "result": "no-amalgam",
         "reason": "no chain of the universe amalgamates the essential span",
+        "certified": True,
         "schema": "blcalc/1",
     }
+
+
+def test_amalgam_no_amalgam_over_u_is_not_certified(capsys):
+    # a U item admits chains that no kind spells, so over [U*] the answer
+    # says only that no representable chain amalgamates the span, while
+    # classify bh says the class has the amalgamation property
+    for mode in ("construct", "one-sided"):
+        code, data, _ = run_json(
+            capsys,
+            "amalgam", mode,
+            "--apex", "W1", "--left", "Wo1", "--right", "U", "--universe", "[U*]",
+        )
+        assert code == 1, mode
+        assert (data["result"], data["certified"]) == ("no-amalgam", False), mode
+    code, data, _ = run_json(capsys, "classify", "bh", "--class", "[U*]")
+    assert code == 0 and data["verdict"]["ap"] is True
 
 
 def test_amalgam_search(capsys):
@@ -237,9 +255,10 @@ def test_amalgam_none_within_bounds(capsys):
         "--apex", "T", "--left", "W1", "--right", "Z",
         "--universe", "[W1]|[Z]", "--max-index", "2", "--max-k", "2",
     )
+    # the search states the two bounds it was given; no scale bounds it
     assert code == 1
     assert data["result"] == "none-within-bounds"
-    assert data["bounds"]["max_index"] == 2
+    assert data["bounds"] == {"max_index": 2, "max_k": 2}
 
 
 def test_amalgam_one_sided(capsys):
@@ -302,6 +321,7 @@ def test_amalgam_construct_unsupported(capsys):
     assert data == {
         "result": "no-amalgam",
         "reason": "no chain of the universe amalgamates the span",
+        "certified": False,
         "schema": "blcalc/1",
     }
 
