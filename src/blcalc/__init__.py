@@ -39,7 +39,6 @@ from .amalgam import (
     UnsupportedShapeError,
     amalgamate_constructive,
     find_amalgam_bruteforce,
-    is_essential_span,
     make_span,
     one_sided_amalgam,
 )

@@ -14,12 +14,18 @@ scale balancing, lexicographic components by radical transport), and
 reassembles.  It is complete (the proof is in ``amalgamate_constructive``),
 so the one-sided route, which runs it on the essentialized span, needs no
 bounds and no search.
+
+Every route maps a span and a universe to an ``Amalgam`` or ``None``.  Each
+first checks both codomains with ``check_in_universe``, the one place that
+raises ``UnsupportedShapeError``; after that, ``None`` is the only negative
+answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .core import (
@@ -44,13 +50,15 @@ from .maps import (
     embedding_choices,
     enumerate_embeddings,
     essentialize,
-    is_essential_embedding,
 )
 
 
+# The most embeddings ``make_span`` admits on one side of a span.
+MAX_SPAN_LEGS = 1_000_000
+
+
 class UnsupportedShapeError(ValueError):
-    """A codomain lies outside the universe, or no chain of the universe
-    amalgamates the span (``amalgamate_constructive``)."""
+    """A codomain of a span lies outside the universe."""
 
 
 @dataclass(frozen=True)
@@ -114,17 +122,28 @@ def make_span(
     scale_cap: int = 4,
 ) -> Span:
     """Span built from enumerated embeddings, selected by position in the
-    deterministic enumeration order."""
-    lefts = enumerate_embeddings(apex, left_target, scale_cap)
-    rights = enumerate_embeddings(apex, right_target, scale_cap)
-    if not lefts or not rights:
+    deterministic enumeration order.
+
+    A side has ``P·scale_cap^m`` embeddings, ``P`` its position choices (its
+    embeddings at scale cap 1) and ``m`` the apex's cancellative
+    components.  More than ``MAX_SPAN_LEGS`` on a side raise ``ValueError``;
+    only the two chosen legs are built at ``scale_cap``."""
+    per_choice = scale_cap ** sum(k.cancellative for k in apex.components)
+    sides = (("left", left_target, left_index), ("right", right_target, right_index))
+    counts = [len(enumerate_embeddings(apex, target, 1)) * per_choice for _, target, _ in sides]
+    if not all(counts):
         raise ValueError("no embedding for the requested span leg")
-    for side, legs, i in (("left", lefts, left_index), ("right", rights, right_index)):
-        if not 0 <= i < len(legs):
+    legs = []
+    for (side, target, i), n in zip(sides, counts):
+        if n > MAX_SPAN_LEGS:
             raise ValueError(
-                f"{side} embedding index {i} is out of range 0..{len(legs) - 1}"
+                f"the {side} leg has {n} embeddings, more than MAX_SPAN_LEGS = {MAX_SPAN_LEGS}"
             )
-    return Span(apex=apex, left=lefts[left_index], right=rights[right_index])
+        if not 0 <= i < n:
+            raise ValueError(f"{side} embedding index {i} is out of range 0..{n - 1}")
+        leg = next(islice(embedding_choices(apex, target, scale_cap), i, None))
+        legs.append(ChainMap(apex, target, *leg))
+    return Span(apex, *legs)
 
 
 def check_in_universe(chains, universe: ClassExpr) -> None:
@@ -133,10 +152,6 @@ def check_in_universe(chains, universe: ClassExpr) -> None:
     for c in chains:
         if not member(c, universe):
             raise UnsupportedShapeError(f"{c!r} lies outside the universe")
-
-
-def is_essential_span(s: Span) -> bool:
-    return is_essential_embedding(s.right)
 
 
 def spans_commute(s: Span, am: Amalgam) -> bool:
@@ -231,8 +246,8 @@ def find_amalgam_bruteforce(
     kinds, and the search stops at the first commuting completion in
     (target, left leg, right leg) order.  ``None`` means that no target
     within ``max_index`` and ``max_k`` completes the span, at any scale.  A
-    codomain outside the universe embeds into no member, so it gives
-    ``None`` without a walk.
+    codomain outside the universe embeds into no member, so
+    ``check_in_universe`` raises for it without a walk.
 
     Completion legs are enumerated with scales up to ``D``, the largest
     scale either span leg carries on a cancellative apex component (1 when
@@ -257,8 +272,7 @@ def find_amalgam_bruteforce(
        completion found at any scale has one within ``D``.
     """
     b, c = s.left.target, s.right.target
-    if not (member(b, universe) and member(c, universe)):
-        return None
+    check_in_universe((b, c), universe)
     cap = max(
         (leg.scales[i] for leg in (s.left, s.right)
          for i, k in enumerate(s.apex.components) if k.cancellative),
@@ -288,14 +302,15 @@ def find_amalgam_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-def _join_kinds(b: Kind, c: Kind) -> Kind:
+def _join_kinds(b: Kind, c: Kind) -> Optional[Kind]:
     """The first of ``W n``, ``Z``, ``Wo n``, ``U`` that both kinds embed
-    into, ``n`` the lcm of their ``W``/``Wo`` parameters."""
+    into, ``n`` the lcm of their ``W``/``Wo`` parameters, or ``None`` when
+    there is none."""
     n = math.lcm(*(k.k for k in (b, c) if k.tag in (FIN, LEX)))
     for d in (fin_luk(n), CANC_Z, lex_omega(n), STD_UNIT):
         if kind_embeds(b, d) and kind_embeds(c, d):
             return d
-    raise UnsupportedShapeError(f"no representable join of {b} and {c}")
+    return None
 
 
 def _slot_amalgam(
@@ -303,10 +318,11 @@ def _slot_amalgam(
 ):
     """Amalgamate one aligned component slot.
 
-    Returns the slot's target kind and the scales of the two completions
-    there (``None`` for an absent side).  ``apex_scales`` are the apex's
-    scales into the two sides; they are balanced crosswise, so the apex
-    reaches the slot at their product both ways and the square commutes.
+    Returns the slot's target kind (``None`` when two kinds have no join)
+    and the scales of the two completions there (``None`` for an absent
+    side).  ``apex_scales`` are the apex's scales into the two sides; they
+    are balanced crosswise, so the apex reaches the slot at their product
+    both ways and the square commutes.
     """
     if c_kind is None:
         return b_kind, 1, None
@@ -336,7 +352,7 @@ def _merge_positions(bpos, cpos, anchors):
     return slots
 
 
-def amalgamate_constructive(s: Span, universe: ClassExpr) -> Amalgam:
+def amalgamate_constructive(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
     """Componentwise amalgamation inside a canonical universe.
 
     Both codomains are matched against one sum class of the universe; the
@@ -344,10 +360,10 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Amalgam:
     rest are interleaved with trivial padding, and each slot is amalgamated
     on its own.  Raises UnsupportedShapeError when a codomain lies outside
     the universe (the apex embeds into both, so it lies inside with them),
-    or when no alignment gives an amalgam.
+    and returns ``None`` when no alignment gives an amalgam.
 
-    The route is complete: it raises only when no chain of the universe
-    amalgamates the span, at any index, parameter or scale.  Take any
+    The route is complete: it returns ``None`` only when no chain of the
+    universe amalgamates the span, at any index, parameter or scale.  Take any
     amalgam ``(D, g, h)`` of the span ``B <- A -> C`` in the universe, and
     let a sum class ``S`` take ``D`` by an assignment ``α``.
 
@@ -393,16 +409,15 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Amalgam:
             for asg_c in match_assignments(c_chain, sum_class):
                 if any(asg_b[f1[i]] != asg_c[f2[i]] for i in range(s.apex.index)):
                     continue
-                try:
-                    am = _assemble(s, sum_class, asg_b, asg_c)
-                except UnsupportedShapeError:
-                    continue
-                if member(am.target, universe) and spans_commute(s, am):
+                am = _assemble(s, sum_class, asg_b, asg_c)
+                if am is not None and member(am.target, universe) and spans_commute(s, am):
                     return am
-    raise UnsupportedShapeError("no chain of the universe amalgamates the span")
+    return None
 
 
-def _assemble(s: Span, sum_class, asg_b, asg_c) -> Amalgam:
+def _assemble(s: Span, sum_class, asg_b, asg_c) -> Optional[Amalgam]:
+    """The amalgam that fuses the two assignments slot by slot, or ``None``
+    when a fused slot joins two kinds that have no join."""
     b_chain, c_chain = s.left.target, s.right.target
     f1, f2 = s.left.index_map, s.right.index_map
     anchor_of_b = {f1[i]: i for i in range(s.apex.index)}
@@ -425,6 +440,8 @@ def _assemble(s: Span, sum_class, asg_b, asg_c) -> Amalgam:
             if apex_i is not None and s.apex.components[apex_i].cancellative:
                 apex_scales = (s.left.scales[apex_i], s.right.scales[apex_i])
             d_kind, sb, sc = _slot_amalgam(b_kind, c_kind, apex_scales)
+            if d_kind is None:
+                return None
             if pb is not None:
                 b_index_map.append(len(kinds))
                 b_scales.append(sb)
@@ -455,9 +472,8 @@ def one_sided_amalgam(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
     """
     check_in_universe((s.left.target, s.right.target), universe)
     ess = essentialize(s.right)
-    try:
-        core = amalgamate_constructive(Span(apex=s.apex, left=s.left, right=ess.map), universe)
-    except UnsupportedShapeError:
+    core = amalgamate_constructive(Span(apex=s.apex, left=s.left, right=ess.map), universe)
+    if core is None:
         return None
     right = CollapsingMap(source=s.right.target, collapse=ess.theta0, embed=core.right)
     return Amalgam(

@@ -17,7 +17,6 @@ import sys
 from .amalgam import (
     UnsupportedShapeError,
     amalgamate_constructive,
-    check_in_universe,
     find_amalgam_bruteforce,
     make_span,
     one_sided_amalgam,
@@ -131,30 +130,27 @@ def cmd_amalgam(args) -> int:
         right_index=args.right_embedding,
         scale_cap=args.scale_cap,
     )
-    # a codomain outside the universe embeds into no member, so no route runs
+    bounds = {"max_index": args.max_index, "max_k": args.max_k}
     try:
-        check_in_universe((left, right), universe)
+        if args.mode == "search":
+            am = find_amalgam_bruteforce(span, universe, **bounds)
+        elif args.mode == "construct":
+            am = amalgamate_constructive(span, universe)
+        else:  # the parser admits no other mode than one-sided
+            am = one_sided_amalgam(span, universe)
     except UnsupportedShapeError as exc:
+        # a codomain outside the universe embeds into no member: no bound matters
         _emit({"result": "outside-universe", "reason": str(exc)})
         return 1
+    if am is not None:
+        _emit({"amalgam": am.to_json()})
+        return 0
     if args.mode == "search":
-        bounds = {"max_index": args.max_index, "max_k": args.max_k}
-        am = find_amalgam_bruteforce(span, universe, **bounds)
-        if am is None:
-            _emit({"result": "none-within-bounds", "bounds": bounds})
-            return 1
-    elif args.mode == "construct":
-        try:
-            am = amalgamate_constructive(span, universe)
-        except UnsupportedShapeError as exc:
-            return _no_amalgam(str(exc), universe)
-    else:  # the parser admits no other mode than one-sided
-        am = one_sided_amalgam(span, universe)
-        if am is None:
-            reason = "no chain of the universe amalgamates the essential span"
-            return _no_amalgam(reason, universe)
-    _emit({"amalgam": am.to_json()})
-    return 0
+        _emit({"result": "none-within-bounds", "bounds": bounds})
+        return 1
+    if args.mode == "construct":
+        return _no_amalgam("no chain of the universe amalgamates the span", universe)
+    return _no_amalgam("no chain of the universe amalgamates the essential span", universe)
 
 
 def cmd_classify(args) -> int:

@@ -43,11 +43,11 @@ computes on the integer indices of ``core.RunForm``.
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Optional
 
 from blcalc.amalgam import (
     Amalgam,
     CollapsingMap,
-    UnsupportedShapeError,
     spans_commute,
     universe_chains,
 )
@@ -267,9 +267,10 @@ def universe_chains_by_filter(e, max_index, max_k):
                 yield c
 
 
-def join_kinds_by_cases(b: Kind, c: Kind) -> Kind:
+def join_kinds_by_cases(b: Kind, c: Kind) -> Optional[Kind]:
     """Reference for ``amalgam._join_kinds``: the least representable kind
-    both arguments embed into, case by case."""
+    both arguments embed into, case by case, or ``None`` when there is
+    none."""
     tags = {b.tag, c.tag}
     if tags == {FIN}:
         return fin_luk(math.lcm(b.k, c.k))
@@ -283,7 +284,7 @@ def join_kinds_by_cases(b: Kind, c: Kind) -> Kind:
         return CANC_Z
     if tags == {UNIT} or tags == {FIN, UNIT}:
         return STD_UNIT
-    raise UnsupportedShapeError(f"no representable join of {b} and {c}")
+    return None
 
 
 def window_embedding(m: ChainMap, caps: int = 3) -> bool:

@@ -20,7 +20,6 @@ from oracles import (
 from blcalc.amalgam import (
     amalgamate_constructive,
     find_amalgam_bruteforce,
-    is_essential_span,
     make_span,
     one_sided_amalgam,
     spans_commute,
@@ -51,6 +50,7 @@ from blcalc.formulas import (
     formula_vars,
     mine_valid_consequences,
 )
+from blcalc.maps import is_essential_embedding
 
 def report(number: int, text: str):
     print(f"PASS criterion {number}: {text}")
@@ -158,7 +158,7 @@ def test_criterion_5_essential_machinery():
     names = [pretty_chain(c) for c in universe_chains(universe, 3, 3)]
     assert names == ["T", "W1", "Z"]
     assert find_amalgam_bruteforce(span, universe, max_index=3, max_k=3) is None
-    assert not is_essential_span(span)
+    assert not is_essential_embedding(span.right)
     am = one_sided_amalgam(span, universe)
     assert am.one_sided
     assert pretty_chain(am.target) == "W1"

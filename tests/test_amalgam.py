@@ -25,7 +25,6 @@ from blcalc.amalgam import (
     _join_kinds,
     amalgamate_constructive,
     find_amalgam_bruteforce,
-    is_essential_span,
     make_span,
     one_sided_amalgam,
     spans_commute,
@@ -53,6 +52,7 @@ from blcalc.maps import (
     compose,
     embedding_choices,
     enumerate_embeddings,
+    is_essential_embedding,
     verify_embedding,
 )
 
@@ -70,13 +70,32 @@ def test_essential_span_examples():
         enumerate_embeddings(w1, g), key=lambda m: m.index_map
     )
     ident = enumerate_embeddings(w1, w1)[0]
-    assert is_essential_span(Span(w1, into_first, ident))
-    assert not is_essential_span(Span(w1, ident, into_first))
+    assert is_essential_embedding(ident)
+    assert not is_essential_embedding(into_first)
     triv = chain(())
     s = make_span(triv, parse_chain("W1"), parse_chain("Z"))
-    assert not is_essential_span(s)
+    assert not is_essential_embedding(s.right)
     s = make_span(w1, parse_chain("W2"), g, right_index=1)
-    assert is_essential_span(s)
+    assert is_essential_embedding(s.right)
+
+
+def test_make_span_counts_legs_before_building_one(monkeypatch):
+    # each side's legs are counted as position choices times scale_cap^m,
+    # and the chosen one is the enumeration's leg at that index
+    chains = [parse_chain(t) for t in ("T", "W1", "Z", "Wo2", "W1+Z", "Z+Z", "Z+Wo2+W1")]
+    for a, b in product(chains, repeat=2):
+        for cap in (1, 3):
+            legs = enumerate_embeddings(a, b, cap)
+            for i, leg in enumerate(legs):
+                assert make_span(a, b, b, i, i, cap).right == leg
+            if legs:
+                with pytest.raises(ValueError, match=rf"out of range 0\.\.{len(legs) - 1}$"):
+                    make_span(a, b, b, right_index=len(legs), scale_cap=cap)
+    monkeypatch.setattr(amalgam, "MAX_SPAN_LEGS", 8)
+    zz = parse_chain("Z+Z")
+    assert make_span(zz, zz, zz, 3, 3, scale_cap=2).left.scales == (2, 2)
+    with pytest.raises(ValueError, match="left leg has 9 embeddings, more than MAX_SPAN_LEGS = 8"):
+        make_span(zz, zz, zz, scale_cap=3)
 
 
 def test_bruteforce_search_finds_lcm_chain():
@@ -139,15 +158,15 @@ def test_universe_enumeration_order():
 
 
 def test_codomain_outside_universe(monkeypatch):
-    # [W1] holds neither W2+W1 nor any chain it embeds into
+    # [W1] holds neither W2+W1 nor any chain it embeds into; every route
+    # says so, on either side, before any walk
     universe = parse_class_expr("[W1]")
+    monkeypatch.setattr(amalgam, "universe_chains", None)  # the answer needs no walk
     for left, right in (("W1", "W2+W1"), ("W2+W1", "W1")):
         s = make_span(parse_chain("W1"), parse_chain(left), parse_chain(right))
-        with pytest.raises(UnsupportedShapeError, match=r"W2\+W1 lies outside the universe"):
-            one_sided_amalgam(s, universe)
-        with monkeypatch.context() as m:
-            m.setattr(amalgam, "universe_chains", None)  # the answer needs no walk
-            assert find_amalgam_bruteforce(s, universe) is None
+        for route in (find_amalgam_bruteforce, amalgamate_constructive, one_sided_amalgam):
+            with pytest.raises(UnsupportedShapeError, match=r"W2\+W1 lies outside the universe"):
+                route(s, universe)
 
 
 def test_universe_enumeration_is_lazy():
@@ -454,13 +473,6 @@ def test_exact_commutation_matches_window():
     assert (candidates, commuting) == (15728, 7934)
 
 
-def _join_or_error(join, b, c):
-    try:
-        return join(b, c)
-    except UnsupportedShapeError:
-        return UnsupportedShapeError
-
-
 def test_join_kinds_embeds_into_every_common_bound():
     # step 3 of amalgamate_constructive's completeness proof: two kinds that
     # embed into one kind have a join, and it embeds there too
@@ -482,9 +494,7 @@ def test_join_kinds_matches_case_table():
     pairs = list(product(kinds, repeat=2))
     assert len(pairs) == 676
     for b, c in pairs:
-        assert _join_or_error(_join_kinds, b, c) == _join_or_error(
-            join_kinds_by_cases, b, c
-        ), (b, c)
+        assert _join_kinds(b, c) == join_kinds_by_cases(b, c), (b, c)
 
 
 def test_constructive_lcm():
@@ -586,7 +596,7 @@ def test_one_sided_is_plain_data():
 def test_one_sided_none_within_bounds():
     # the right leg is essential and no member holds both codomains
     s = make_span(parse_chain("W1"), parse_chain("W1+Z"), parse_chain("Z+W1"))
-    assert is_essential_span(s)
+    assert is_essential_embedding(s.right)
     assert one_sided_amalgam(s, parse_class_expr("[W1 Z]|[Z W1]")) is None
 
 
@@ -656,11 +666,9 @@ def test_constructive_route_is_complete_against_bruteforce():
                 for right in enumerate_embeddings(a, c, 2):
                     s = Span(a, left, right)
                     brute = find_amalgam_bruteforce(s, u, **bounds)
-                    try:
-                        am = amalgamate_constructive(s, u)
-                    except UnsupportedShapeError:
+                    am = amalgamate_constructive(s, u)
+                    if am is None:
                         assert brute is None, (s, u)
-                        am = None
                     else:
                         inside = _within(am, **bounds)
                         assert brute is not None or not inside, (s, u)
@@ -677,7 +685,6 @@ def test_every_span_in_a_catalog_node_one_sided_amalgamates():
     import random
 
     from blcalc.classify import enumerate_catalog
-    from blcalc.maps import is_essential_embedding
 
     rng = random.Random(4242)
     nodes = [e for e, _, _ in enumerate_catalog("bh", 1) if e is not None]
@@ -700,7 +707,7 @@ def test_every_span_in_a_catalog_node_one_sided_amalgamates():
 
             assert member(am.target, node)
             assert verify_embedding(am.left)
-            if is_essential_span(s):
+            if is_essential_embedding(s.right):
                 assert not am.one_sided
             checked += 1
     assert checked > 100

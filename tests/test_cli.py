@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,17 @@ def test_amalgam_leg_index_out_of_range_exit_2(capsys):
                              "--left", "W2", "--universe", "[W2*]", *leg)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_amalgam_too_many_span_legs_exit_2(capsys):
+    # a Z apex has one leg per scale into Z: a billion of them are refused
+    # by count, before any is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "amalgam", "construct", "--apex", "Z", "--left", "Z",
+                         "--right", "Z", "--universe", "[Z*]", "--scale-cap", "1000000000")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "MAX_SPAN_LEGS" in err and err.count("\n") == 1
 
 
 def test_amalgam_bounds_below_one_exit_2(capsys):
