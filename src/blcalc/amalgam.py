@@ -39,8 +39,9 @@ from .core import (
     fin_luk,
     kind_embeds,
     lex_omega,
+    same_bounds,
 )
-from .classes import ClassExpr, ModeMismatchError, greedy_step, match_assignments, member
+from .classes import ClassExpr, greedy_step, match_assignments, member
 from .maps import (
     ChainMap,
     Filter,
@@ -83,12 +84,17 @@ class CollapsingMap:
     collapse: Filter
     embed: ChainMap
 
+    @property
+    def is_embedding(self) -> bool:
+        """Whether the collapse keeps every component of the source."""
+        return self.collapse.cut == self.source.index
+
     def to_json(self) -> dict:
         return {
             "source": repr(self.source),
             "collapse": {"cut": self.collapse.cut, "radical": self.collapse.radical},
             "embed": self.embed.to_json(),
-            "embedding": self.collapse.cut == self.source.index,
+            "embedding": self.is_embedding,
         }
 
 
@@ -102,7 +108,11 @@ class Amalgam:
     target: Chain
     left: ChainMap
     right: Completion
-    one_sided: bool = False
+
+    @property
+    def one_sided(self) -> bool:
+        """Whether the right completion collapses part of its source."""
+        return isinstance(self.right, CollapsingMap) and not self.right.is_embedding
 
     def to_json(self) -> dict:
         return {
@@ -204,9 +214,7 @@ def universe_chains(
         + [lex_omega(k) for k in range(1, max_k + 1)]
         + [CANC_Z, STD_UNIT]
     )
-    bl = e.bottom
-    if any(a.bottom != bl for a in into):
-        raise ModeMismatchError(f"a chain of {into!r} and {e!r} disagree on designated bounds")
+    bl = same_bounds(e, *into)
 
     def extend(prefix: tuple, live: list, taken: tuple, length: int) -> Iterator[Chain]:
         # live: (items, scan position) of each sum class that takes the prefix;
@@ -476,9 +484,4 @@ def one_sided_amalgam(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
     if core is None:
         return None
     right = CollapsingMap(source=s.right.target, collapse=ess.theta0, embed=core.right)
-    return Amalgam(
-        target=core.target,
-        left=core.left,
-        right=right,
-        one_sided=ess.theta0.cut != s.right.target.index,
-    )
+    return Amalgam(target=core.target, left=core.left, right=right)

@@ -21,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import TRIV, TRIVIAL, UNIT, Chain, Kind, chain, kind_embeds
-
-
-class ModeMismatchError(ValueError):
-    """A chain with designated bounds tested against a hoop class or vice versa."""
+from .core import TRIV, TRIVIAL, UNIT, Chain, Kind, chain, kind_embeds, same_bounds
 
 
 @dataclass(frozen=True)
@@ -61,6 +57,8 @@ def class_expr(sums, bottom: bool = False) -> ClassExpr:
             raise ValueError("a sum class needs at least one item")
         if bottom and (s.items[0].star or len(s.items[0].kinds) != 1):
             raise ValueError("a designated-bounds head cannot be starred or grouped")
+        if bottom and not s.items[0].kinds[0].bounded:
+            raise ValueError("a designated-bounds head needs a bounded kind")
     return ClassExpr(sums, bottom)
 
 
@@ -140,10 +138,8 @@ def member(c: Chain, e: ClassExpr) -> bool:
     signature, as the trivial algebra lies in every variety.
     """
     bottom = c.bottom
-    if bottom != e.bottom:
-        raise ModeMismatchError(
-            f"{c!r} and {e!r} disagree on designated bounds"
-        )
+    if bottom != e.bottom:  # inline first: this is the hot path
+        same_bounds(c, e)
     for s in e.sums:
         items, p = s.items, 0
         for comp in c.components:
@@ -173,10 +169,7 @@ def generated_by(*chains: Chain) -> ClassExpr:
     """
     if not chains:
         raise ValueError("need at least one generator")
-    modes = {g.bottom for g in chains}
-    if len(modes) != 1:
-        raise ValueError("generators must agree on designated bounds")
-    bottom = modes.pop()
+    bottom = same_bounds(*chains)
     sums = [
         SumClass(tuple(Item((k,)) for k in g.components))
         for g in chains
@@ -252,8 +245,7 @@ def _first_outside(a: ClassExpr, b: ClassExpr) -> Optional[Chain]:
        still: ``b`` holds the chain for ``m >= n`` exactly when it holds it
        for ``n``, and the chains for ``m < n`` drop components of it.
     """
-    if a.bottom != b.bottom:
-        raise ModeMismatchError(f"{a!r} and {b!r} disagree on designated bounds")
+    same_bounds(a, b)
     n = scan_count(b)
     if all(vfc_membership(c, b) for c in witness_basis(a, n)):
         return None

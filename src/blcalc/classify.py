@@ -14,7 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import CANC, CANC_Z, FIN, LEX, STD_UNIT, TRIV, UNIT, Chain, Kind, chain
+from .core import (
+    CANC,
+    CANC_Z,
+    FIN,
+    LEX,
+    STD_UNIT,
+    TRIV,
+    UNIT,
+    Chain,
+    Kind,
+    ModeMismatchError,
+    chain,
+)
 from .classes import (
     ClassExpr,
     Item,
@@ -188,7 +200,7 @@ def _classify_single(v: ClassExpr, bl: bool, prefix: str) -> Verdict:
     exactly when the normalized generator kinds start an interval, that is
     for one kind, or a finite kind with ``Z``."""
     if v.bottom != bl:
-        raise ValueError(f"{v!r} has the wrong signature")
+        raise ModeMismatchError(f"{v!r} has the wrong signature")
     for s in v.sums:
         if len(s.items) != 1 or s.items[0].star or len(s.items[0].kinds) != 1:
             raise ValueError(f"{v!r} is not a union of single-generator classes")
@@ -243,7 +255,7 @@ def classify_ap_bh(v: ClassExpr) -> Verdict:
     strictly-between class inherits a witness from the smallest node above.
     """
     if v.bottom:
-        raise ValueError("basic-hoop classification needs hoop input")
+        raise ModeMismatchError("basic-hoop classification needs hoop input")
     kinds = _component_kinds(v)
     if not kinds:
         return Verdict(ap=True, interval="Trivial")
@@ -292,7 +304,7 @@ def classify_ap_bl(v: ClassExpr) -> Verdict:
     form a one-chain-generated MV class, the tails an amalgamable basic-hoop
     class, and the whole chain class one of the composite case shapes."""
     if not v.bottom:
-        raise ValueError("BL classification needs designated-bounds input")
+        raise ModeMismatchError("BL classification needs designated-bounds input")
     sums = v.sums
     tails = [SumClass(s.items[1:]) for s in sums if len(s.items) > 1]
     basic = ClassExpr(tuple(tails)) if tails else None

@@ -212,6 +212,27 @@ class Element:
 TOP = Element(-1, None)
 
 
+class ModeMismatchError(ValueError):
+    """Inputs that disagree on designated bounds: a BL-chain or BL class
+    where a hoop one is given, or the reverse."""
+
+
+class NotLocallyFiniteError(ValueError):
+    """A chain with symbolic components where a fully finite one is needed."""
+
+
+def same_bounds(*xs) -> bool:
+    """The designated bounds that every chain or class expression of ``xs``
+    carries, ``False`` for none; raises ``ModeMismatchError`` naming the
+    first pair that disagrees."""
+    prev = xs[0] if xs else None
+    for x in xs:
+        if x.bottom != prev.bottom:
+            raise ModeMismatchError(f"{prev!r} and {x!r} disagree on designated bounds")
+        prev = x
+    return prev is not None and prev.bottom
+
+
 @dataclass(frozen=True)
 class Chain:
     """An ordinal sum of non-trivial component kinds with one shared top.
@@ -238,9 +259,10 @@ class Chain:
 
     @property
     def size(self) -> int:
-        """Number of elements of a fully finite chain."""
+        """Number of elements of a fully finite chain; the one check that a
+        chain is finite, raising ``NotLocallyFiniteError`` otherwise."""
         if not self.is_finite:
-            raise ValueError("infinite chain has no size")
+            raise NotLocallyFiniteError(f"{self!r} has symbolic components")
         return 1 + sum(k.k for k in self.components)
 
     def __repr__(self):
@@ -447,16 +469,16 @@ class RunForm:
 
     and meet and join are min and max.  Building the form costs O(n), and
     each operation O(1); the operations apply pointwise to equally long
-    tuples of indices and return tuples.  Raises ``ValueError`` above
-    ``MAX_FORM_SIZE`` elements in all, before building anything.
+    tuples of indices and return tuples.  Before building anything it
+    raises, in this order, ``ModeMismatchError`` for chains that disagree
+    on designated bounds, ``NotLocallyFiniteError`` for a symbolic chain,
+    and ``ValueError`` above ``MAX_FORM_SIZE`` elements in all.
     """
 
     __slots__ = ("start", "end", "top", "blocks")
 
     def __init__(self, chains):
-        for c in chains:
-            if not c.is_finite:
-                raise ValueError(f"{c!r} has symbolic components")
+        same_bounds(*chains)
         size = sum(c.size for c in chains)
         if size > MAX_FORM_SIZE:
             raise ValueError(f"an index form of {size} elements exceeds MAX_FORM_SIZE = {MAX_FORM_SIZE}")
@@ -506,7 +528,7 @@ def table_rows(c: Chain) -> tuple:
 
     Raises ``ValueError`` above ``MAX_TABLE_SIZE`` elements, before building
     anything."""
-    if c.is_finite and c.size > MAX_TABLE_SIZE:
+    if c.size > MAX_TABLE_SIZE:
         raise ValueError(f"a table of {c.size} elements exceeds MAX_TABLE_SIZE = {MAX_TABLE_SIZE}")
     form = RunForm([c])
     n = len(form.start)

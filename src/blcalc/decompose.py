@@ -18,14 +18,10 @@ from .core import (
 )
 
 
-def _require_finite(c: Chain) -> None:
-    if not c.is_finite:
-        raise ValueError(f"{c!r} has symbolic components")
-
-
 def finite_elements(c: Chain) -> list:
-    """All elements of a fully finite chain, ascending (top last)."""
-    _require_finite(c)
+    """All elements of a fully finite chain, ascending (top last); reading
+    ``c.size`` refuses a symbolic chain."""
+    c.size
     return enumerate_elements(c, caps=1)
 
 

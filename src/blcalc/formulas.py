@@ -214,12 +214,6 @@ def eval_formula(f: Formula, c: Chain, valuation: Mapping[str, Element]) -> Elem
     )
 
 
-def _same_bounds(gens: Sequence[Chain]) -> None:
-    """A generator list is one variety's: all bounded or all unbounded."""
-    if len({g.bottom for g in gens}) > 1:
-        raise ValueError("generators must agree on designated bounds")
-
-
 # Valuations are evaluated this many at a time, so a scan's memory stays
 # bounded however many valuations a generator has.
 _BLOCK_ROWS = 4096
@@ -271,7 +265,6 @@ def consequence(
     countermodel is the first failing valuation in generator order and then
     in product order of the ascending elements.
     """
-    _same_bounds(gens)
     names = sorted(formula_vars(premise) | formula_vars(conclusion))
     form = RunForm(gens)
     for gi, _, columns in _valuation_blocks(names, gens, form):
@@ -289,10 +282,6 @@ def consequence(
 
 
 class ClosureLimitError(RuntimeError):
-    pass
-
-
-class NotLocallyFiniteError(ValueError):
     pass
 
 
@@ -317,7 +306,6 @@ def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
     j <= i, come mul, meet, join, imp(i, j) and imp(j, i) of the i-th and j-th
     yielded vectors.  The first term reaching a vector is the one yielded.
     """
-    _same_bounds(gens)
     form = RunForm(gens)
     points = _points(shared, form)
     seeds = [(tuple(block[-1] for block, _ in points), Const("1"))]
@@ -366,12 +354,6 @@ def find_interpolant(
     The closure is walked in the fixed order of ``term_closure``, so the
     returned formula is deterministic.
     """
-    _same_bounds(gens)
-    for g in gens:
-        if not g.is_finite:
-            raise NotLocallyFiniteError(
-                "unsupported: not locally finite (symbolic generator)"
-            )
     shared = sorted(formula_vars(premise) & formula_vars(conclusion))
     form = RunForm(gens)
     tops = [block[-1] for block, _ in _points(shared, form)]

@@ -42,6 +42,7 @@ from .core import (
     element,
     fin_luk,
     kind_embeds,
+    same_bounds,
 )
 
 
@@ -179,8 +180,7 @@ def embedding_choices(a: Chain, b: Chain, scale_cap: int = 4):
     """The index map and scales of every embedding of a into b (cancellative
     scales capped), yielded as ``(positions, scales)`` tuples by position
     choice, then by local scales."""
-    if a.bottom != b.bottom:
-        raise ValueError("designated-bounds mismatch between source and target")
+    same_bounds(a, b)
     if a.is_trivial:
         # a trivial BL-chain's collapsed bottom reaches only a trivial target
         if not a.bottom or b.is_trivial:

@@ -51,7 +51,7 @@ from blcalc.amalgam import (
     spans_commute,
     universe_chains,
 )
-from blcalc.classes import ModeMismatchError, class_includes, component_member, member, vfc_equals
+from blcalc.classes import class_includes, component_member, member, vfc_equals
 from blcalc.classify import (
     IntervalPoset,
     _bl_case_shapes,
@@ -67,6 +67,7 @@ from blcalc.core import (
     UNIT,
     AxiomReport,
     Kind,
+    ModeMismatchError,
     TOP,
     RawChain,
     bottom_element,
@@ -168,7 +169,7 @@ def kind_embeds_by_greedy(a, b) -> bool:
     only when every choice does.
     """
     if a.bottom != b.bottom:
-        raise ValueError("designated-bounds mismatch between source and target")
+        raise ModeMismatchError(f"{a!r} and {b!r} disagree on designated bounds")
     if a.is_trivial:
         return not a.bottom or b.is_trivial
     p = 0

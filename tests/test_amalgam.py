@@ -30,13 +30,13 @@ from blcalc.amalgam import (
     spans_commute,
     universe_chains,
 )
-from blcalc.classes import ModeMismatchError
 from blcalc.classify import interval_by_name
 from blcalc.core import (
     CANC_Z,
     FIN,
     LEX,
     STD_UNIT,
+    ModeMismatchError,
     chain,
     enumerate_elements,
     fin_luk,
@@ -402,7 +402,7 @@ def test_embedding_choices_are_the_enumeration(pair, scale_cap):
 def test_kind_embeds_bounds_mismatch_raises(hoop, bl):
     for a, b in ((hoop, bl), (bl, hoop)):
         for check in (kind_embeds_by_greedy, enumerate_embeddings):
-            with pytest.raises(ValueError, match="designated-bounds mismatch"):
+            with pytest.raises(ModeMismatchError):
                 check(a, b)
 
 
@@ -575,7 +575,7 @@ def test_wrong_collapse_filter_does_not_commute():
     s = Span(w1, into_last, into_first)
     am = one_sided_amalgam(s, parse_class_expr("[W1*]"))
     assert am.right.collapse == Filter(1) and spans_commute(s, am)
-    wrong = Amalgam(am.target, am.left, CollapsingMap(g, Filter(0), am.right.embed), True)
+    wrong = Amalgam(am.target, am.left, CollapsingMap(g, Filter(0), am.right.embed))
     assert not spans_commute(s, wrong) and not window_commutes(s, wrong)
     # a cancellative apex inside a lexicographic radical collapses with it
     z, wo = parse_chain("Z"), parse_chain("Wo1")
@@ -583,7 +583,7 @@ def test_wrong_collapse_filter_does_not_commute():
     am = one_sided_amalgam(s, parse_class_expr("[Wo1]"))
     assert am.right.collapse == Filter(1) and spans_commute(s, am)
     for f in (Filter(0), Filter(0, radical=True)):
-        wrong = Amalgam(am.target, am.left, CollapsingMap(wo, f, am.right.embed), True)
+        wrong = Amalgam(am.target, am.left, CollapsingMap(wo, f, am.right.embed))
         assert not spans_commute(s, wrong) and not window_commutes(s, wrong)
 
 

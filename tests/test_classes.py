@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from blcalc.classes import (
     Item,
-    ModeMismatchError,
     SumClass,
     class_expr,
     class_includes,
@@ -20,7 +19,16 @@ from blcalc.classes import (
     vfc_membership,
     witness_basis,
 )
-from blcalc.core import CANC_Z, STD_UNIT, TRIVIAL, Chain, chain, fin_luk, lex_omega
+from blcalc.core import (
+    CANC_Z,
+    STD_UNIT,
+    TRIVIAL,
+    Chain,
+    ModeMismatchError,
+    chain,
+    fin_luk,
+    lex_omega,
+)
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain
 
 
@@ -357,6 +365,8 @@ def test_class_expr_constructor_errors():
         ((SumClass((Item((w1,), star=True),)),), True, "cannot be starred"),
         ((SumClass((Item((w1, CANC_Z), star=True), plain)),), True, "or grouped"),
         ((SumClass((Item((w1, CANC_Z)), plain)),), True, "or grouped"),
+        # as for a chain, the head of a BL class needs a least element
+        ((SumClass((Item((CANC_Z,)), plain)),), True, "needs a bounded kind"),
     )
     for sums, bottom, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -460,6 +460,22 @@ def test_logic_mixed_bounds_generators_exit_2(capsys):
             assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("logic consequence --premise p --conclusion p --gens L2,W2",
+     "L2 and W2 disagree on designated bounds"),
+    ("logic dip --gens L1,W1", "L1 and W1 disagree on designated bounds"),
+    ("amalgam search --apex W1 --left L1 --right W1 --universe [W1]",
+     "W1 and L1 disagree on designated bounds"),
+    ("amalgam search --apex W1 --left W1 --right W1 --universe [L1]",
+     "W1 and [L1] disagree on designated bounds"),
+    ("logic interpolate --premise p --conclusion p --gens Z", "Z has symbolic components"),
+    ("logic consequence --premise p --conclusion p --gens Z", "Z has symbolic components"),
+])
+def test_precondition_errors_exit_2(capsys, argv, message):
+    # one message per precondition, raised in core, whichever layer is asked
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
 def test_logic_interpolate_limit_below_one_exit_2(capsys):
     for value in ("0", "-5"):
         code, out, err = run(capsys, "logic", "interpolate", "--premise", "p",

@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 
 from blcalc.classes import generated_by
-from blcalc.core import MAX_TABLE_SIZE, TOP, element
+from blcalc.core import MAX_TABLE_SIZE, TOP, NotLocallyFiniteError, element
 from blcalc.decompose import finite_elements
 from blcalc.dsl import parse_chain, parse_class_expr
 from blcalc.formulas import (
@@ -15,7 +15,6 @@ from blcalc.formulas import (
     Const,
     MAX_FORMULA_DEPTH,
     FormulaError,
-    NotLocallyFiniteError,
     Var,
     closure_size,
     consequence,

@@ -9,8 +9,9 @@ from oracles import assignments_by_backtracking, member_by_assignments, universe
 from test_roundtrip import chains, class_exprs
 
 from blcalc.amalgam import universe_chains
-from blcalc.classes import ModeMismatchError, match_assignments, member
+from blcalc.classes import match_assignments, member
 from blcalc.classify import enumerate_catalog
+from blcalc.core import ModeMismatchError
 from blcalc.dsl import parse_class_expr
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None, max_examples=200)
