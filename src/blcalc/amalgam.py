@@ -7,13 +7,15 @@ embedding choices) and returns the first commuting completion.  It searches
 legs as ``(positions, scales)`` data from ``maps.embedding_choices``, keyed
 by ``maps._composite``, the one composite rule, and builds ``ChainMap``s only
 for the amalgam it returns; the span fixes the largest completion scale it
-needs.  The constructive route aligns the three ordinal-sum decompositions
-against a sum class of the universe, pads with trivial summands, amalgamates
-slot by slot (finite chains into their lcm chain, cancellative components by
-scale balancing, lexicographic components by radical transport), and
-reassembles.  It is complete (the proof is in ``amalgamate_constructive``),
-so the one-sided route, which runs it on the essentialized span, needs no
-bounds and no search.
+needs.  The constructive route assigns both codomains to one sum class of
+the universe and merges the two assignments in one walk, in item order: two
+components share a slot when a plain item takes both or they are the two
+images of one apex component, and a shared slot takes the join of their
+kinds (``W n`` or ``Wo n`` for the lcm ``n`` of their parameters, ``Z`` or
+``U``) at the apex's two scales crosswise; every other component gets a
+slot of its own.  It is complete (the proof is in
+``amalgamate_constructive``), so the one-sided route, which runs it on the
+essentialized span, needs no bounds and no search.
 
 Every route maps a span and a universe to an ``Amalgam`` or ``None``.  Each
 first checks both codomains with ``check_in_universe``, the one place that
@@ -321,54 +323,17 @@ def _join_kinds(b: Kind, c: Kind) -> Optional[Kind]:
     return None
 
 
-def _slot_amalgam(
-    b_kind: Optional[Kind], c_kind: Optional[Kind], apex_scales: tuple = (1, 1)
-):
-    """Amalgamate one aligned component slot.
-
-    Returns the slot's target kind (``None`` when two kinds have no join)
-    and the scales of the two completions there (``None`` for an absent
-    side).  ``apex_scales`` are the apex's scales into the two sides; they
-    are balanced crosswise, so the apex reaches the slot at their product
-    both ways and the square commutes.
-    """
-    if c_kind is None:
-        return b_kind, 1, None
-    if b_kind is None:
-        return c_kind, None, 1
-    sb, sc = apex_scales
-    return _join_kinds(b_kind, c_kind), sc, sb
-
-
-def _merge_positions(bpos, cpos, anchors):
-    """Merge two position runs into slots (b position or None, c position or
-    None), fusing the anchored pairs and interleaving the rest."""
-    slots = []
-    bi, ci = 0, 0
-    for (pb, pc) in anchors:
-        while bi < len(bpos) and bpos[bi] < pb:
-            slots.append((bpos[bi], None))
-            bi += 1
-        while ci < len(cpos) and cpos[ci] < pc:
-            slots.append((None, cpos[ci]))
-            ci += 1
-        slots.append((pb, pc))
-        bi += 1
-        ci += 1
-    slots.extend((pb, None) for pb in bpos[bi:])
-    slots.extend((None, pc) for pc in cpos[ci:])
-    return slots
-
-
 def amalgamate_constructive(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
     """Componentwise amalgamation inside a canonical universe.
 
     Both codomains are matched against one sum class of the universe; the
-    apex components pin down which of their components must be fused, the
-    rest are interleaved with trivial padding, and each slot is amalgamated
-    on its own.  Raises UnsupportedShapeError when a codomain lies outside
-    the universe (the apex embeds into both, so it lies inside with them),
-    and returns ``None`` when no alignment gives an amalgam.
+    apex components pin down which of their components must share a slot,
+    and ``_assemble`` merges the two assignments in item order, giving those
+    pairs and the two components of a plain item one slot each and every
+    other component a slot of its own.  Raises UnsupportedShapeError when a
+    codomain lies outside the universe (the apex embeds into both, so it
+    lies inside with them), and returns ``None`` when no alignment gives an
+    amalgam.
 
     The route is complete: it returns ``None`` only when no chain of the
     universe amalgamates the span, at any index, parameter or scale.  Take any
@@ -385,7 +350,7 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
        so ``g`` and ``h`` send the two images of each apex component to one
        component of ``D``.  ``match_assignments`` lists every assignment,
        so the loop reaches this pair.
-    3. A fused slot joins two kinds that both embed into one component of
+    3. A shared slot joins two kinds that both embed into one component of
        ``D``: an anchored pair by step 2, and the pair of a plain item
        because the item takes one component of ``D`` at most.  When two
        kinds embed into a kind ``d``, ``_join_kinds`` returns one that
@@ -396,9 +361,9 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
        ``U``, and then ``W n`` or ``U`` does.  So the item admits the join,
        by transitivity again.  Every other slot keeps its own kind, which
        its item admits by step 1.  A plain item gets one slot at most, and
-       with designated bounds the heads fuse in the first slot, so ``S``
+       with designated bounds the heads share the first slot, so ``S``
        takes the target.
-    4. Each apex component reaches its fused slot both ways, at the product
+    4. Each apex component reaches its shared slot both ways, at the product
        of its two scales both ways by the crosswise scales, so the square
        commutes.
 
@@ -413,8 +378,9 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
 
     f1, f2 = s.left.index_map, s.right.index_map
     for sum_class in universe.sums:
+        asgs_c = list(match_assignments(c_chain, sum_class))
         for asg_b in match_assignments(b_chain, sum_class):
-            for asg_c in match_assignments(c_chain, sum_class):
+            for asg_c in asgs_c:
                 if any(asg_b[f1[i]] != asg_c[f2[i]] for i in range(s.apex.index)):
                     continue
                 am = _assemble(s, sum_class, asg_b, asg_c)
@@ -424,39 +390,51 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
 
 
 def _assemble(s: Span, sum_class, asg_b, asg_c) -> Optional[Amalgam]:
-    """The amalgam that fuses the two assignments slot by slot, or ``None``
-    when a fused slot joins two kinds that have no join."""
-    b_chain, c_chain = s.left.target, s.right.target
-    f1, f2 = s.left.index_map, s.right.index_map
-    anchor_of_b = {f1[i]: i for i in range(s.apex.index)}
+    """The amalgam that merges the two assignments in one walk over both
+    codomains, or ``None`` when a shared slot joins two kinds that have no
+    join.
 
+    At each step the two current components share a slot when they sit in
+    one item and either the item is plain or they are the two images of one
+    apex component.  A shared slot's kind is ``_join_kinds`` of theirs, and
+    its scales are the apex's two scales crosswise on a cancellative apex
+    component, 1 otherwise.  Otherwise one component takes a slot of its
+    own, with its kind at scale 1: the one in the earlier item, and within
+    one starred item the left one, unless it is an apex image whose partner
+    is still to come.
+    """
+    b_chain, c_chain = s.left.target, s.right.target
+    # each left image of an apex component: its right image and the component
+    anchors = {b: (c, i) for i, (b, c) in enumerate(zip(s.left.index_map, s.right.index_map))}
+    items = sum_class.items
     kinds = []
     b_index_map, b_scales = [], []
     c_index_map, c_scales = [], []
-    for ii, item in enumerate(sum_class.items):
-        bpos = [p for p, a in enumerate(asg_b) if a == ii]
-        cpos = [p for p, a in enumerate(asg_c) if a == ii]
-        if item.star:
-            anchors = [(f1[i], f2[i]) for i in range(s.apex.index) if asg_b[f1[i]] == ii]
-        else:
-            anchors = list(zip(bpos, cpos))  # a plain item's components fuse
-        for pb, pc in _merge_positions(bpos, cpos, anchors):
-            b_kind = b_chain.components[pb] if pb is not None else None
-            c_kind = c_chain.components[pc] if pc is not None else None
-            apex_i = anchor_of_b.get(pb)
-            apex_scales = (1, 1)
-            if apex_i is not None and s.apex.components[apex_i].cancellative:
-                apex_scales = (s.left.scales[apex_i], s.right.scales[apex_i])
-            d_kind, sb, sc = _slot_amalgam(b_kind, c_kind, apex_scales)
-            if d_kind is None:
+    pb = pc = 0
+    while pb < b_chain.index or pc < c_chain.index:
+        ib = asg_b[pb] if pb < b_chain.index else len(items)
+        ic = asg_c[pc] if pc < c_chain.index else len(items)
+        partner, apex_i = anchors.get(pb, (None, None))
+        share = ib == ic and (not items[ib].star or partner == pc)
+        take_b = share or ib < ic or (ib == ic and partner is None)
+        sb = sc = 1
+        if share:
+            kind = _join_kinds(b_chain.components[pb], c_chain.components[pc])
+            if kind is None:
                 return None
-            if pb is not None:
-                b_index_map.append(len(kinds))
-                b_scales.append(sb)
-            if pc is not None:
-                c_index_map.append(len(kinds))
-                c_scales.append(sc)
-            kinds.append(d_kind)
+            if apex_i is not None and s.apex.components[apex_i].cancellative:
+                sb, sc = s.right.scales[apex_i], s.left.scales[apex_i]
+        else:
+            kind = b_chain.components[pb] if take_b else c_chain.components[pc]
+        if take_b:
+            b_index_map.append(len(kinds))
+            b_scales.append(sb)
+            pb += 1
+        if share or not take_b:
+            c_index_map.append(len(kinds))
+            c_scales.append(sc)
+            pc += 1
+        kinds.append(kind)
 
     target = chain(kinds, bottom=b_chain.bottom)
     if target.index != len(kinds):

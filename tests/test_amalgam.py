@@ -549,6 +549,50 @@ def test_constructive_lex_transport():
     assert spans_commute(s, am)
 
 
+def _middle_of_three():
+    w1, w3 = parse_chain("W1"), parse_chain("W1+W1+W1")
+    return Span(w1, ChainMap(w1, w3, (1,), (1,)), ChainMap(w1, w3, (1,), (1,)))
+
+
+def _z_scaled(left, right):
+    z = parse_chain("Z")
+    return Span(z, ChainMap(z, z, (0,), (left,)), ChainMap(z, z, (0,), (right,)))
+
+
+def _parsed_span(a, b, c):
+    return make_span(parse_chain(a), parse_chain(b), parse_chain(c))
+
+
+FUSED_HEADS = ("L6+Z+W1", ((0, 1), (1, 1)), ((0, 2), (1, 1)))
+
+
+@pytest.mark.parametrize(
+    "span,universe,answer",
+    [
+        # unanchored components before and after an anchor in a starred item
+        (_middle_of_three(), "[W1*]",
+         ("W1+W1+W1+W1+W1", ((0, 2, 3), (1, 1, 1)), ((1, 2, 4), (1, 1, 1)))),
+        # a plain item with no anchor
+        (_parsed_span("T", "W2", "W3"), "[W6]", ("W6", ((0,), (1,)), ((0,), (1,)))),
+        # the apex's scales, crosswise
+        (_z_scaled(2, 3), "[Z]", ("Z", ((0,), (3,)), ((0,), (2,)))),
+        # a shared slot with no join
+        (_parsed_span("W1", "Wo1", "U"), "[U*]", None),
+        # heads that fuse when bounds are designated
+        (_parsed_span("L1", "L2+Z", "L3+W1"), "[UM U*]", FUSED_HEADS),
+        (_parsed_span("L1", "L2+Z", "L3+W1"), "[L6 (W1 Z)*]", FUSED_HEADS),
+    ],
+    ids=["anchor-in-star", "plain-item", "crosswise-scales", "no-join", "heads-UM", "heads-L6"],
+)
+def test_constructive_answer_per_merge_branch(span, universe, answer):
+    # the target, then each leg's index map and scales, pinned on one span
+    # for each way the merge of the two assignments can place a component
+    am = amalgamate_constructive(span, parse_class_expr(universe))
+    got = am and (pretty_chain(am.target),
+                  (am.left.index_map, am.left.scales), (am.right.index_map, am.right.scales))
+    assert got == answer
+
+
 def test_constructive_rejects_outside_universe():
     s = w_span(1, 2, 3)
     with pytest.raises(UnsupportedShapeError):
@@ -670,6 +714,8 @@ def test_constructive_route_is_complete_against_bruteforce():
                     if am is None:
                         assert brute is None, (s, u)
                     else:
+                        # the route checks positions and scales, not kinds
+                        assert verify_embedding(am.left) and verify_embedding(am.right), (s, u)
                         inside = _within(am, **bounds)
                         assert brute is not None or not inside, (s, u)
                         within += inside
