@@ -117,19 +117,6 @@ def local_top(kind: Kind) -> LocalValue:
     return 0  # TRIV: lone element
 
 
-def local_bottom(kind: Kind) -> LocalValue:
-    """Least local value; only bounded kinds have one."""
-    if kind.tag == FIN:
-        return 0
-    if kind.tag == LEX:
-        return (0, 0)
-    if kind.tag == UNIT:
-        return Fraction(0)
-    if kind.tag == TRIV:
-        return 0
-    raise ValueError(f"{kind} has no least element")
-
-
 def value_in_range(kind: Kind, v: LocalValue) -> bool:
     if kind.tag == FIN:
         return isinstance(v, int) and 0 <= v <= kind.k
@@ -293,13 +280,6 @@ def element(c: Chain, ci: int, value: LocalValue) -> Element:
     return Element(ci, value)
 
 
-def bottom_element(c: Chain) -> Element:
-    """Least element of a chain whose first component is bounded."""
-    if c.is_trivial:
-        return TOP
-    return element(c, 0, local_bottom(c.components[0]))
-
-
 def _check_member(c: Chain, x: Element):
     if x.is_top:
         return
@@ -336,18 +316,6 @@ def chain_op(c: Chain, op: str, x: Element, y: Element) -> Element:
     if op == "imp":
         return TOP if x.ci < y.ci else y
     raise ValueError(f"unknown operation {op!r}")
-
-
-def order_le(c: Chain, x: Element, y: Element) -> bool:
-    _check_member(c, x)
-    _check_member(c, y)
-    if y.is_top:
-        return True
-    if x.is_top:
-        return False
-    if x.ci != y.ci:
-        return x.ci < y.ci
-    return x.value <= y.value
 
 
 def _window_values(kind: Kind, cap: int) -> list:

@@ -1,4 +1,4 @@
-"""Propositional formulas over chains: evaluation, consequence over finite
+"""Propositional formulas over chains: parsing, consequence over finite
 generator sets, and deductive-interpolant search.
 
 Interpolants are searched inside the algebra of term functions on the shared
@@ -20,8 +20,7 @@ walks it and ``closure_size`` counts the same elements.
 
 Consequence, the sweeps and the closure compute on the integer indices of
 ``core.RunForm``, an O(1) rule per operation with no table; values are mapped
-back to elements only for a countermodel.  ``eval_formula`` evaluates on
-elements, symbolic chains included.
+back to elements only for a countermodel.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice, product
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .core import TOP, Chain, Element, RunForm, bottom_element, chain_op
+from .core import Chain, RunForm
 from .decompose import finite_elements
 
 
@@ -193,25 +192,6 @@ def formula_vars(f: Formula) -> frozenset:
     if isinstance(f, Const):
         return frozenset()
     return formula_vars(f.left) | formula_vars(f.right)
-
-
-def eval_formula(f: Formula, c: Chain, valuation: Mapping[str, Element]) -> Element:
-    if isinstance(f, Var):
-        if f.name not in valuation:
-            raise FormulaError(f"unassigned variable {f.name!r}")
-        return valuation[f.name]
-    if isinstance(f, Const):
-        if f.symbol == "1":
-            return TOP
-        if not c.bottom:
-            raise FormulaError("constant 0 needs designated bounds")
-        return bottom_element(c)
-    return chain_op(
-        c,
-        f.op,
-        eval_formula(f.left, c, valuation),
-        eval_formula(f.right, c, valuation),
-    )
 
 
 # Valuations are evaluated this many at a time, so a scan's memory stays

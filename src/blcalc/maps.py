@@ -24,19 +24,15 @@ scale 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
 from .core import (
-    CANC,
     FIN,
     LEX,
-    UNIT,
     Chain,
     Element,
     Kind,
-    LocalValue,
     TOP,
     chain,
     element,
@@ -44,26 +40,6 @@ from .core import (
     kind_embeds,
     same_bounds,
 )
-
-
-def apply_local(src: Kind, dst: Kind, scale: int, v: LocalValue) -> LocalValue:
-    s, d = src.tag, dst.tag
-    if s == FIN and d == FIN:
-        return v * (dst.k // src.k)
-    if s == FIN and d == LEX:
-        return (v * (dst.k // src.k), 0)
-    if s == FIN and d == UNIT:
-        return Fraction(v, src.k)
-    if s == CANC and d == CANC:
-        return scale * v
-    if s == CANC and d == LEX:
-        return (dst.k, scale * v)
-    if s == LEX and d == LEX:
-        a, b = v
-        return (a * (dst.k // src.k), scale * b)
-    if s == UNIT and d == UNIT:
-        return v
-    raise ValueError(f"no local map from {src} to {dst}")
 
 
 def local_embeddings(src: Kind, dst: Kind, scale_cap: int = 4) -> tuple:
@@ -103,16 +79,6 @@ class ChainMap:
     def __repr__(self):
         pairs = ",".join(f"{i}->{p}" for i, p in enumerate(self.index_map))
         return f"<{self.source!r} into {self.target!r} [{pairs}]>"
-
-
-def apply_map(m: ChainMap, x: Element) -> Element:
-    if x.is_top:
-        return TOP
-    pos = m.index_map[x.ci]
-    if not 0 <= pos < m.target.index:
-        raise ValueError(f"component index {pos} out of range for {m.target!r}")
-    src, dst = m.source.components[x.ci], m.target.components[pos]
-    return element(m.target, pos, apply_local(src, dst, m.scales[x.ci], x.value))
 
 
 def _composite(positions: tuple, scales: tuple, inner: ChainMap) -> tuple:

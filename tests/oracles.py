@@ -1,5 +1,15 @@
 """Independent oracles shared by the test modules.
 
+The element evaluators work on one symbolic element at a time: ``order_le``
+compares two elements of a chain, the order that the meet of ``chain_op``
+and the listing of ``decompose.finite_elements`` are checked against;
+``eval_formula`` evaluates a formula through ``chain_op``, the constant 0
+as ``bottom_element`` (built from ``local_bottom``), and checks the
+``core.RunForm`` index route of ``formulas``; ``apply_map``, with the local
+rule ``apply_local`` it applies, evaluates a map point by point and checks
+``maps._composite`` and ``maps.verify_embedding``, which decide composition
+and embedding on the map's data alone.
+
 The table-level oracles work directly on raw operation tables and never call
 the structural engine they are used to check; the scan axiom check runs the
 cubic associativity and residuation scans that ``check_axioms`` skips on
@@ -42,8 +52,9 @@ computes on the integer indices of ``core.RunForm``.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional
+from typing import Mapping, Optional
 
 from blcalc.amalgam import (
     Amalgam,
@@ -66,11 +77,14 @@ from blcalc.core import (
     TRIV,
     UNIT,
     AxiomReport,
+    Chain,
+    Element,
     Kind,
+    LocalValue,
     ModeMismatchError,
     TOP,
     RawChain,
-    bottom_element,
+    _check_member,
     chain,
     chain_op,
     component_op,
@@ -80,9 +94,7 @@ from blcalc.core import (
     in_one_component,
     kind_embeds,
     lex_omega,
-    local_bottom,
     local_top,
-    order_le,
 )
 from blcalc.decompose import (
     Decomposition,
@@ -94,19 +106,100 @@ from blcalc.formulas import (
     BinOp,
     ConsequenceResult,
     Const,
+    Formula,
+    FormulaError,
     Var,
-    eval_formula,
     formula_vars,
 )
 from blcalc.maps import (
     ChainMap,
-    apply_map,
     enumerate_embeddings,
     filter_contains,
     filters,
     quotient_by_filter,
     verify_embedding,
 )
+
+
+def local_bottom(kind: Kind) -> LocalValue:
+    """Least local value; only bounded kinds have one."""
+    if kind.tag == FIN:
+        return 0
+    if kind.tag == LEX:
+        return (0, 0)
+    if kind.tag == UNIT:
+        return Fraction(0)
+    if kind.tag == TRIV:
+        return 0
+    raise ValueError(f"{kind} has no least element")
+
+
+def bottom_element(c: Chain) -> Element:
+    """Least element of a chain whose first component is bounded."""
+    if c.is_trivial:
+        return TOP
+    return element(c, 0, local_bottom(c.components[0]))
+
+
+def order_le(c: Chain, x: Element, y: Element) -> bool:
+    _check_member(c, x)
+    _check_member(c, y)
+    if y.is_top:
+        return True
+    if x.is_top:
+        return False
+    if x.ci != y.ci:
+        return x.ci < y.ci
+    return x.value <= y.value
+
+
+def apply_local(src: Kind, dst: Kind, scale: int, v: LocalValue) -> LocalValue:
+    s, d = src.tag, dst.tag
+    if s == FIN and d == FIN:
+        return v * (dst.k // src.k)
+    if s == FIN and d == LEX:
+        return (v * (dst.k // src.k), 0)
+    if s == FIN and d == UNIT:
+        return Fraction(v, src.k)
+    if s == CANC and d == CANC:
+        return scale * v
+    if s == CANC and d == LEX:
+        return (dst.k, scale * v)
+    if s == LEX and d == LEX:
+        a, b = v
+        return (a * (dst.k // src.k), scale * b)
+    if s == UNIT and d == UNIT:
+        return v
+    raise ValueError(f"no local map from {src} to {dst}")
+
+
+def apply_map(m: ChainMap, x: Element) -> Element:
+    if x.is_top:
+        return TOP
+    pos = m.index_map[x.ci]
+    if not 0 <= pos < m.target.index:
+        raise ValueError(f"component index {pos} out of range for {m.target!r}")
+    src, dst = m.source.components[x.ci], m.target.components[pos]
+    return element(m.target, pos, apply_local(src, dst, m.scales[x.ci], x.value))
+
+
+def eval_formula(f: Formula, c: Chain, valuation: Mapping[str, Element]) -> Element:
+    if isinstance(f, Var):
+        if f.name not in valuation:
+            raise FormulaError(f"unassigned variable {f.name!r}")
+        return valuation[f.name]
+    if isinstance(f, Const):
+        if f.symbol == "1":
+            return TOP
+        if not c.bottom:
+            raise FormulaError("constant 0 needs designated bounds")
+        return bottom_element(c)
+    return chain_op(
+        c,
+        f.op,
+        eval_formula(f.left, c, valuation),
+        eval_formula(f.right, c, valuation),
+    )
 
 
 def apply_completion(m, x):

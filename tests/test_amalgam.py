@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     apply_completion,
+    apply_map,
     embeddings_by_verification,
     find_amalgam_by_pairs,
     join_kinds_by_cases,
@@ -48,7 +49,6 @@ from blcalc.maps import (
     ChainMap,
     Filter,
     _composite,
-    apply_map,
     compose,
     embedding_choices,
     enumerate_embeddings,

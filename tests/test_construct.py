@@ -2,7 +2,7 @@
 of Wo k and the rotation of the cancellative chain into Wo k."""
 
 import pytest
-from oracles import RotationChain, rot_le, rot_op, rotation_embed
+from oracles import RotationChain, apply_map, order_le, rot_le, rot_op, rotation_embed
 
 from blcalc.core import (
     CANC_Z,
@@ -12,12 +12,10 @@ from blcalc.core import (
     component_op,
     element,
     lex_omega,
-    order_le,
 )
 from blcalc.dsl import parse_chain
 from blcalc.maps import (
     Filter,
-    apply_map,
     enumerate_embeddings,
     filter_contains,
     filters,

@@ -24,12 +24,17 @@ from blcalc.core import (
     fin_luk,
     is_ordinal_sum_table,
     lex_omega,
-    order_le,
 )
 from blcalc import core
 from blcalc.decompose import flatten
 from blcalc.dsl import parse_chain
-from oracles import check_axioms_by_scans, differential_tables, flatten_by_chain_op, small_chains
+from oracles import (
+    check_axioms_by_scans,
+    differential_tables,
+    flatten_by_chain_op,
+    order_le,
+    small_chains,
+)
 
 
 def test_component_op_fin_luk():

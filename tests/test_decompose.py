@@ -16,6 +16,7 @@ from oracles import (
     decompose_by_scans,
     differential_tables,
     flatten_by_chain_op,
+    order_le,
     small_chains,
 )
 
@@ -161,8 +162,6 @@ def test_finite_elements_ordering():
     c = parse_chain("W2+W1")
     elems = finite_elements(c)
     assert len(elems) == c.size
-    from blcalc.core import order_le
-
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
             assert order_le(c, x, y) == (i <= j)

@@ -19,7 +19,6 @@ from blcalc.formulas import (
     closure_size,
     consequence,
     dip_report,
-    eval_formula,
     find_interpolant,
     formula_vars,
     mine_valid_consequences,
@@ -30,6 +29,7 @@ from blcalc.formulas import (
 )
 from oracles import (
     consequence_by_eval,
+    eval_formula,
     find_interpolant_by_chain_op,
     term_closure_by_chain_op,
 )

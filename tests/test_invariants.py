@@ -12,7 +12,6 @@ from blcalc.core import (
 from blcalc.decompose import decompose, flatten
 from blcalc.dsl import parse_chain, pretty_chain
 from blcalc.maps import (
-    apply_map,
     enumerate_embeddings,
     essentialize,
     filters,
@@ -20,6 +19,7 @@ from blcalc.maps import (
     quotient_by_filter,
 )
 from oracles import (
+    apply_map,
     check_axioms_by_scans,
     essential_by_filter_definition,
     small_chains,

@@ -40,3 +40,11 @@ def test_modules_import_only_lower_layers():
         for dep in top_level_imports(path):
             assert RANK[dep] < RANK[path.stem], f"{path.stem} imports {dep}"
 
+
+
+def test_package_root_imports_nothing():
+    """The package root holds only ``__version__``; every name is imported
+    from its module, so no re-export counts as a read of a name that
+    nothing else reads."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(tree))

@@ -12,14 +12,12 @@ from blcalc.core import (
     element,
     enumerate_elements,
     fin_luk,
-    order_le,
 )
 from blcalc.decompose import finite_elements, flatten
 from blcalc.dsl import parse_chain
 from blcalc.maps import (
     ChainMap,
     Filter,
-    apply_map,
     enumerate_embeddings,
     essentialize,
     filter_contains,
@@ -29,7 +27,7 @@ from blcalc.maps import (
     quotient_by_filter,
     verify_embedding,
 )
-from oracles import essential_by_filter_definition, window_embedding
+from oracles import apply_map, essential_by_filter_definition, order_le, window_embedding
 
 
 def identity_map(c):

@@ -1,7 +1,7 @@
 """Every module-level name of the package is live; a name nothing reads is
 dead code.  A private name must be read somewhere in the package outside its
 own definition.  A public name may also be read by the benchmark scripts in
-``bench/``, and the package's ``__init__`` exports count as reads."""
+``bench/``."""
 
 import ast
 from pathlib import Path
