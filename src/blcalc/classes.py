@@ -13,7 +13,9 @@ first component.
 
 Membership is one greedy scan per sum class (``greedy_step``);
 ``match_assignments`` lists every assignment, for the constructive amalgam.
-Inclusion of one class in another is decided by ``_first_outside`` alone.
+Inclusion of one class in another is decided by ``_first_outside``.
+``canonical`` gives each class one normal form, so that two expressions
+have one class exactly when their forms are equal.
 """
 
 from __future__ import annotations
@@ -178,12 +180,150 @@ def generated_by(*chains: Chain) -> ClassExpr:
     return class_expr(sums or [SumClass((Item((TRIVIAL,)),))], bottom)
 
 
+def normalize_kinds(kinds) -> tuple:
+    """Drop generators absorbed by another's closure; keep the maximal ones."""
+    ks = {k for k in kinds if k.tag != TRIV}
+    keep = [
+        a for a in ks if not any(b != a and component_member(a, b) for b in ks)
+    ]
+    return tuple(sorted(keep, key=lambda k: k.sort_key()))
+
+
+def _holds(gens: tuple, kinds: tuple) -> bool:
+    """Whether each of ``kinds`` lies in the closure of one of ``gens``."""
+    return all(any(component_member(k, g) for g in gens) for k in kinds)
+
+
+def _reduced_product(items) -> tuple:
+    """The items with ``T`` dropped, each star cut to its maximal kinds, and
+    every item absorbed by a neighbour dropped: a plain kind next to a star
+    that admits it, a star next to a star that holds all its kinds."""
+    out = []
+    for it in items:
+        if not it.star:
+            absorbed = out and out[-1].star and _holds(out[-1].kinds, it.kinds)
+            if not (absorbed or it.kinds[0].tag == TRIV):
+                out.append(it)
+            continue
+        kinds = normalize_kinds(it.kinds) if len(it.kinds) > 1 else it.kinds
+        if not kinds or kinds[0].tag == TRIV:
+            continue
+        while out and _holds(kinds, out[-1].kinds):
+            out.pop()
+        if not (out and out[-1].star and _holds(out[-1].kinds, kinds)):
+            out.append(Item(kinds, star=True))
+    return tuple(out)
+
+
+def _reduced_sum(items: tuple, bottom: bool) -> tuple:
+    """A sum class's items in normal form: the head kept as it is, and a
+    ``T`` head alone, since it holds the trivial chain only; the rest, or
+    without bounds all items, a reduced product, ``[T]`` when empty."""
+    if not bottom:
+        return _reduced_product(items) or (Item((TRIVIAL,)),)
+    if items[0].kinds[0].tag == TRIV:
+        return items[:1]
+    return items[:1] + _reduced_product(items[1:])
+
+
+def _sum_included(a: tuple, b: tuple, bottom: bool) -> bool:
+    """Whether the reduced sum class ``a`` lies in ``b``, by one greedy pass:
+    a plain item takes the first item of ``b`` at or after the position that
+    admits it (``greedy_step``), and a star the first star there that holds
+    all its kinds, where the position stays.  With designated bounds the
+    head goes to the head."""
+    p = 0
+    if bottom:
+        if not component_member(a[0].kinds[0], b[0].kinds[0]):
+            return False
+        a, p = a[1:], 1
+    for it in a:
+        if it.star:
+            p = next(
+                (i for i in range(p, len(b)) if b[i].star and _holds(b[i].kinds, it.kinds)),
+                None,
+            )
+        else:
+            p = greedy_step(b, p, it.kinds[0], False)
+        if p is None:
+            return False
+    return True
+
+
+def _sum_key(items: tuple) -> tuple:
+    return tuple((it.star, tuple(k.sort_key() for k in it.kinds)) for it in items)
+
+
 def canonical(e: ClassExpr) -> ClassExpr:
-    """The variety whose finite-index chains are the class ``e``: ``e``
-    itself, since a variety is given by its class expression.  The name is
-    kept for callers that spell out the step, such as the benchmark
-    workloads."""
-    return e
+    """The normal form of ``e``: an expression of the same class, and one
+    expression per class, so two expressions have one class exactly when
+    their forms are equal.  Each sum class is reduced on its own
+    (``_reduced_sum``); the union keeps its sum classes that no other one
+    includes (``_sum_included``), without duplicates, sorted by ``_sum_key``.
+
+    Why this is one form per class.  ``component_member`` is a partial order
+    on the non-trivial kinds, and a chain is the word of its components.
+    Without designated bounds a sum class is a product of atoms: a plain
+    ``a`` holds the words of at most one letter in the closure of ``a``, a
+    star ``D*`` every word over the closures of ``D``.  It is closed under
+    dropping a letter and lowering one in the order, and any two of its
+    words lie below a third: it is an ideal of words, a product of atoms in
+    the sense of Abdulla, Bouajjani and Jonsson (CAV 1998) and of Finkel
+    and Goubault-Larrecq (STACS 2009).  With designated bounds the head
+    takes the first letter and the rest is such a product.
+
+    1. The reduction keeps the class: ``T`` adds no word, a star is the star
+       of its maximal kinds, and ``a D*`` and ``D* a`` with ``a`` admitted
+       by ``D``, like ``E* D*`` and ``D* E*`` with ``E`` held by ``D``, are
+       ``D*``.  The rest after a head is reduced on its own; a ``T`` head
+       holds the trivial chain only, so nothing follows it.
+    2. Call an embedding of a product ``P`` into ``Q`` a monotone map from
+       the items of ``P`` to those of ``Q`` that sends a plain item to one
+       that admits it, a star to a star that holds all its kinds, and at
+       most one item to each plain item.  ``P ⊆ Q`` exactly when there is
+       one, and exactly when the pass of ``_sum_included`` gets through.
+       The pass, when it gets through, is an embedding, and an embedding
+       carries each word of ``P`` into ``Q``.  Conversely, scan the chain
+       of ``witness_basis(P, n)``, ``n = scan_count(Q)``, through ``Q`` as
+       ``member`` does; by ``_first_outside`` it lies in ``Q`` when
+       ``P ⊆ Q``.  A plain kind goes where the pass puts it.  The
+       repetitions of a star's block never pass the first star at or after
+       the block's start that holds all its kinds, and each one moves the
+       scan forward or leaves it on such a star; ``n`` of them leave it on
+       that first one, where the pass puts the star.
+    3. A reduced product ``P`` embeds into itself only by the identity.
+       Let ``t`` be the first item with ``f(t) != t``.  If ``f(t) < t``,
+       then ``f(t) = t - 1 = f(t - 1)``.  If ``f(t) > t``, let ``u`` be the
+       first item after ``t`` with ``f(u) <= u``, which exists as the last
+       item is one; then ``f(u - 1) >= u``, so ``f(u - 1) = f(u) = u``.
+       Either way two neighbours go to one of them, which takes two items
+       and so is a star that holds the other: the other is absorbed.
+    4. So two reduced products of one class are equal.  Embeddings
+       ``f: P → Q`` and ``g: Q → P`` compose to embeddings of each into
+       itself, the identities.  So ``f`` is a monotone bijection, the
+       identity on positions, and each item and its image lie in each
+       other's closures: plain items have equal kinds, as the order is
+       antisymmetric, and stars equal maximal kinds.  With designated
+       bounds, a sum class lies in another exactly when its head lies in
+       the other's head's closure and its rest in the other's rest, so two
+       reduced sum classes of one class have equal heads and equal rests.
+    5. A sum class inside a union lies inside one of its sum classes:
+       otherwise take a chain of it outside each, and a chain of it above
+       all of those, which lies outside every one.  So each maximal sum
+       class of one union lies in a sum class of another union of the same
+       class, and that in a sum class of the first, which can only be
+       itself.  Two unions of one class have the same maximal sum classes,
+       with equal reduced forms by step 4.
+    """
+    bottom = e.bottom
+    sums = [_reduced_sum(s.items, bottom) for s in e.sums]
+    if len(sums) > 1:
+        sums = list(dict.fromkeys(sums))
+        maximal = (
+            a for a in sums if not any(b is not a and _sum_included(a, b, bottom) for b in sums)
+        )
+        sums = sorted(maximal, key=_sum_key)
+    return ClassExpr(tuple(map(SumClass, sums)), bottom)
 
 
 def vfc_membership(x: Chain, v: ClassExpr) -> bool:

@@ -4,7 +4,8 @@ Varieties of totally ordered MV-algebras and Wajsberg hoops reduce to
 absorption among their one-component generators.  For basic hoops the
 component kinds occurring pin the variety into one of countably many finite
 intervals (two, three, or thirteen nodes); the verdict is the node whose
-chain class equals the input's, if any.  BL-algebras reduce to the first
+chain class equals the input's, if any, looked up by its normal form
+(``classes.canonical``).  BL-algebras reduce to the first
 components plus the basic-hoop classification of the tails, matched against
 a fixed list of composite shapes.
 """
@@ -12,6 +13,7 @@ a fixed list of composite shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -20,7 +22,6 @@ from .core import (
     FIN,
     LEX,
     STD_UNIT,
-    TRIV,
     UNIT,
     Chain,
     Kind,
@@ -31,10 +32,11 @@ from .classes import (
     ClassExpr,
     Item,
     SumClass,
+    canonical,
     class_expr,
     class_includes,
-    component_member,
     member,
+    normalize_kinds,
     scan_count,
     vfc_equals,
     witness_basis,
@@ -181,20 +183,6 @@ def emit_poset(p: IntervalPoset, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-# ---------------------------------------------------------------------------
-# Kind-set normalization (generator absorption)
-# ---------------------------------------------------------------------------
-
-
-def normalize_kinds(kinds) -> tuple:
-    """Drop generators absorbed by another's closure; keep the maximal ones."""
-    ks = {k for k in kinds if k.tag != TRIV}
-    keep = [
-        a for a in ks if not any(b != a and component_member(a, b) for b in ks)
-    ]
-    return tuple(sorted(keep, key=lambda k: k.sort_key()))
-
-
 def _classify_single(v: ClassExpr, bl: bool, prefix: str) -> Verdict:
     """Amalgamation for a union of one-component generator classes: it holds
     exactly when the normalized generator kinds start an interval, that is
@@ -247,6 +235,38 @@ def _scan_nodes(v: ClassExpr, nodes) -> Verdict:
     return Verdict(ap=False, witness=witness)
 
 
+def _by_form(nodes: tuple) -> tuple:
+    """``nodes``, the ``(name, node)`` pairs, with the map from each node's
+    normal form to its pair."""
+    forms = {}
+    for name, node in nodes:
+        forms.setdefault(canonical(node), (name, node))
+    return nodes, forms
+
+
+def _look_up(v: ClassExpr, nodes: tuple, forms: dict) -> Verdict:
+    """``_scan_nodes`` by the variety's normal form: the node of the same
+    form, which has the same class, and the scan only for its witness when
+    there is none."""
+    hit = forms.get(canonical(v))
+    if hit is None:
+        return _scan_nodes(v, nodes)
+    name, node = hit
+    return Verdict(ap=True, canonical=node, interval=name)
+
+
+@lru_cache(maxsize=1024)
+def _interval_forms(kinds: tuple) -> Optional[tuple]:
+    """The named nodes of ``interval(kinds)`` by form, or None when the
+    kinds start no interval."""
+    poset = interval(kinds)
+    if poset is None:
+        return None
+    return _by_form(tuple(
+        (f"{poset.name}:{idx}", node) for idx, node in enumerate(poset.nodes)
+    ))
+
+
 def classify_ap_bh(v: ClassExpr) -> Verdict:
     """Amalgamation for varieties of basic hoops.
 
@@ -259,12 +279,10 @@ def classify_ap_bh(v: ClassExpr) -> Verdict:
     kinds = _component_kinds(v)
     if not kinds:
         return Verdict(ap=True, interval="Trivial")
-    poset = interval(kinds)
-    if poset is None:
+    named = _interval_forms(kinds)
+    if named is None:
         return Verdict(ap=False)
-    return _scan_nodes(
-        v, ((f"{poset.name}:{idx}", node) for idx, node in enumerate(poset.nodes))
-    )
+    return _look_up(v, *named)
 
 
 def _prepend(head_kind: Kind, node: Optional[ClassExpr]) -> tuple:
@@ -299,6 +317,16 @@ def _bl_case_shapes(a: Kind, basic_node: Optional[ClassExpr]) -> list:
     return shapes
 
 
+@lru_cache(maxsize=1024)
+def _bl_forms(head: Kind, tail: str, tail_node: Optional[ClassExpr]) -> tuple:
+    """The named case shapes of a head over the amalgamable tail node named
+    ``tail``, by form."""
+    return _by_form(tuple(
+        (f"{case}({head!r};{tail})", shape)
+        for case, shape in _bl_case_shapes(head, tail_node)
+    ))
+
+
 def classify_ap_bl(v: ClassExpr) -> Verdict:
     """Amalgamation for varieties of BL-algebras: the first components must
     form a one-chain-generated MV class, the tails an amalgamable basic-hoop
@@ -321,13 +349,8 @@ def classify_ap_bl(v: ClassExpr) -> Verdict:
     if not basic_verdict.ap:
         return Verdict(ap=False, witness=basic_verdict.witness)
 
-    tail = basic_verdict.interval or ""
-    return _scan_nodes(
-        v,
-        (
-            (f"{case}({heads[0]!r};{tail})", shape)
-            for case, shape in _bl_case_shapes(heads[0], basic_verdict.canonical)
-        ),
+    return _look_up(
+        v, *_bl_forms(heads[0], basic_verdict.interval, basic_verdict.canonical)
     )
 
 

@@ -24,7 +24,9 @@ walk and the composite join of the brute-force search avoid doing, and the
 greedy kind embedding decides each finished target on its own, where
 ``amalgam.universe_chains`` carries the greedy match down the walk.  The catalog
 oracle drops a candidate whose class equals a kept one's, compared pair by
-pair, where ``classify`` lists classes distinct by construction, and the
+pair, where ``classify`` lists classes distinct by construction; the scan
+classification compares a variety with each interval node or BL case shape
+by ``vfc_equals``, where ``classify`` looks its normal form up; and the
 enumerated inclusion tests every chain
 of a class up to an index, where ``classes.class_includes`` tests one
 chain per sum class.  The kind join is the
@@ -62,11 +64,21 @@ from blcalc.amalgam import (
     spans_commute,
     universe_chains,
 )
-from blcalc.classes import class_includes, component_member, member, vfc_equals
+from blcalc.classes import (
+    ClassExpr,
+    SumClass,
+    class_includes,
+    component_member,
+    member,
+    normalize_kinds,
+    vfc_equals,
+)
 from blcalc.classify import (
     IntervalPoset,
+    Verdict,
     _bl_case_shapes,
     enumerate_catalog,
+    interval,
 )
 from blcalc.core import (
     CANC,
@@ -740,6 +752,52 @@ def pairwise_bl_catalog(n_max: int) -> list:
                     continue
                 out.append((shape, f"{case}({a!r})", f"{iname}:{pos}"))
     return out
+
+
+def _first_equal(v, nodes) -> Verdict:
+    """The first ``(name, node)`` of ``nodes`` whose class ``vfc_equals``
+    finds equal to ``v``'s; failing that, no amalgamation, witnessed by the
+    first node strictly above ``v``."""
+    witness = None
+    for name, node in nodes:
+        verdict, wit = vfc_equals(v, node)
+        if verdict == "equal":
+            return Verdict(ap=True, canonical=node, interval=name)
+        if verdict == "v_strictly_smaller" and witness is None:
+            witness = wit
+    return Verdict(ap=False, witness=witness)
+
+
+def classify_by_scan(v) -> Verdict:
+    """Reference for ``classify_ap_bh`` (without designated bounds) and
+    ``classify_ap_bl`` (with them): each interval node or BL case shape is
+    compared with the variety in turn, where ``classify`` looks the
+    variety's normal form up among them."""
+    if not v.bottom:
+        kinds = normalize_kinds(k for s in v.sums for it in s.items for k in it.kinds)
+        if not kinds:
+            return Verdict(ap=True, interval="Trivial")
+        poset = interval(kinds)
+        if poset is None:
+            return Verdict(ap=False)
+        return _first_equal(
+            v, ((f"{poset.name}:{i}", node) for i, node in enumerate(poset.nodes))
+        )
+    tails = [SumClass(s.items[1:]) for s in v.sums if len(s.items) > 1]
+    heads = normalize_kinds(s.items[0].kinds[0] for s in v.sums)
+    if not heads:
+        return Verdict(ap=True, interval="Trivial")
+    if len(heads) > 1:
+        return Verdict(ap=False, witness=chain((heads[0],), bottom=True))
+    basic = Verdict(ap=True, interval="Trivial")
+    if tails:
+        basic = classify_by_scan(ClassExpr(tuple(tails)))
+    if not basic.ap:
+        return Verdict(ap=False, witness=basic.witness)
+    return _first_equal(v, (
+        (f"{case}({heads[0]!r};{basic.interval})", shape)
+        for case, shape in _bl_case_shapes(heads[0], basic.canonical)
+    ))
 
 
 def recompute_cover_relation(p: IntervalPoset) -> tuple:

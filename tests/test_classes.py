@@ -2,14 +2,17 @@
 checked against a table-level closure oracle."""
 
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blcalc.classes import (
+    ClassExpr,
     Item,
     SumClass,
+    canonical,
     class_expr,
     class_includes,
     component_member,
@@ -29,7 +32,7 @@ from blcalc.core import (
     fin_luk,
     lex_omega,
 )
-from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain
+from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain, pretty_class_expr
 
 
 from oracles import ENUMERATION_KINDS, includes_by_enumeration, oracle_membership, small_chains
@@ -354,6 +357,64 @@ def test_class_includes_matches_enumeration(a, b):
     assert (w is None) == (verdict == "equal")
     if w is not None:
         assert vfc_membership(w, a) != vfc_membership(w, b), (repr(a), repr(b))
+
+
+# ---------------------------------------------------------------------------
+# The normal form: one expression per class
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, form",
+    [
+        ("[W1 W2*]", "[W2*]"),
+        ("[W1* W1*]", "[W1*]"),
+        ("[T W1]", "[W1]"),
+        ("[W2]|[W1]|[W2]", "[W2]"),
+        ("[(W1 W2)*]", "[W2*]"),
+        ("[L1 W1 W1*]", "[L1 W1*]"),  # the head stays
+    ],
+)
+def test_canonical_respells_equal_classes(text, form):
+    e, f = parse_class_expr(text), parse_class_expr(form)
+    assert vfc_equals(e, f) == ("equal", None)
+    assert pretty_class_expr(canonical(e)) == form
+    assert canonical(f) == f
+
+
+def test_canonical_equality_is_class_equality_on_the_catalogs():
+    from blcalc.classify import enumerate_catalog
+
+    for mode, n in (("bh", 3), ("bl", 1), ("bl", 2)):
+        entries = [e for e, _, _ in enumerate_catalog(mode, n) if e is not None]
+        forms = [canonical(e) for e in entries]
+        for e, form in zip(entries, forms):
+            assert canonical(form) == form, repr(e)
+        for (a, fa), (b, fb) in combinations(zip(entries, forms), 2):
+            assert (fa == fb) == (vfc_equals(a, b)[0] == "equal"), (repr(a), repr(b))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(class_exprs())
+def test_canonical_is_idempotent_and_keeps_the_class(e):
+    form = canonical(e)
+    assert canonical(form) == form, repr(e)
+    assert vfc_equals(form, e) == ("equal", None), (repr(e), repr(form))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    class_exprs(SMALL_KINDS, SMALL_BOUNDED), class_exprs(SMALL_KINDS, SMALL_BOUNDED)
+)
+def test_canonical_equality_is_class_equality(a, b):
+    # on the pair, and on two spellings of their union, which are equal
+    assume(a.bottom == b.bottom)
+    assert (canonical(a) == canonical(b)) == (vfc_equals(a, b)[0] == "equal"), (
+        repr(a), repr(b),
+    )
+    union = ClassExpr(a.sums + b.sums, a.bottom)
+    respelt = ClassExpr(b.sums + a.sums + a.sums, a.bottom)
+    assert canonical(union) == canonical(respelt), (repr(a), repr(b))
 
 
 def test_class_expr_constructor_errors():

@@ -3,9 +3,11 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blcalc.amalgam import Span, one_sided_amalgam, universe_chains
-from blcalc.classes import generated_by, vfc_equals
+from blcalc.classes import generated_by, normalize_kinds, vfc_equals
 from blcalc.classify import (
     _check_distinct_classes,
     classify_ap_bh,
@@ -16,17 +18,18 @@ from blcalc.classify import (
     enumerate_catalog,
     interval,
     interval_by_name,
-    normalize_kinds,
 )
-from blcalc.core import CANC_Z, STD_UNIT, chain, fin_luk, lex_omega
+from blcalc.core import CANC_Z, STD_UNIT, TRIVIAL, chain, fin_luk, lex_omega
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain, pretty_class_expr
 from blcalc.maps import enumerate_embeddings
 
 from oracles import (
+    classify_by_scan,
     pairwise_bl_catalog,
     recompute_cover_relation,
     small_chains,
 )
+from test_roundtrip import class_exprs
 
 
 def test_normalize_kinds():
@@ -225,6 +228,51 @@ def test_trivial_generator_adds_nothing():
         with_trivial = classify(generated_by(chain((), bottom=bottom), g)).to_json()
         assert with_trivial == classify(generated_by(g)).to_json()
         assert with_trivial["ap"] is True
+
+
+# The ap: false inputs of the tests above.  No node has their form.  Those
+# whose kinds start an interval fall back to the scan, which supplies the
+# witness; the others have no node to scan.
+SCANNED = ("[Z* W1 W1]", "[W1* Z Z]", "[W1 Z]|[Z W1]", "[W1 W1]", "[L1 W1 W1]", "[Lo9 Z Z W6*]")
+NOT_SCANNED = ("[Wo2 W4]", "[W2 W3]", "[L2]|[L3]")
+
+
+def _classify(v):
+    return (classify_ap_bl if v.bottom else classify_ap_bh)(v)
+
+
+def test_classify_looks_up_what_the_scan_finds():
+    entries = [e for mode in ("bl", "bh") for e, _, _ in enumerate_catalog(mode, 3)]
+    scanned = [parse_class_expr(text) for text in SCANNED]
+    failing = scanned + [parse_class_expr(text) for text in NOT_SCANNED]
+    for v in [e for e in entries if e is not None] + failing:
+        assert _classify(v).to_json() == classify_by_scan(v).to_json(), repr(v)
+    assert not any(_classify(v).ap for v in failing)
+    assert all(_classify(v).witness is not None for v in scanned)
+
+
+def test_catalog_entries_are_found_by_form(monkeypatch):
+    # every catalog entry hits a node's form: none falls back to the scan
+    import blcalc.classify
+
+    def no_scan(v, nodes):
+        raise AssertionError(f"{v!r} fell back to the scan")
+
+    monkeypatch.setattr(blcalc.classify, "_scan_nodes", no_scan)
+    for mode in ("bl", "bh"):
+        for e, _, _ in enumerate_catalog(mode, 3):
+            if e is not None:
+                assert _classify(e).ap, repr(e)
+
+
+SMALL_KINDS = st.sampled_from((fin_luk(1), fin_luk(2), lex_omega(1), CANC_Z, TRIVIAL))
+SMALL_HEADS = st.sampled_from((fin_luk(1), lex_omega(1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.one_of(class_exprs(), class_exprs(SMALL_KINDS, SMALL_HEADS)))
+def test_classify_matches_the_scan(v):
+    assert _classify(v).to_json() == classify_by_scan(v).to_json(), repr(v)
 
 
 def test_interval_shapes():

@@ -1,7 +1,8 @@
 """Every module-level name of the package is live; a name nothing reads is
 dead code.  A private name must be read somewhere in the package outside its
 own definition.  A public name may also be read by the benchmark scripts in
-``bench/``."""
+``bench/``.  Every module-level import of the package and of the tests is
+read in its own module."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import blcalc
 
 PACKAGE = Path(blcalc.__file__).parent
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def defined_names(tree: ast.Module):
@@ -69,3 +71,28 @@ def test_public_names_are_read_by_the_package_or_the_benchmark():
     for path in BENCH.glob("*.py"):
         bench_reads |= read_names(ast.parse(path.read_text()))
     assert unread_names(public=True, outside=bench_reads) == []
+
+
+def unread_imports(path: Path) -> list:
+    """``file: name`` for each name bound by a module-level import of the
+    file that the file never loads; ``from __future__`` imports are exempt.
+    A module read only as ``module.attr`` is loaded by that read."""
+    tree = ast.parse(path.read_text())
+    loads = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        out += [f"{path.name}: {name}" for name in names if name not in loads]
+    return out
+
+
+def test_module_imports_are_read():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert [line for path in paths for line in unread_imports(path)] == []
