@@ -50,7 +50,8 @@ class ClassExpr:
 
 def class_expr(sums, bottom: bool = False) -> ClassExpr:
     """Validated constructor: with designated bounds, each sum class starts
-    with one unstarred kind, its head."""
+    with one unstarred kind, its head; a ``T`` head stands alone, as it
+    holds the trivial chain only."""
     sums = tuple(sums)
     if not sums:
         raise ValueError("a class expression needs at least one sum class")
@@ -61,6 +62,8 @@ def class_expr(sums, bottom: bool = False) -> ClassExpr:
             raise ValueError("a designated-bounds head cannot be starred or grouped")
         if bottom and not s.items[0].kinds[0].bounded:
             raise ValueError("a designated-bounds head needs a bounded kind")
+        if bottom and s.items[0].kinds[0].tag == TRIV and len(s.items) > 1:
+            raise ValueError("a designated-bounds T head cannot have further items")
     return ClassExpr(sums, bottom)
 
 
@@ -216,13 +219,10 @@ def _reduced_product(items) -> tuple:
 
 
 def _reduced_sum(items: tuple, bottom: bool) -> tuple:
-    """A sum class's items in normal form: the head kept as it is, and a
-    ``T`` head alone, since it holds the trivial chain only; the rest, or
-    without bounds all items, a reduced product, ``[T]`` when empty."""
+    """A sum class's items in normal form: the head kept as it is; the rest,
+    or without bounds all items, a reduced product, ``[T]`` when empty."""
     if not bottom:
         return _reduced_product(items) or (Item((TRIVIAL,)),)
-    if items[0].kinds[0].tag == TRIV:
-        return items[:1]
     return items[:1] + _reduced_product(items[1:])
 
 
@@ -276,7 +276,7 @@ def canonical(e: ClassExpr) -> ClassExpr:
        of its maximal kinds, and ``a D*`` and ``D* a`` with ``a`` admitted
        by ``D``, like ``E* D*`` and ``D* E*`` with ``E`` held by ``D``, are
        ``D*``.  The rest after a head is reduced on its own; a ``T`` head
-       holds the trivial chain only, so nothing follows it.
+       has no rest (``class_expr``).
     2. Call an embedding of a product ``P`` into ``Q`` a monotone map from
        the items of ``P`` to those of ``Q`` that sends a plain item to one
        that admits it, a star to a star that holds all its kinds, and at

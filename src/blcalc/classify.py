@@ -5,9 +5,11 @@ absorption among their one-component generators.  For basic hoops the
 component kinds occurring pin the variety into one of countably many finite
 intervals (two, three, or thirteen nodes); the verdict is the node whose
 chain class equals the input's, if any, looked up by its normal form
-(``classes.canonical``).  BL-algebras reduce to the first
-components plus the basic-hoop classification of the tails, matched against
-a fixed list of composite shapes.
+(``classes.canonical``).  Otherwise amalgamation fails, witnessed by a chain
+of the first node above the input that the input does not hold.
+BL-algebras reduce to the first components plus the basic-hoop
+classification of the tails, matched against a fixed list of composite
+shapes.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from .classes import (
     ClassExpr,
     Item,
     SumClass,
+    _first_outside,
     canonical,
     class_expr,
     class_includes,
     member,
     normalize_kinds,
     scan_count,
-    vfc_equals,
     witness_basis,
 )
 
@@ -198,11 +200,7 @@ def _classify_single(v: ClassExpr, bl: bool, prefix: str) -> Verdict:
     poset = interval(kinds)
     if poset is None:
         return Verdict(ap=False, witness=chain((kinds[0],), bottom=bl))
-    return Verdict(
-        ap=True,
-        canonical=_expr(*(_sum(_plain(k)) for k in kinds), bottom=bl),
-        interval=prefix + poset.name[1:],
-    )
+    return Verdict(ap=True, canonical=canonical(v), interval=prefix + poset.name[1:])
 
 
 def classify_ap_mv(v: ClassExpr) -> Verdict:
@@ -221,50 +219,39 @@ def _component_kinds(v: ClassExpr) -> tuple:
     return normalize_kinds(k for s in v.sums for it in s.items for k in it.kinds)
 
 
-def _scan_nodes(v: ClassExpr, nodes) -> Verdict:
-    """The first ``(interval name, node)`` whose class equals the variety's;
-    failing that, no amalgamation, witnessed by the first node strictly
-    above the variety."""
-    witness = None
-    for name, node in nodes:
-        verdict, wit = vfc_equals(v, node)
-        if verdict == "equal":
-            return Verdict(ap=True, canonical=node, interval=name)
-        if verdict == "v_strictly_smaller" and witness is None:
-            witness = wit
-    return Verdict(ap=False, witness=witness)
-
-
-def _by_form(nodes: tuple) -> tuple:
-    """``nodes``, the ``(name, node)`` pairs, with the map from each node's
-    normal form to its pair."""
+def _by_form(nodes) -> dict:
+    """The map from each node's normal form to the first of the ``(name,
+    node)`` pairs with that form, in the order of ``nodes``."""
     forms = {}
     for name, node in nodes:
         forms.setdefault(canonical(node), (name, node))
-    return nodes, forms
+    return forms
 
 
-def _look_up(v: ClassExpr, nodes: tuple, forms: dict) -> Verdict:
-    """``_scan_nodes`` by the variety's normal form: the node of the same
-    form, which has the same class, and the scan only for its witness when
-    there is none."""
+def _look_up(v: ClassExpr, forms: dict) -> Verdict:
+    """The node of the variety's normal form, which has its class; failing
+    that, no amalgamation, witnessed by a chain of the first node above the
+    variety that the variety does not hold (none when no node is above it).
+    As the forms are one per class, no node above the variety then equals
+    it, so the witness exists."""
     hit = forms.get(canonical(v))
-    if hit is None:
-        return _scan_nodes(v, nodes)
-    name, node = hit
-    return Verdict(ap=True, canonical=node, interval=name)
+    if hit is not None:
+        name, node = hit
+        return Verdict(ap=True, canonical=node, interval=name)
+    above = next((node for _, node in forms.values() if class_includes(v, node)), None)
+    return Verdict(ap=False, witness=None if above is None else _first_outside(above, v))
 
 
 @lru_cache(maxsize=1024)
-def _interval_forms(kinds: tuple) -> Optional[tuple]:
+def _interval_forms(kinds: tuple) -> Optional[dict]:
     """The named nodes of ``interval(kinds)`` by form, or None when the
     kinds start no interval."""
     poset = interval(kinds)
     if poset is None:
         return None
-    return _by_form(tuple(
+    return _by_form(
         (f"{poset.name}:{idx}", node) for idx, node in enumerate(poset.nodes)
-    ))
+    )
 
 
 def classify_ap_bh(v: ClassExpr) -> Verdict:
@@ -272,17 +259,17 @@ def classify_ap_bh(v: ClassExpr) -> Verdict:
 
     The component kinds must normalize to an admissible generator set; the
     chain class must then coincide with one of the interval's nodes.  A
-    strictly-between class inherits a witness from the smallest node above.
+    strictly-between class inherits a witness from the first node above.
     """
     if v.bottom:
         raise ModeMismatchError("basic-hoop classification needs hoop input")
     kinds = _component_kinds(v)
     if not kinds:
         return Verdict(ap=True, interval="Trivial")
-    named = _interval_forms(kinds)
-    if named is None:
+    forms = _interval_forms(kinds)
+    if forms is None:
         return Verdict(ap=False)
-    return _look_up(v, *named)
+    return _look_up(v, forms)
 
 
 def _prepend(head_kind: Kind, node: Optional[ClassExpr]) -> tuple:
@@ -318,13 +305,13 @@ def _bl_case_shapes(a: Kind, basic_node: Optional[ClassExpr]) -> list:
 
 
 @lru_cache(maxsize=1024)
-def _bl_forms(head: Kind, tail: str, tail_node: Optional[ClassExpr]) -> tuple:
+def _bl_forms(head: Kind, tail: str, tail_node: Optional[ClassExpr]) -> dict:
     """The named case shapes of a head over the amalgamable tail node named
     ``tail``, by form."""
-    return _by_form(tuple(
+    return _by_form(
         (f"{case}({head!r};{tail})", shape)
         for case, shape in _bl_case_shapes(head, tail_node)
-    ))
+    )
 
 
 def classify_ap_bl(v: ClassExpr) -> Verdict:
@@ -349,9 +336,7 @@ def classify_ap_bl(v: ClassExpr) -> Verdict:
     if not basic_verdict.ap:
         return Verdict(ap=False, witness=basic_verdict.witness)
 
-    return _look_up(
-        v, *_bl_forms(heads[0], basic_verdict.interval, basic_verdict.canonical)
-    )
+    return _look_up(v, _bl_forms(heads[0], basic_verdict.interval, basic_verdict.canonical))
 
 
 # ---------------------------------------------------------------------------

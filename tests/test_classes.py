@@ -435,6 +435,19 @@ def test_class_expr_constructor_errors():
     assert class_expr([SumClass((plain, plain))], bottom=True).bottom
 
 
+def test_bounded_trivial_head_stands_alone():
+    # a T head holds the trivial chain only, so no item may follow it; the
+    # witness basis would read the items after it as a chain of the class
+    t = Item((TRIVIAL,))
+    for rest in (Item((lex_omega(1),), star=True), Item((fin_luk(1),))):
+        with pytest.raises(ValueError, match="T head cannot have further items"):
+            class_expr([SumClass((t, rest))], bottom=True)
+        assert not class_expr([SumClass((t, rest))]).bottom
+    trivial = generated_by(Chain((), bottom=True))
+    assert trivial == ClassExpr((SumClass((t,)),), bottom=True)
+    assert pretty_class_expr(trivial) == "[T]"
+
+
 def test_parse_round_trip():
     from blcalc.dsl import pretty_class_expr
 

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blcalc.amalgam import Span, one_sided_amalgam, universe_chains
-from blcalc.classes import generated_by, normalize_kinds, vfc_equals
+from blcalc.classes import (
+    Item,
+    SumClass,
+    class_expr,
+    generated_by,
+    normalize_kinds,
+    vfc_equals,
+)
 from blcalc.classify import (
     _check_distinct_classes,
     classify_ap_bh,
@@ -231,8 +238,8 @@ def test_trivial_generator_adds_nothing():
 
 
 # The ap: false inputs of the tests above.  No node has their form.  Those
-# whose kinds start an interval fall back to the scan, which supplies the
-# witness; the others have no node to scan.
+# whose kinds start an interval lie below a node, whose chain outside them
+# is the witness; the others have no node at all.
 SCANNED = ("[Z* W1 W1]", "[W1* Z Z]", "[W1 Z]|[Z W1]", "[W1 W1]", "[L1 W1 W1]", "[Lo9 Z Z W6*]")
 NOT_SCANNED = ("[Wo2 W4]", "[W2 W3]", "[L2]|[L3]")
 
@@ -252,17 +259,63 @@ def test_classify_looks_up_what_the_scan_finds():
 
 
 def test_catalog_entries_are_found_by_form(monkeypatch):
-    # every catalog entry hits a node's form: none falls back to the scan
+    # every catalog entry hits a node's form: none looks for a node above it,
+    # which only a miss does
     import blcalc.classify
 
-    def no_scan(v, nodes):
-        raise AssertionError(f"{v!r} fell back to the scan")
+    def no_miss(v, node):
+        raise AssertionError(f"{v!r} missed every form")
 
-    monkeypatch.setattr(blcalc.classify, "_scan_nodes", no_scan)
+    monkeypatch.setattr(blcalc.classify, "class_includes", no_miss)
     for mode in ("bl", "bh"):
         for e, _, _ in enumerate_catalog(mode, 3):
             if e is not None:
                 assert _classify(e).ap, repr(e)
+
+
+def test_classify_matches_the_scan_on_every_small_class():
+    # every hoop class of one or two sum classes, each of one or two plain or
+    # starred items over W1, Wo1 and Z, and every BL class of one or two sum
+    # classes, each an L1 or Lo1 head over such a sum class or alone; both
+    # modes meet hits and witnessed misses, and the mixed heads also miss
+    # over tails that hit
+    kinds = (fin_luk(1), lex_omega(1), CANC_Z)
+    items = [Item((k,), star) for k in kinds for star in (False, True)]
+    sums = [SumClass(t) for r in (1, 2) for t in product(items, repeat=r)]
+    heads = (fin_luk(1), lex_omega(1))
+    bl_tails = [t for r in (1, 2) for t in combinations(sums + [SumClass(())], r)]
+    for cases in (
+        [class_expr(t) for r in (1, 2) for t in combinations(sums, r)],
+        [class_expr([SumClass((Item((h,)),) + s.items) for h, s in zip(hs, t)], True)
+         for t in bl_tails for hs in product(heads, repeat=len(t))],
+    ):
+        verdicts = []
+        for v in cases:
+            verdicts.append(_classify(v).to_json())
+            assert verdicts[-1] == classify_by_scan(v).to_json(), repr(v)
+        assert any(j["ap"] for j in verdicts)
+        assert any(not j["ap"] and j["witness"] for j in verdicts)
+
+
+def test_single_generator_forms_are_the_normalized_kinds():
+    # the ap: true form of a union of single generators is the union of its
+    # normalized kinds, one plain sum class each
+    kinds = (fin_luk(1), fin_luk(2), lex_omega(1), lex_omega(2), CANC_Z, STD_UNIT, TRIVIAL)
+    seen = set()
+    for bottom, classify in ((False, classify_ap_wh), (True, classify_ap_mv)):
+        pool = [k for k in kinds if k.bounded or not bottom]
+        for r in (1, 2, 3):
+            for combo in product(pool, repeat=r):
+                v = class_expr([SumClass((Item((k,)),)) for k in combo], bottom)
+                verdict = classify(v)
+                seen.add(verdict.ap)
+                if verdict.ap and normalize_kinds(combo):
+                    assert verdict.canonical == class_expr(
+                        [SumClass((Item((k,)),)) for k in normalize_kinds(combo)], bottom
+                    ), repr(v)
+                else:
+                    assert verdict.canonical is None, repr(v)
+    assert seen == {True, False}
 
 
 SMALL_KINDS = st.sampled_from((fin_luk(1), fin_luk(2), lex_omega(1), CANC_Z, TRIVIAL))
