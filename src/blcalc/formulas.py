@@ -19,8 +19,12 @@ interpolant exactly when it is top on ``must_top`` and not top off
 walks it and ``closure_size`` counts the same elements.
 
 Consequence, the sweeps and the closure compute on the integer indices of
-``core.RunForm``, an O(1) rule per operation with no table; values are mapped
-back to elements only for a countermodel.
+``core.RunForm``; values are mapped back to elements only for a
+countermodel.  The sweeps apply the form's O(1) rule per operation.  The
+closure reads mul and imp from one row per index, keyed by the other
+operand's index, and the form's rule computes an entry only when the walk
+first meets its pair of indices: never more than one block-length row per
+index, nor more entries than the pairs the walk operates on.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice, product
+from operator import getitem
 from typing import Optional, Sequence, Union
 
 from .core import Chain, RunForm
@@ -276,16 +281,43 @@ def _points(shared: Sequence[str], form: RunForm) -> list:
     ]
 
 
+def _fill_rows(form: RunForm, mul_rows: dict, imp_rows: dict, a: tuple, b: tuple):
+    """Enter x*y, x->y and y->x, computed by the form's own rule, in the
+    rows of ``term_closure`` for each pair (x, y) of ``a`` and ``b``."""
+    for x, y, xy, x_y, y_x in zip(a, b, form.mul(a, b), form.imp(a, b), form.imp(b, a)):
+        mul_rows[x][y] = xy
+        imp_rows[x][y] = x_y
+        imp_rows[y][x] = y_x
+
+
 def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
     """Yield (vector, term) once for each term function in the shared
     variables, smallest-first.  A vector holds one index of
-    ``RunForm(gens)`` per point of ``_points``.
+    ``RunForm(gens)`` per point of ``_points``.  Repeated names raise
+    ``ValueError``.
 
     The seeds are 1, then 0 when the generators are bounded, then the
     projections in the given variable order.  After them, for each i and each
     j <= i, come mul, meet, join, imp(i, j) and imp(j, i) of the i-th and j-th
     yielded vectors.  The first term reaching a vector is the one yielded.
+
+    Operations whose result is already yielded are skipped.  When
+    vec_j <= vec_i pointwise (their meet is vec_j), meet, join and imp(j, i)
+    are vec_j, vec_i and the seed 1; when vec_i <= vec_j, meet, join and
+    imp(i, j) are vec_i, vec_j and 1.  A skipped result would not have been
+    yielded, so the vectors, terms and order are those of the full walk.
+
+    mul and imp read rows: when the walk reaches the i-th vector, it makes
+    an empty mul and imp row, a dict keyed by index, for each index the
+    vector holds that has none yet, so every mul and imp of two vectors is
+    one row lookup per point.  A lookup that misses, the first time a pair
+    of indices meets, enters the entries of the whole pair of vectors
+    (``_fill_rows``) and retries.  So the rows hold entries only for pairs
+    of indices the walk has met, and a walk that ends among the seeds
+    computes none.
     """
+    if len(set(shared)) != len(shared):
+        raise ValueError(f"repeated shared variable names in {list(shared)}")
     form = RunForm(gens)
     points = _points(shared, form)
     seeds = [(tuple(block[-1] for block, _ in points), Const("1"))]
@@ -301,19 +333,39 @@ def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
             seen.add(vec)
             queue.append((vec, term))
             yield vec, term
-    mul, meet, join, imp = form.mul, form.meet, form.join, form.imp
+    meet, join = form.meet, form.join
+    mul_rows, imp_rows = {}, {}
+    imps = []  # imps[i]: the imp row of each index of the i-th vector
     i = 0
     while i < len(queue):
         vec_i, term_i = queue[i]
+        for x in set(vec_i).difference(mul_rows):
+            mul_rows[x], imp_rows[x] = {}, {}
+        muls_i = tuple(map(mul_rows.__getitem__, vec_i))
+        imps_i = tuple(map(imp_rows.__getitem__, vec_i))
+        imps.append(imps_i)
         for j in range(i + 1):
             vec_j, term_j = queue[j]
-            for vec, op, ta, tb in (
-                (mul(vec_i, vec_j), "mul", term_i, term_j),
-                (meet(vec_i, vec_j), "meet", term_i, term_j),
-                (join(vec_i, vec_j), "join", term_i, term_j),
-                (imp(vec_i, vec_j), "imp", term_i, term_j),
-                (imp(vec_j, vec_i), "imp", term_j, term_i),
-            ):
+            low = meet(vec_i, vec_j)
+            while True:
+                try:
+                    mul = (tuple(map(getitem, muls_i, vec_j)), "mul", term_i, term_j)
+                    if low == vec_j:
+                        results = (mul, (tuple(map(getitem, imps_i, vec_j)), "imp", term_i, term_j))
+                    elif low == vec_i:
+                        results = (mul, (tuple(map(getitem, imps[j], vec_i)), "imp", term_j, term_i))
+                    else:
+                        results = (
+                            mul,
+                            (low, "meet", term_i, term_j),
+                            (join(vec_i, vec_j), "join", term_i, term_j),
+                            (tuple(map(getitem, imps_i, vec_j)), "imp", term_i, term_j),
+                            (tuple(map(getitem, imps[j], vec_i)), "imp", term_j, term_i),
+                        )
+                    break
+                except KeyError:  # a pair of indices met for the first time
+                    _fill_rows(form, mul_rows, imp_rows, vec_i, vec_j)
+            for vec, op, ta, tb in results:
                 if vec not in seen:
                     seen.add(vec)
                     term = BinOp(op, ta, tb)

@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+import blcalc.formulas
 from blcalc.classes import generated_by
 from blcalc.core import MAX_TABLE_SIZE, TOP, NotLocallyFiniteError, element
 from blcalc.decompose import finite_elements
@@ -351,3 +352,47 @@ def test_index_route_matches_element_oracle():
         gens = [parse_chain(t) for t in texts]
         walk = list(_closure_as_elements(["p"], gens))
         assert len(walk) == size and walk == list(term_closure_by_chain_op(["p"], gens))
+
+
+def test_closure_in_two_and_three_variables_matches_element_oracle():
+    # whole closures against the chain_op oracle, vectors, terms and order:
+    # both pruned branches (vec_j below vec_i and vec_i below vec_j), and
+    # vectors over two generator blocks
+    for shared, texts, size in (
+        (["p", "q"], ["W1"], 8),
+        (["p", "q"], ["L1"], 16),
+        (["p", "q"], ["W1+W1"], 18),
+        (["p", "q"], ["L1+W1"], 162),
+        (["p", "q"], ["L1", "L1+W1"], 162),
+        (["p", "q", "r"], ["W1"], 128),
+        (["p", "q", "r"], ["L1"], 256),
+    ):
+        gens = [parse_chain(t) for t in texts]
+        walk = list(_closure_as_elements(shared, gens))
+        assert len(walk) == size, (shared, texts)
+        assert walk == list(term_closure_by_chain_op(shared, gens)), (shared, texts)
+
+
+def test_walk_ending_among_seeds_computes_no_row_entry(monkeypatch):
+    filled = []
+    fill_rows = blcalc.formulas._fill_rows
+
+    def counted(form, mul_rows, imp_rows, a, b):
+        filled.append((a, b))
+        fill_rows(form, mul_rows, imp_rows, a, b)
+
+    monkeypatch.setattr(blcalc.formulas, "_fill_rows", counted)
+    W1 = parse_chain("W1")
+    prem, conc = parse_formula("p /\\ q"), parse_formula("p \\/ r")
+    assert find_interpolant(prem, conc, [W1]) == Var("p")
+    assert filled == []
+    # a walk past the seeds fills the rows once per pair of vectors that
+    # meets a new pair of indices: 1 with 1, p with 1, then p with p
+    assert closure_size(prem, conc, [W1]) == 2
+    assert filled == [((1, 1), (1, 1)), ((0, 1), (1, 1)), ((0, 1), (0, 1))]
+
+
+def test_term_closure_rejects_repeated_names():
+    # a second projection named p would label the non-top vector of p -> p
+    with pytest.raises(ValueError, match="repeated"):
+        next(term_closure(["p", "p"], [parse_chain("W1")]))
