@@ -5,9 +5,13 @@ Interpolants are searched inside the algebra of term functions on the shared
 variables: starting from the variable projections and constants, the closure
 under the pointwise connectives is generated smallest-first; any element
 lying between the premise and the conclusion is an interpolant, and its
-construction trace is the returned formula.  For varieties generated by
-finite chains this closure is finite, so exhausting it without a hit
-certifies that no interpolant exists.
+construction trace is the returned formula.  That none exists is decided on
+pairs of points instead of by exhausting the closure: an interpolant exists
+exactly when, for each point where it must be top and each point where it
+must not, some term is top at the first and below top at the second.  The
+pairs of values that the terms take at two points m and q, whose chains
+are g_m and g_q, are a closure of at most ``|g_m|·|g_q|`` pairs
+(``find_interpolant`` holds the proof).
 
 A term function is a vector over the points, the valuations of the shared
 variables into the generators.  One sweep per formula gives two point sets:
@@ -374,6 +378,40 @@ def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
         i += 1
 
 
+def _separated(form: RunForm, points: list, bounded: bool, m: int, q: int) -> bool:
+    """Whether some term function in the shared variables is top at point m
+    and below top at point q, points of ``_points``.
+
+    Evaluation at m and q maps each term to a pair of indices, the first
+    in m's chain and the second in q's, and it commutes with the
+    connectives.  So the pairs reached, ``R(m, q)``, are the closure of the
+    seed pairs (1, then 0 when ``bounded``, then each shared variable's
+    values at m and q) under the form's mul, meet, join and imp applied to
+    2-tuples.  The closure holds at most
+    ``|g_m|·|g_q|`` pairs, and it stops at its first pair ``(top_m, y)``
+    with ``y != top_q``.
+    """
+    (block_m, combo_m), (block_q, combo_q) = points[m], points[q]
+    top_m, top_q = block_m[-1], block_q[-1]
+    seeds = [(top_m, top_q)]
+    if bounded:
+        seeds.append((block_m[0], block_q[0]))
+    pairs = list(dict.fromkeys(seeds + list(zip(combo_m, combo_q))))
+    if any(x == top_m and y != top_q for x, y in pairs):
+        return True
+    mul, meet, join, imp = form.mul, form.meet, form.join, form.imp
+    seen = set(pairs)
+    for i, a in enumerate(pairs):
+        for b in pairs[:i + 1]:
+            for pair in (mul(a, b), meet(a, b), join(a, b), imp(a, b), imp(b, a)):
+                if pair not in seen:
+                    if pair[0] == top_m and pair[1] != top_q:
+                        return True
+                    seen.add(pair)
+                    pairs.append(pair)
+    return False
+
+
 def find_interpolant(
     premise: Formula,
     conclusion: Formula,
@@ -383,20 +421,50 @@ def find_interpolant(
     """Interpolant in the shared variables, or None when provably none exists.
 
     Requires the consequence to hold and every generator to be fully finite.
-    The closure is walked in the fixed order of ``term_closure``, so the
-    returned formula is deterministic.
+    The closure is walked in the fixed order of ``term_closure``, and the
+    walk is the only source of returned formulas, so the returned formula is
+    deterministic and the first interpolant of that order.
+
+    None is certified on pairs of points: an interpolant exists iff for
+    every ``m`` in ``must_top`` and every ``q`` outside ``may_top``, some
+    term is top at ``m`` and below top at ``q`` (``_separated``).
+
+    - If: take such a term ``t_mq`` for each pair.  ``⋁_m ⋀_q t_mq`` is top
+      at each ``m`` of ``must_top``, where its ``m``-th meetand is a meet of
+      tops.  At each ``q`` outside ``may_top`` each meetand is at most
+      ``t_mq(q)``, below top, and a join of finitely many values below top
+      in the one chain of ``q`` is below top.  With ``must_top`` empty, the
+      empty join is the seed 0 when the generators are bounded: a point
+      outside ``may_top`` lies in a nontrivial chain, since on the trivial
+      chain every formula is top.  Over hoops ``must_top`` is empty only
+      with no generators, since every formula is top where every variable
+      is.  With no ``q`` the seed 1 is an interpolant.
+    - Only if: an interpolant separates every such pair.
+
+    The check runs at most once: when the walk has yielded, without a hit,
+    more vectors than there are values at all points together (the sum of
+    ``|g_p|`` over the points), or before the walk would pass ``limit``
+    elements, whichever comes first, so a query that hits earlier never
+    pays for it.  It costs at most ``|must_top|·|not may_top|`` closures of
+    at most ``|g_m|·|g_q|`` pairs each, and the first pair that no term
+    separates returns None.  So ``ClosureLimitError`` means that an
+    interpolant exists but the walk did not reach it within ``limit``
+    elements, and a walk that ends before the check has run certifies None
+    by exhaustion.
     """
-    shared = sorted(formula_vars(premise) & formula_vars(conclusion))
+    premise_vars, conclusion_vars = formula_vars(premise), formula_vars(conclusion)
+    shared = sorted(premise_vars & conclusion_vars)
     form = RunForm(gens)
-    tops = [block[-1] for block, _ in _points(shared, form)]
+    points = _points(shared, form)
+    tops = [block[-1] for block, _ in points]
     first_point = list(
         accumulate((len(block) ** len(shared) for block in form.blocks), initial=0)
     )
 
-    def sweep(f: Formula):
+    def sweep(f: Formula, f_vars: frozenset):
         # (point, f is top) for every valuation of the shared variables and
         # then f's others; the rows of one point are consecutive
-        names = shared + sorted(formula_vars(f) - set(shared))
+        names = shared + sorted(f_vars.difference(shared))
         for gi, row, columns in _valuation_blocks(names, gens, form):
             rows_per_point = len(form.blocks[gi]) ** (len(names) - len(shared))
             values = zip(_values(f, columns, form), columns["1"])
@@ -406,19 +474,34 @@ def find_interpolant(
     # A joint valuation is a point plus independent premise-only and
     # conclusion-only parts, so the consequence holds exactly when must_top is
     # a subset of may_top, the complement of not_may_top.
-    must_top = {pt for pt, top in sweep(premise) if top}
-    not_may_top = {pt for pt, top in sweep(conclusion) if not top}
+    must_top = {pt for pt, top in sweep(premise, premise_vars) if top}
+    not_may_top = {pt for pt, top in sweep(conclusion, conclusion_vars) if not top}
     if not must_top.isdisjoint(not_may_top):
         raise ValueError("premise does not entail conclusion on the generators")
     must = [(p, tops[p]) for p in must_top]
     must_not = [(p, tops[p]) for p in not_may_top]
+
+    def no_interpolant() -> bool:
+        bounded = bool(gens) and gens[0].bottom
+        return not all(
+            _separated(form, points, bounded, m, q)
+            for m in must_top
+            for q in not_may_top
+        )
+
+    cells = sum(len(block) for block, _ in points)  # values at all points
     for n, (vec, term) in enumerate(term_closure(shared, gens), 1):
         if n > limit:
+            # the check has run iff the walk got past cells + 1 first
+            if n <= cells + 1 and no_interpolant():
+                return None
             raise ClosureLimitError(f"closure exceeded {limit} elements")
         if all(vec[p] == top for p, top in must) and not any(
             vec[p] == top for p, top in must_not
         ):
             return term
+        if n == cells + 1 and no_interpolant():
+            return None
     return None
 
 

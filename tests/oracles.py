@@ -49,14 +49,16 @@ written as its own case table, against which acceptance criterion 4 checks
 the lexicographic chains of ``core.component_op``.  The element closure,
 sweeps and consequence compute every vector entry through ``chain_op`` and
 every valuation through ``eval_formula``, one at a time, where ``formulas``
-computes on the integer indices of ``core.RunForm``.
+computes on the integer indices of ``core.RunForm``.  The walk-only
+interpolant search certifies that none exists only by exhausting the
+closure, where ``formulas.find_interpolant`` decides it on pairs of points.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Mapping, Optional
+from itertools import accumulate, combinations, product
+from typing import Mapping, Optional, Sequence
 
 from blcalc.amalgam import (
     Amalgam,
@@ -96,6 +98,7 @@ from blcalc.core import (
     ModeMismatchError,
     TOP,
     RawChain,
+    RunForm,
     _check_member,
     chain,
     chain_op,
@@ -116,12 +119,17 @@ from blcalc.decompose import (
 from blcalc.dsl import parse_class_expr
 from blcalc.formulas import (
     BinOp,
+    ClosureLimitError,
     ConsequenceResult,
     Const,
     Formula,
     FormulaError,
     Var,
+    _points,
+    _valuation_blocks,
+    _values,
     formula_vars,
+    term_closure,
 )
 from blcalc.maps import (
     ChainMap,
@@ -622,6 +630,56 @@ def find_interpolant_by_chain_op(premise, conclusion, gens):
     for vec, term in term_closure_by_chain_op(shared, gens):
         if all(vec[p] == TOP for p in must_top) and not any(
             vec[p] == TOP for p in not_may_top
+        ):
+            return term
+    return None
+
+
+def find_interpolant_by_walk(
+    premise: Formula,
+    conclusion: Formula,
+    gens: Sequence[Chain],
+    limit: int = 100_000,
+) -> Optional[Formula]:
+    """Reference for ``formulas.find_interpolant``: the walk-only route,
+    which certifies None only by exhausting the closure, where
+    ``find_interpolant`` certifies it on pairs of points.
+
+    Requires the consequence to hold and every generator to be fully finite.
+    The closure is walked in the fixed order of ``term_closure``, so the
+    returned formula is deterministic.
+    """
+    shared = sorted(formula_vars(premise) & formula_vars(conclusion))
+    form = RunForm(gens)
+    tops = [block[-1] for block, _ in _points(shared, form)]
+    first_point = list(
+        accumulate((len(block) ** len(shared) for block in form.blocks), initial=0)
+    )
+
+    def sweep(f: Formula):
+        # (point, f is top) for every valuation of the shared variables and
+        # then f's others; the rows of one point are consecutive
+        names = shared + sorted(formula_vars(f) - set(shared))
+        for gi, row, columns in _valuation_blocks(names, gens, form):
+            rows_per_point = len(form.blocks[gi]) ** (len(names) - len(shared))
+            values = zip(_values(f, columns, form), columns["1"])
+            for r, (x, top) in enumerate(values, row):
+                yield first_point[gi] + r // rows_per_point, x == top
+
+    # A joint valuation is a point plus independent premise-only and
+    # conclusion-only parts, so the consequence holds exactly when must_top is
+    # a subset of may_top, the complement of not_may_top.
+    must_top = {pt for pt, top in sweep(premise) if top}
+    not_may_top = {pt for pt, top in sweep(conclusion) if not top}
+    if not must_top.isdisjoint(not_may_top):
+        raise ValueError("premise does not entail conclusion on the generators")
+    must = [(p, tops[p]) for p in must_top]
+    must_not = [(p, tops[p]) for p in not_may_top]
+    for n, (vec, term) in enumerate(term_closure(shared, gens), 1):
+        if n > limit:
+            raise ClosureLimitError(f"closure exceeded {limit} elements")
+        if all(vec[p] == top for p, top in must) and not any(
+            vec[p] == top for p, top in must_not
         ):
             return term
     return None

@@ -144,6 +144,14 @@ def test_classify_bh_generators():
             assert "*" not in pretty_class_expr(verdict.canonical)
 
 
+def test_witness_is_pumped_the_least_number_of_times():
+    # the first node above [W1*]|[Wo1] is told apart by W1+Wo1, its star
+    # pumped once; a search that began at two copies would answer W1+W1+Wo1
+    verdict = classify_ap_bh(parse_class_expr("[W1*]|[Wo1]"))
+    assert not verdict.ap
+    assert pretty_chain(verdict.witness) == "W1+Wo1"
+
+
 def test_classify_bounded_run_next_to_a_star():
     # a bounded run of the kind a star repeats is no interval node
     for text in ["[Z* W1 W1]", "[W1* Z Z]"]:

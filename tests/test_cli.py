@@ -357,6 +357,12 @@ def test_classify_commands(capsys):
     assert code == 0 and data["verdict"]["canonical"] == "[L4]"
 
 
+def test_classify_witness_pumped_once(capsys):
+    code, data, _ = run_json(capsys, "classify", "bh", "--class", "[W1*]|[Wo1]")
+    assert code == 1
+    assert data["verdict"]["witness"] == "W1+Wo1"
+
+
 def test_classify_gens_and_class_one_verdict(capsys):
     # the same chain class given both ways: one answer, the pumped witness
     code, out, _ = run(capsys, "classify", "bh", "--class", "[W1 W1 W1 W1]")

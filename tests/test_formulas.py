@@ -32,6 +32,7 @@ from oracles import (
     consequence_by_eval,
     eval_formula,
     find_interpolant_by_chain_op,
+    find_interpolant_by_walk,
     term_closure_by_chain_op,
 )
 
@@ -258,6 +259,69 @@ def test_mined_interpolants_pinned():
             if text_chi not in ("0", "1"):
                 got.append(text_chi)
         assert got == expected, text
+
+
+def test_pinned_mining_runs_never_reach_the_pair_check(monkeypatch):
+    # every pinned query hits before the walk has yielded as many vectors as
+    # there are values at its points, so none pays for the pair check
+    def unreachable(*args):
+        raise AssertionError("pair check reached")
+
+    monkeypatch.setattr(blcalc.formulas, "_separated", unreachable)
+    test_mined_interpolants_pinned()
+
+
+# The certified no-interpolant instance of the benchmark's interpolate
+# workload: its closure over L2 and L3 has 192 elements.
+CERTIFIED = (
+    "(p -> 0) /\\ ((q -> (q -> 0)) /\\ ((q -> 0) -> q))",
+    "p \\/ (r * r -> r * r * r)",
+    ("L2", "L3"),
+)
+
+
+def _instance(premise, conclusion, gens):
+    return parse_formula(premise), parse_formula(conclusion), [parse_chain(g) for g in gens]
+
+
+def test_certified_instance_needs_no_walk():
+    # the pair check runs before the walk would pass its limit, and no term
+    # separates the first pair it closes, so None comes back at limit 1
+    assert find_interpolant(*_instance(*CERTIFIED), limit=1) is None
+
+
+def test_pair_check_matches_walk_only_route(monkeypatch):
+    # None exactly where the walk-only route exhausts the closure, and the
+    # same bytes for every interpolant; one mined query over L2 and L3 walks
+    # long enough to run the pair check, which finds every pair separated
+    calls = []
+    separated = blcalc.formulas._separated
+
+    def counted(*args):
+        calls.append(args)
+        return separated(*args)
+
+    monkeypatch.setattr(blcalc.formulas, "_separated", counted)
+    rng = random.Random(17)
+    cases = [
+        _instance(*CERTIFIED),
+        _instance("((p -> 0) -> p) * ((q -> p) -> q)", "(r -> q) \\/ r", ["L1+W1+W1"]),
+    ]
+    for text in ("L2", "L3", "W2", "W3", "L1+W1", "L1+W1+W1", "L2,L3"):
+        gens = [parse_chain(t) for t in text.split(",")]
+        cases += [(p, c, gens) for p, c in mine_valid_consequences(gens, 40, ["p", "q", "r"], rng)]
+    answers, checked = [], []
+    for prem, conc, gens in cases:
+        before = len(calls)
+        got, want = (
+            None if chi is None else pretty_formula(chi)
+            for chi in (find_interpolant(prem, conc, gens), find_interpolant_by_walk(prem, conc, gens))
+        )
+        assert got == want, (prem, conc, gens)
+        answers.append(got)
+        checked.append(len(calls) > before)
+    assert answers[:2] == [None, None] and None not in answers[2:]
+    assert checked[:2] == [True, False] and checked[2:].count(True) == 1
 
 
 def test_find_interpolant_rejects_exactly_non_consequences():
