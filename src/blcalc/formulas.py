@@ -10,8 +10,8 @@ pairs of points instead of by exhausting the closure: an interpolant exists
 exactly when, for each point where it must be top and each point where it
 must not, some term is top at the first and below top at the second.  The
 pairs of values that the terms take at two points m and q, whose chains
-are g_m and g_q, are a closure of at most ``|g_m|·|g_q|`` pairs
-(``find_interpolant`` holds the proof).
+are g_m and g_q, are the same closure taken over those two points alone, at
+most ``|g_m|·|g_q|`` pairs (``find_interpolant`` holds the proof).
 
 A term function is a vector over the points, the valuations of the shared
 variables into the generators.  One sweep per formula gives two point sets:
@@ -19,8 +19,10 @@ variables into the generators.  One sweep per formula gives two point sets:
 ``may_top``, where the conclusion is top on every extension.  The consequence
 holds exactly when ``must_top`` is a subset of ``may_top``, and a vector is an
 interpolant exactly when it is top on ``must_top`` and not top off
-``may_top``.  ``term_closure`` is the one closure loop: ``find_interpolant``
-walks it and ``closure_size`` counts the same elements.
+``may_top``.  There is one closure loop, ``term_closure``'s: ``closure_size``
+counts its elements, ``find_interpolant`` walks it over the query's points,
+and the pair check walks it over two points.  Each query builds one
+``RunForm`` and one list of points.
 
 Consequence, the sweeps and the closure compute on the integer indices of
 ``core.RunForm``; values are mapped back to elements only for a
@@ -300,6 +302,12 @@ def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
     ``RunForm(gens)`` per point of ``_points``.  Repeated names raise
     ``ValueError``.
 
+    The loop is ``_closure``, the package's one closure loop, which takes
+    the form and the points as given: ``find_interpolant`` runs it on the
+    form and points it has built for its sweeps, and ``_separated`` on two
+    of those points.  On any list of points it yields what is described
+    here.
+
     The seeds are 1, then 0 when the generators are bounded, then the
     projections in the given variable order.  After them, for each i and each
     j <= i, come mul, meet, join, imp(i, j) and imp(j, i) of the i-th and j-th
@@ -323,9 +331,15 @@ def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
     if len(set(shared)) != len(shared):
         raise ValueError(f"repeated shared variable names in {list(shared)}")
     form = RunForm(gens)
-    points = _points(shared, form)
+    bounded = bool(gens) and gens[0].bottom
+    yield from _closure(form, _points(shared, form), shared, bounded)
+
+
+def _closure(form: RunForm, points: list, shared: Sequence[str], bounded: bool):
+    """``term_closure``'s loop over the given ``points`` of ``form``, 0 a
+    seed when ``bounded``."""
     seeds = [(tuple(block[-1] for block, _ in points), Const("1"))]
-    if gens and gens[0].bottom:
+    if bounded:
         seeds.append((tuple(block[0] for block, _ in points), Const("0")))
     for vi, name in enumerate(shared):
         seeds.append((tuple(combo[vi] for _, combo in points), Var(name)))
@@ -378,38 +392,25 @@ def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
         i += 1
 
 
-def _separated(form: RunForm, points: list, bounded: bool, m: int, q: int) -> bool:
+def _separated(
+    form: RunForm, points: list, shared: Sequence[str], bounded: bool, m: int, q: int
+) -> bool:
     """Whether some term function in the shared variables is top at point m
     and below top at point q, points of ``_points``.
 
     Evaluation at m and q maps each term to a pair of indices, the first
     in m's chain and the second in q's, and it commutes with the
-    connectives.  So the pairs reached, ``R(m, q)``, are the closure of the
-    seed pairs (1, then 0 when ``bounded``, then each shared variable's
-    values at m and q) under the form's mul, meet, join and imp applied to
-    2-tuples.  The closure holds at most
-    ``|g_m|·|g_q|`` pairs, and it stops at its first pair ``(top_m, y)``
-    with ``y != top_q``.
+    connectives.  So the pairs reached, ``R(m, q)``, are the vectors of
+    ``term_closure``'s loop run on the two points ``[points[m], points[q]]``:
+    its seeds there are the pairs of the seeds 1, 0 when ``bounded``, and
+    each shared variable, and it applies mul, meet, join and both imps to
+    every two pairs it has yielded, skipping only results already yielded.
+    ``R(m, q)`` holds at most ``|g_m|·|g_q|`` pairs, and ``any`` stops the
+    loop at its first pair ``(top_m, y)`` with ``y != top_q``.
     """
-    (block_m, combo_m), (block_q, combo_q) = points[m], points[q]
-    top_m, top_q = block_m[-1], block_q[-1]
-    seeds = [(top_m, top_q)]
-    if bounded:
-        seeds.append((block_m[0], block_q[0]))
-    pairs = list(dict.fromkeys(seeds + list(zip(combo_m, combo_q))))
-    if any(x == top_m and y != top_q for x, y in pairs):
-        return True
-    mul, meet, join, imp = form.mul, form.meet, form.join, form.imp
-    seen = set(pairs)
-    for i, a in enumerate(pairs):
-        for b in pairs[:i + 1]:
-            for pair in (mul(a, b), meet(a, b), join(a, b), imp(a, b), imp(b, a)):
-                if pair not in seen:
-                    if pair[0] == top_m and pair[1] != top_q:
-                        return True
-                    seen.add(pair)
-                    pairs.append(pair)
-    return False
+    top_m, top_q = points[m][0][-1], points[q][0][-1]
+    pairs = _closure(form, [points[m], points[q]], shared, bounded)
+    return any(x == top_m and y != top_q for (x, y), _ in pairs)
 
 
 def find_interpolant(
@@ -456,6 +457,7 @@ def find_interpolant(
     shared = sorted(premise_vars & conclusion_vars)
     form = RunForm(gens)
     points = _points(shared, form)
+    bounded = bool(gens) and gens[0].bottom
     tops = [block[-1] for block, _ in points]
     first_point = list(
         accumulate((len(block) ** len(shared) for block in form.blocks), initial=0)
@@ -482,15 +484,14 @@ def find_interpolant(
     must_not = [(p, tops[p]) for p in not_may_top]
 
     def no_interpolant() -> bool:
-        bounded = bool(gens) and gens[0].bottom
         return not all(
-            _separated(form, points, bounded, m, q)
+            _separated(form, points, shared, bounded, m, q)
             for m in must_top
             for q in not_may_top
         )
 
     cells = sum(len(block) for block, _ in points)  # values at all points
-    for n, (vec, term) in enumerate(term_closure(shared, gens), 1):
+    for n, (vec, term) in enumerate(_closure(form, points, shared, bounded), 1):
         if n > limit:
             # the check has run iff the walk got past cells + 1 first
             if n <= cells + 1 and no_interpolant():

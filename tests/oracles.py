@@ -51,7 +51,9 @@ sweeps and consequence compute every vector entry through ``chain_op`` and
 every valuation through ``eval_formula``, one at a time, where ``formulas``
 computes on the integer indices of ``core.RunForm``.  The walk-only
 interpolant search certifies that none exists only by exhausting the
-closure, where ``formulas.find_interpolant`` decides it on pairs of points.
+closure, where ``formulas.find_interpolant`` decides it on pairs of points;
+the pair closure closes the seed pairs of two points on its own, where
+``formulas._separated`` walks the one term-closure loop over them.
 """
 
 import math
@@ -683,6 +685,32 @@ def find_interpolant_by_walk(
         ):
             return term
     return None
+
+
+def separated_by_pairs(form: RunForm, points: list, bounded: bool, m: int, q: int) -> bool:
+    """Reference for ``formulas._separated``: its own closure of the seed
+    pairs of points m and q under the form's connectives on 2-tuples, with
+    no row kernel and no comparable-pair pruning, where ``_separated``
+    walks ``term_closure``'s loop over the two points."""
+    (block_m, combo_m), (block_q, combo_q) = points[m], points[q]
+    top_m, top_q = block_m[-1], block_q[-1]
+    seeds = [(top_m, top_q)]
+    if bounded:
+        seeds.append((block_m[0], block_q[0]))
+    pairs = list(dict.fromkeys(seeds + list(zip(combo_m, combo_q))))
+    if any(x == top_m and y != top_q for x, y in pairs):
+        return True
+    mul, meet, join, imp = form.mul, form.meet, form.join, form.imp
+    seen = set(pairs)
+    for i, a in enumerate(pairs):
+        for b in pairs[:i + 1]:
+            for pair in (mul(a, b), meet(a, b), join(a, b), imp(a, b), imp(b, a)):
+                if pair not in seen:
+                    if pair[0] == top_m and pair[1] != top_q:
+                        return True
+                    seen.add(pair)
+                    pairs.append(pair)
+    return False
 
 
 def differential_tables():

@@ -1,5 +1,7 @@
 """Amalgamation-property verdicts, interval posets, and the catalog."""
 
+import hashlib
+import json
 from itertools import combinations, product
 
 import pytest
@@ -286,16 +288,24 @@ def test_classify_matches_the_scan_on_every_small_class():
     # starred items over W1, Wo1 and Z, and every BL class of one or two sum
     # classes, each an L1 or Lo1 head over such a sum class or alone; both
     # modes meet hits and witnessed misses, and the mixed heads also miss
-    # over tails that hit
+    # over tails that hit.  The SHA-256 of each list's JSON pins its bytes
     kinds = (fin_luk(1), lex_omega(1), CANC_Z)
     items = [Item((k,), star) for k in kinds for star in (False, True)]
     sums = [SumClass(t) for r in (1, 2) for t in product(items, repeat=r)]
     heads = (fin_luk(1), lex_omega(1))
     bl_tails = [t for r in (1, 2) for t in combinations(sums + [SumClass(())], r)]
-    for cases in (
-        [class_expr(t) for r in (1, 2) for t in combinations(sums, r)],
-        [class_expr([SumClass((Item((h,)),) + s.items) for h, s in zip(hs, t)], True)
-         for t in bl_tails for hs in product(heads, repeat=len(t))],
+    for cases, size, digest in (
+        (
+            [class_expr(t) for r in (1, 2) for t in combinations(sums, r)],
+            903,
+            "2a6fc7d680c473cb4d6ed69cd1968b1a0244a74b9842cfbc54e17b48458a8f14",
+        ),
+        (
+            [class_expr([SumClass((Item((h,)),) + s.items) for h, s in zip(hs, t)], True)
+             for t in bl_tails for hs in product(heads, repeat=len(t))],
+            3698,
+            "376ffbe8e67339243cc930a9ea5aece68f9c651827f73d0c7812144d021573f2",
+        ),
     ):
         verdicts = []
         for v in cases:
@@ -303,6 +313,8 @@ def test_classify_matches_the_scan_on_every_small_class():
             assert verdicts[-1] == classify_by_scan(v).to_json(), repr(v)
         assert any(j["ap"] for j in verdicts)
         assert any(not j["ap"] and j["witness"] for j in verdicts)
+        assert len(verdicts) == size
+        assert hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_single_generator_forms_are_the_normalized_kinds():

@@ -1,7 +1,7 @@
 """Formula evaluation, consequence, and interpolant search."""
 
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -33,6 +33,7 @@ from oracles import (
     eval_formula,
     find_interpolant_by_chain_op,
     find_interpolant_by_walk,
+    separated_by_pairs,
     term_closure_by_chain_op,
 )
 
@@ -322,6 +323,63 @@ def test_pair_check_matches_walk_only_route(monkeypatch):
         checked.append(len(calls) > before)
     assert answers[:2] == [None, None] and None not in answers[2:]
     assert checked[:2] == [True, False] and checked[2:].count(True) == 1
+
+
+# The one mined query of test_pair_check_matches_walk_only_route that walks
+# long enough to run the pair check: every pair is separated, and the walk
+# goes on to its interpolant.
+SEPARATED = ("r \\/ r -> (q /\\ r)", "1 -> (r -> q \\/ r)", ("L2", "L3"))
+
+
+def test_pair_check_that_separates_every_pair(monkeypatch):
+    calls = []
+    separated = blcalc.formulas._separated
+
+    def counted(*args):
+        calls.append(separated(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(blcalc.formulas, "_separated", counted)
+    assert pretty_formula(find_interpolant(*_instance(*SEPARATED))) == "r -> q \\/ r"
+    assert len(calls) == 84 and all(calls)
+
+
+def test_query_builds_one_form_and_one_point_list(monkeypatch):
+    # the sweeps, the walk and the pair check share them
+    built = {"RunForm": 0, "_points": 0}
+    for name in built:
+        original = getattr(blcalc.formulas, name)
+
+        def counted(*args, name=name, original=original):
+            built[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(blcalc.formulas, name, counted)
+    for instance in (SEPARATED, CERTIFIED):
+        built.update(RunForm=0, _points=0)
+        find_interpolant(*_instance(*instance))
+        assert built == {"RunForm": 1, "_points": 1}, instance
+
+
+def test_separated_matches_pair_closure_oracle():
+    # every ordered pair of points, m == q included; the pinned counts of
+    # pairs that no term separates keep the comparison from passing on
+    # instances where every pair is separated
+    for shared, texts, not_separated in (
+        (["p", "q"], ("L2", "L3"), 33),
+        (["p", "q"], ("L1+W1+W1",), 42),
+        (["p", "q"], ("W2", "W3"), 79),
+        (["p"], ("L4",), 5),
+    ):
+        gens = [parse_chain(t) for t in texts]
+        form = blcalc.formulas.RunForm(gens)
+        points = blcalc.formulas._points(shared, form)
+        bounded = gens[0].bottom
+        got = []
+        for m, q in product(range(len(points)), repeat=2):
+            got.append(blcalc.formulas._separated(form, points, shared, bounded, m, q))
+            assert got[-1] == separated_by_pairs(form, points, bounded, m, q), (texts, m, q)
+        assert got.count(False) == not_separated, texts
 
 
 def test_find_interpolant_rejects_exactly_non_consequences():
