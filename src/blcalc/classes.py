@@ -13,9 +13,11 @@ first component.
 
 Membership is one greedy scan per sum class (``greedy_step``);
 ``match_assignments`` lists every assignment, for the constructive amalgam.
-Inclusion of one class in another is decided by ``_first_outside``.
 ``canonical`` gives each class one normal form, so that two expressions
-have one class exactly when their forms are equal.
+have one class exactly when their forms are equal.  Inclusion of one class
+in another is decided on reduced sum classes by one greedy pass
+(``class_includes``); ``_first_outside`` only finds the least-``k``
+witness chain of one class outside another.
 """
 
 from __future__ import annotations
@@ -281,16 +283,17 @@ def canonical(e: ClassExpr) -> ClassExpr:
        the items of ``P`` to those of ``Q`` that sends a plain item to one
        that admits it, a star to a star that holds all its kinds, and at
        most one item to each plain item.  ``P ⊆ Q`` exactly when there is
-       one, and exactly when the pass of ``_sum_included`` gets through.
-       The pass, when it gets through, is an embedding, and an embedding
-       carries each word of ``P`` into ``Q``.  Conversely, scan the chain
-       of ``witness_basis(P, n)``, ``n = scan_count(Q)``, through ``Q`` as
-       ``member`` does; by ``_first_outside`` it lies in ``Q`` when
-       ``P ⊆ Q``.  A plain kind goes where the pass puts it.  The
-       repetitions of a star's block never pass the first star at or after
-       the block's start that holds all its kinds, and each one moves the
-       scan forward or leaves it on such a star; ``n`` of them leave it on
-       that first one, where the pass puts the star.
+       one, and exactly when the pass of ``_sum_included`` gets through,
+       which is how ``class_includes`` decides inclusion.  The pass, when
+       it gets through, is an embedding, and an embedding carries each
+       word of ``P`` into ``Q``.  Conversely, scan the chain of
+       ``witness_basis(P, n)``, ``n = scan_count(Q)``, through ``Q`` as
+       ``member`` does; it lies in ``P`` (step 3 of ``_first_outside``),
+       so in ``Q`` when ``P ⊆ Q``.  A plain kind goes where the pass puts
+       it.  The repetitions of a star's block never pass the first star at
+       or after the block's start that holds all its kinds, and each one
+       moves the scan forward or leaves it on such a star; ``n`` of them
+       leave it on that first one, where the pass puts the star.
     3. A reduced product ``P`` embeds into itself only by the identity.
        Let ``t`` be the first item with ``f(t) != t``.  If ``f(t) < t``,
        then ``f(t) = t - 1 = f(t - 1)``.  If ``f(t) > t``, let ``u`` be the
@@ -360,11 +363,13 @@ def scan_count(e: ClassExpr) -> int:
 
 
 def _first_outside(a: ClassExpr, b: ClassExpr) -> Optional[Chain]:
-    """The first chain of ``a`` outside ``b``, or ``None`` when ``a ⊆ b``.
+    """The first chain of ``a`` outside ``b``, or ``None`` when ``a ⊆ b``:
+    the first chain of ``witness_basis(a, k)`` that ``b`` does not hold,
+    for the least ``k``.  It only finds witnesses; ``class_includes``
+    decides inclusion on normal forms.
 
-    With ``n = scan_count(b)``, ``a ⊆ b`` exactly when ``b`` holds every
-    chain of ``witness_basis(a, n)``; otherwise the separating chain is the
-    first one of ``witness_basis(a, k)`` outside ``b``, for the least ``k``.
+    Why ``k <= n = scan_count(b)`` suffices, so that ``None`` means
+    ``a ⊆ b``:
 
     1. Membership in ``b`` survives dropping a component that is not the
        head of a class with designated bounds: the scan's assignment,
@@ -386,10 +391,7 @@ def _first_outside(a: ClassExpr, b: ClassExpr) -> Optional[Chain]:
        for ``n``, and the chains for ``m < n`` drop components of it.
     """
     same_bounds(a, b)
-    n = scan_count(b)
-    if all(vfc_membership(c, b) for c in witness_basis(a, n)):
-        return None
-    for k in range(1, n + 1):
+    for k in range(1, scan_count(b) + 1):
         for c in witness_basis(a, k):
             if not vfc_membership(c, b):
                 return c
@@ -412,5 +414,14 @@ def vfc_equals(v: ClassExpr, e: ClassExpr):
 
 
 def class_includes(e1: ClassExpr, e2: ClassExpr) -> bool:
-    """Inclusion of canonical classes, decided by ``_first_outside``."""
-    return _first_outside(e1, e2) is None
+    """Whether the class ``e1`` lies in ``e2``: whether each reduced sum
+    class of ``e1`` passes ``_sum_included`` into a reduced sum class of
+    ``e2``.  By ``canonical``'s step 1 the reduction keeps each sum class,
+    by its step 2 the pass decides inclusion of reduced sum classes, and by
+    its step 5 a sum class inside a union lies inside one of its sum
+    classes.  Step 5 is also why neither union needs its maximal sum
+    classes or its order."""
+    bottom = same_bounds(e1, e2)
+    targets = [_reduced_sum(s.items, bottom) for s in e2.sums]
+    return all(any(_sum_included(a, t, bottom) for t in targets)
+               for a in (_reduced_sum(s.items, bottom) for s in e1.sums))

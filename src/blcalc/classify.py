@@ -353,10 +353,10 @@ def _check_distinct_classes(shapes) -> None:
     classes have equal signatures, and equal signatures mean equal classes:
     each shape's own chains at ``n`` lie in the pool, so each shape holds
     the other's, and as ``n`` is at least its own scan count, that is
-    inclusion by the rule of ``classes._first_outside``.  The check guards
-    ``enumerate_catalog``'s distinctness argument; it goes once the
-    benchmark stops charging peak memory per query, which a faster catalog
-    raises.
+    inclusion by the pumping bound that ``classes._first_outside`` proves.
+    The check guards ``enumerate_catalog``'s distinctness argument; it goes
+    once the benchmark stops charging peak memory per query, which a faster
+    catalog raises.
     """
     n = max(scan_count(shape) for shape in shapes)
     pool = {}

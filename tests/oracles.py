@@ -27,9 +27,9 @@ oracle drops a candidate whose class equals a kept one's, compared pair by
 pair, where ``classify`` lists classes distinct by construction; the scan
 classification compares a variety with each interval node or BL case shape
 by ``vfc_equals``, where ``classify`` looks its normal form up; and the
-enumerated inclusion tests every chain
-of a class up to an index, where ``classes.class_includes`` tests one
-chain per sum class.  The kind join is the
+enumerated inclusion tests every chain of a class up to an index, where
+``classes.class_includes`` builds no chain and passes each reduced sum
+class into the other class's reduced sum classes.  The kind join is the
 case table that ``amalgam._join_kinds`` reads off ``core.kind_embeds``.
 The backtracking membership takes the first of every assignment of
 components to items, where ``classes.member`` runs one greedy scan, and the

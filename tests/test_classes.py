@@ -1,6 +1,7 @@
 """Class expressions, membership, and the finitely-generated variety engine,
 checked against a table-level closure oracle."""
 
+import random
 from functools import cache
 from itertools import combinations
 
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import blcalc.classes
 from blcalc.classes import (
     ClassExpr,
     Item,
     SumClass,
+    _first_outside,
     canonical,
     class_expr,
     class_includes,
@@ -250,11 +253,14 @@ def test_vfc_equals_group_star_not_equal_to_union():
 
 
 @cache
-def _catalog_nodes(bl_mode):
+def _catalog_entries(mode, n):
     from blcalc.classify import enumerate_catalog
 
-    mode, n = ("bl", 1) if bl_mode else ("bh", 2)
     return [e for e, _, _ in enumerate_catalog(mode, n) if e is not None]
+
+
+def _catalog_nodes(bl_mode):
+    return _catalog_entries(*(("bl", 1) if bl_mode else ("bh", 2)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -357,6 +363,78 @@ def test_class_includes_matches_enumeration(a, b):
     assert (w is None) == (verdict == "equal")
     if w is not None:
         assert vfc_membership(w, a) != vfc_membership(w, b), (repr(a), repr(b))
+
+
+# ``class_includes`` decides on normal forms; ``_first_outside``, the least-k
+# witness search, is its reference: ``None`` exactly when ``a ⊆ b``.
+
+
+@pytest.mark.parametrize(
+    "mode, n, pairs, included", [("bh", 3, 3_364, 694), ("bl", 1, 9_801, 2_124)]
+)
+def test_class_includes_matches_the_witness_search_on_catalogs(mode, n, pairs, included):
+    entries = _catalog_entries(mode, n)
+    answers = []
+    for a in entries:
+        for b in entries:
+            answers.append(class_includes(a, b))
+            assert answers[-1] == (_first_outside(a, b) is None), (repr(a), repr(b))
+    assert (len(answers), sum(answers)) == (pairs, included)
+
+
+def _random_class(rng, bottom):
+    """One to three sum classes over ``ENUMERATION_KINDS`` and ``T``, with
+    starred groups, built by ``class_expr`` directly; under bounds the head
+    may be ``T``, which then stands alone."""
+    kinds = ENUMERATION_KINDS + (TRIVIAL,)
+    sums = []
+    for _ in range(rng.randint(1, 3)):
+        items = []
+        if bottom:
+            head = rng.choice([k for k in kinds if k.bounded])
+            items.append(Item((head,)))
+            if head == TRIVIAL:
+                sums.append(SumClass(tuple(items)))
+                continue
+        for _ in range(rng.randint(0 if bottom else 1, 3)):
+            if rng.random() < 0.5:
+                items.append(Item(tuple(rng.sample(kinds, rng.randint(1, 3))), star=True))
+            else:
+                items.append(Item((rng.choice(kinds),)))
+        sums.append(SumClass(tuple(items)))
+    return class_expr(sums, bottom)
+
+
+def test_class_includes_matches_the_witness_search_on_random_pairs():
+    # b is the union of a with another class in about a quarter of the pairs
+    rng = random.Random(7)
+    included = 0
+    for _ in range(3_000):
+        bottom = rng.random() < 0.5
+        a, b = _random_class(rng, bottom), _random_class(rng, bottom)
+        if rng.random() < 0.25:
+            b = class_expr(a.sums + b.sums, bottom)
+        answer = class_includes(a, b)
+        assert answer == (_first_outside(a, b) is None), (repr(a), repr(b))
+        included += answer
+    assert included == 1_645
+
+
+def test_class_includes_builds_no_chain(monkeypatch):
+    from blcalc.classify import interval
+
+    entries = _catalog_entries("bh", 3)
+
+    def refuse(*args):
+        raise AssertionError("inclusion built or scanned a chain")
+
+    for name in ("witness_basis", "vfc_membership", "member"):
+        monkeypatch.setattr(blcalc.classes, name, refuse)
+    assert sum(class_includes(a, b) for a in entries for b in entries) == 694
+    for kinds, covers in (
+        ((fin_luk(1),), 1), ((lex_omega(2),), 2), ((fin_luk(2), CANC_Z), 22)
+    ):
+        assert len(interval(kinds).covers) == covers, kinds
 
 
 # ---------------------------------------------------------------------------
