@@ -14,10 +14,11 @@ first component.
 Membership is one greedy scan per sum class (``greedy_step``);
 ``match_assignments`` lists every assignment, for the constructive amalgam.
 ``canonical`` gives each class one normal form, so that two expressions
-have one class exactly when their forms are equal.  Inclusion of one class
-in another is decided on reduced sum classes by one greedy pass
-(``class_includes``); ``_first_outside`` only finds the least-``k``
-witness chain of one class outside another.
+have one class exactly when their forms are equal; ``vfc_equals`` reads
+equality off the forms.  Inclusion of one class in another is decided on
+reduced sum classes by one greedy pass (``class_includes``);
+``_first_outside`` only finds the least-``k`` witness chain of one class
+outside another.
 """
 
 from __future__ import annotations
@@ -402,15 +403,17 @@ def vfc_equals(v: ClassExpr, e: ClassExpr):
 
     Returns one of ``equal``, ``v_strictly_smaller``,
     ``v_strictly_larger_or_incomparable``, together with a separating
-    witness chain when the classes differ, from ``_first_outside``.
+    witness chain when the classes differ.  Equality is read off the normal
+    forms (``canonical``); only when they differ does ``_first_outside``
+    look for a witness, first of ``v`` outside ``e`` and then, failing that,
+    of ``e`` outside ``v``, which exists as the classes differ.
     """
+    if canonical(v) == canonical(e):
+        return "equal", None
     wit = _first_outside(v, e)
     if wit is not None:
         return "v_strictly_larger_or_incomparable", wit
-    wit = _first_outside(e, v)
-    if wit is None:
-        return "equal", None
-    return "v_strictly_smaller", wit
+    return "v_strictly_smaller", _first_outside(e, v)
 
 
 def class_includes(e1: ClassExpr, e2: ClassExpr) -> bool:

@@ -442,16 +442,17 @@ def find_interpolant(
       is.  With no ``q`` the seed 1 is an interpolant.
     - Only if: an interpolant separates every such pair.
 
-    The check runs at most once: when the walk has yielded, without a hit,
-    more vectors than there are values at all points together (the sum of
-    ``|g_p|`` over the points), or before the walk would pass ``limit``
-    elements, whichever comes first, so a query that hits earlier never
-    pays for it.  It costs at most ``|must_top|·|not may_top|`` closures of
-    at most ``|g_m|·|g_q|`` pairs each, and the first pair that no term
-    separates returns None.  So ``ClosureLimitError`` means that an
-    interpolant exists but the walk did not reach it within ``limit``
-    elements, and a walk that ends before the check has run certifies None
-    by exhaustion.
+    The check runs at most once, at the walk's element ``min(limit, cells)
+    + 1``: when the walk has yielded, without a hit, more vectors than
+    there are values at all points together (``cells``, the sum of
+    ``|g_p|`` over the points), or when it would pass ``limit`` elements,
+    whichever comes first, so a query that hits earlier never pays for it.
+    Past ``limit`` the walk tests no element for a hit.  The check costs at
+    most ``|must_top|·|not may_top|`` closures of at most ``|g_m|·|g_q|``
+    pairs each, and the first pair that no term separates returns None.
+    So ``ClosureLimitError`` means that an interpolant exists but the walk
+    did not reach it within ``limit`` elements, and a walk that ends before
+    the check has run certifies None by exhaustion.
     """
     premise_vars, conclusion_vars = formula_vars(premise), formula_vars(conclusion)
     shared = sorted(premise_vars & conclusion_vars)
@@ -483,26 +484,21 @@ def find_interpolant(
     must = [(p, tops[p]) for p in must_top]
     must_not = [(p, tops[p]) for p in not_may_top]
 
-    def no_interpolant() -> bool:
-        return not all(
-            _separated(form, points, shared, bounded, m, q)
-            for m in must_top
-            for q in not_may_top
-        )
-
     cells = sum(len(block) for block, _ in points)  # values at all points
+    check_at = min(limit, cells) + 1
     for n, (vec, term) in enumerate(_closure(form, points, shared, bounded), 1):
-        if n > limit:
-            # the check has run iff the walk got past cells + 1 first
-            if n <= cells + 1 and no_interpolant():
-                return None
-            raise ClosureLimitError(f"closure exceeded {limit} elements")
-        if all(vec[p] == top for p, top in must) and not any(
+        if n <= limit and all(vec[p] == top for p, top in must) and not any(
             vec[p] == top for p, top in must_not
         ):
             return term
-        if n == cells + 1 and no_interpolant():
+        if n == check_at and not all(
+            _separated(form, points, shared, bounded, m, q)
+            for m in must_top
+            for q in not_may_top
+        ):
             return None
+        if n > limit:
+            raise ClosureLimitError(f"closure exceeded {limit} elements")
     return None
 
 

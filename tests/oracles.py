@@ -26,7 +26,10 @@ greedy kind embedding decides each finished target on its own, where
 oracle drops a candidate whose class equals a kept one's, compared pair by
 pair, where ``classify`` lists classes distinct by construction; the scan
 classification compares a variety with each interval node or BL case shape
-by ``vfc_equals``, where ``classify`` looks its normal form up; and the
+by ``equals_by_witness_search``, where ``classify`` looks its normal form
+up.  That comparison runs the least-``k`` witness search both ways, with
+its own loop and membership by assignments, where ``classes.vfc_equals``
+compares normal forms and ``classes._first_outside`` scans greedily; the
 enumerated inclusion tests every chain of a class up to an index, where
 ``classes.class_includes`` builds no chain and passes each reduced sum
 class into the other class's reduced sum classes.  The kind join is the
@@ -75,7 +78,7 @@ from blcalc.classes import (
     component_member,
     member,
     normalize_kinds,
-    vfc_equals,
+    witness_basis,
 )
 from blcalc.classify import (
     IntervalPoset,
@@ -332,6 +335,32 @@ def member_by_assignments(c, e) -> bool:
     if c.bottom != e.bottom:
         raise ModeMismatchError(f"{c!r} and {e!r} disagree on designated bounds")
     return any(next(assignments_by_backtracking(c, s), None) is not None for s in e.sums)
+
+
+def first_outside_by_scan(a, b):
+    """Reference for ``classes._first_outside``: the first chain of
+    ``witness_basis(a, k)`` that ``b`` does not hold, for the least ``k`` up
+    to ``b``'s number of greedy scan positions (``len(items) + 1`` per sum
+    class), with membership by ``member_by_assignments``; ``None`` when
+    there is none."""
+    for k in range(1, sum(len(s.items) + 1 for s in b.sums) + 1):
+        for c in witness_basis(a, k):
+            if not member_by_assignments(c, b):
+                return c
+    return None
+
+
+def equals_by_witness_search(v, e):
+    """Reference for ``classes.vfc_equals``: a witness search both ways
+    (``first_outside_by_scan``), equal when neither finds one, where
+    ``vfc_equals`` compares normal forms."""
+    wit = first_outside_by_scan(v, e)
+    if wit is not None:
+        return "v_strictly_larger_or_incomparable", wit
+    wit = first_outside_by_scan(e, v)
+    if wit is None:
+        return "equal", None
+    return "v_strictly_smaller", wit
 
 
 ENUMERATION_KINDS = (
@@ -841,12 +870,12 @@ def pairwise_bl_catalog(n_max: int) -> list:
 
 
 def _first_equal(v, nodes) -> Verdict:
-    """The first ``(name, node)`` of ``nodes`` whose class ``vfc_equals``
-    finds equal to ``v``'s; failing that, no amalgamation, witnessed by the
-    first node strictly above ``v``."""
+    """The first ``(name, node)`` of ``nodes`` whose class
+    ``equals_by_witness_search`` finds equal to ``v``'s; failing that, no
+    amalgamation, witnessed by the first node strictly above ``v``."""
     witness = None
     for name, node in nodes:
-        verdict, wit = vfc_equals(v, node)
+        verdict, wit = equals_by_witness_search(v, node)
         if verdict == "equal":
             return Verdict(ap=True, canonical=node, interval=name)
         if verdict == "v_strictly_smaller" and witness is None:

@@ -38,7 +38,14 @@ from blcalc.core import (
 from blcalc.dsl import parse_chain, parse_class_expr, pretty_chain, pretty_class_expr
 
 
-from oracles import ENUMERATION_KINDS, includes_by_enumeration, oracle_membership, small_chains
+from oracles import (
+    ENUMERATION_KINDS,
+    equals_by_witness_search,
+    first_outside_by_scan,
+    includes_by_enumeration,
+    oracle_membership,
+    small_chains,
+)
 from test_roundtrip import class_exprs
 
 
@@ -366,7 +373,8 @@ def test_class_includes_matches_enumeration(a, b):
 
 
 # ``class_includes`` decides on normal forms; ``_first_outside``, the least-k
-# witness search, is its reference: ``None`` exactly when ``a ⊆ b``.
+# witness search, is its reference: ``None`` exactly when ``a ⊆ b``.  The
+# witness itself is checked against the oracle's own least-k search.
 
 
 @pytest.mark.parametrize(
@@ -378,7 +386,9 @@ def test_class_includes_matches_the_witness_search_on_catalogs(mode, n, pairs, i
     for a in entries:
         for b in entries:
             answers.append(class_includes(a, b))
-            assert answers[-1] == (_first_outside(a, b) is None), (repr(a), repr(b))
+            wit = _first_outside(a, b)
+            assert answers[-1] == (wit is None), (repr(a), repr(b))
+            assert wit == first_outside_by_scan(a, b), (repr(a), repr(b))
     assert (len(answers), sum(answers)) == (pairs, included)
 
 
@@ -455,9 +465,21 @@ def test_class_includes_builds_no_chain(monkeypatch):
 )
 def test_canonical_respells_equal_classes(text, form):
     e, f = parse_class_expr(text), parse_class_expr(form)
-    assert vfc_equals(e, f) == ("equal", None)
+    assert equals_by_witness_search(e, f) == ("equal", None)
     assert pretty_class_expr(canonical(e)) == form
     assert canonical(f) == f
+
+
+def test_vfc_equals_reads_equality_off_forms(monkeypatch):
+    # equal classes are decided by their forms alone: no witness search runs
+    def refuse(*args):
+        raise AssertionError("vfc_equals searched for a witness")
+
+    monkeypatch.setattr(blcalc.classes, "_first_outside", refuse)
+    entries = _catalog_entries("bh", 3) + _catalog_entries("bl", 3)
+    assert len(entries) == 717
+    for e in entries:
+        assert vfc_equals(e, canonical(e)) == ("equal", None), repr(e)
 
 
 def test_canonical_equality_is_class_equality_on_the_catalogs():
@@ -469,7 +491,9 @@ def test_canonical_equality_is_class_equality_on_the_catalogs():
         for e, form in zip(entries, forms):
             assert canonical(form) == form, repr(e)
         for (a, fa), (b, fb) in combinations(zip(entries, forms), 2):
-            assert (fa == fb) == (vfc_equals(a, b)[0] == "equal"), (repr(a), repr(b))
+            assert (fa == fb) == (equals_by_witness_search(a, b)[0] == "equal"), (
+                repr(a), repr(b),
+            )
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -477,7 +501,7 @@ def test_canonical_equality_is_class_equality_on_the_catalogs():
 def test_canonical_is_idempotent_and_keeps_the_class(e):
     form = canonical(e)
     assert canonical(form) == form, repr(e)
-    assert vfc_equals(form, e) == ("equal", None), (repr(e), repr(form))
+    assert equals_by_witness_search(form, e) == ("equal", None), (repr(e), repr(form))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -487,9 +511,9 @@ def test_canonical_is_idempotent_and_keeps_the_class(e):
 def test_canonical_equality_is_class_equality(a, b):
     # on the pair, and on two spellings of their union, which are equal
     assume(a.bottom == b.bottom)
-    assert (canonical(a) == canonical(b)) == (vfc_equals(a, b)[0] == "equal"), (
-        repr(a), repr(b),
-    )
+    assert (canonical(a) == canonical(b)) == (
+        equals_by_witness_search(a, b)[0] == "equal"
+    ), (repr(a), repr(b))
     union = ClassExpr(a.sums + b.sums, a.bottom)
     respelt = ClassExpr(b.sums + a.sums + a.sums, a.bottom)
     assert canonical(union) == canonical(respelt), (repr(a), repr(b))

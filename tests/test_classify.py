@@ -34,6 +34,7 @@ from blcalc.maps import enumerate_embeddings
 
 from oracles import (
     classify_by_scan,
+    equals_by_witness_search,
     pairwise_bl_catalog,
     recompute_cover_relation,
     small_chains,
@@ -418,8 +419,6 @@ def test_catalog_rejects_bad_arguments():
 
 
 def test_catalog_pairwise_separated():
-    from blcalc.classes import vfc_equals
-
     entries = [e for e, _, _ in enumerate_catalog("bh", 1) if e is not None]
     for i, e1 in enumerate(entries):
         for e2 in entries:
@@ -519,13 +518,13 @@ def _small_bl_exprs() -> list:
 
 
 def _classes(texts) -> list:
-    """The parsed expressions grouped by class (``vfc_equals``), in the
-    order their classes first occur."""
+    """The parsed expressions grouped by class (``equals_by_witness_search``),
+    in the order their classes first occur."""
     groups = []
     for text in texts:
         e = parse_class_expr(text)
         for group in groups:
-            if vfc_equals(e, group[0])[0] == "equal":
+            if equals_by_witness_search(e, group[0])[0] == "equal":
                 group.append(e)
                 break
         else:
@@ -578,4 +577,6 @@ def test_classification_matches_bounded_one_sided_search():
         assert (len(texts), len(groups), n_true) == counts
     for kinds in ((fin_luk(1),), (CANC_Z,), (fin_luk(1), CANC_Z)):
         for node in interval(kinds).nodes:
-            assert any(vfc_equals(node, e)[0] == "equal" for e in hoop_true), repr(node)
+            assert any(
+                equals_by_witness_search(node, e)[0] == "equal" for e in hoop_true
+            ), repr(node)
