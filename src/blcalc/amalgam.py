@@ -105,11 +105,14 @@ Completion = Union[ChainMap, CollapsingMap]
 
 @dataclass(frozen=True)
 class Amalgam:
-    """A completing pair of maps into a common target."""
+    """A completing pair of maps into a common target, the left leg's."""
 
-    target: Chain
     left: ChainMap
     right: Completion
+
+    @property
+    def target(self) -> Chain:
+        return self.left.target
 
     @property
     def one_sided(self) -> bool:
@@ -241,7 +244,7 @@ def universe_chains(
 
     if not any(a.index for a in into):
         yield chain((), bottom=bl)
-    start = [(s.items, 0) for s in e.sums]
+    start = [(items, 0) for items in e.sums]
     for length in range(1, max_index + 1):
         yield from extend((), start, (0,) * len(into), length)
 
@@ -300,7 +303,6 @@ def find_amalgam_bruteforce(
             psi2 = by_composite.get(_composite(*psi1, s.left))
             if psi2 is not None:
                 return Amalgam(
-                    target=target,
                     left=ChainMap(b, target, *psi1),
                     right=ChainMap(c, target, *psi2),
                 )
@@ -377,19 +379,19 @@ def amalgamate_constructive(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
     check_in_universe((b_chain, c_chain), universe)
 
     f1, f2 = s.left.index_map, s.right.index_map
-    for sum_class in universe.sums:
-        asgs_c = list(match_assignments(c_chain, sum_class))
-        for asg_b in match_assignments(b_chain, sum_class):
+    for items in universe.sums:
+        asgs_c = list(match_assignments(c_chain, items))
+        for asg_b in match_assignments(b_chain, items):
             for asg_c in asgs_c:
                 if any(asg_b[f1[i]] != asg_c[f2[i]] for i in range(s.apex.index)):
                     continue
-                am = _assemble(s, sum_class, asg_b, asg_c)
+                am = _assemble(s, items, asg_b, asg_c)
                 if am is not None and member(am.target, universe) and spans_commute(s, am):
                     return am
     return None
 
 
-def _assemble(s: Span, sum_class, asg_b, asg_c) -> Optional[Amalgam]:
+def _assemble(s: Span, items: tuple, asg_b, asg_c) -> Optional[Amalgam]:
     """The amalgam that merges the two assignments in one walk over both
     codomains, or ``None`` when a shared slot joins two kinds that have no
     join.
@@ -406,7 +408,6 @@ def _assemble(s: Span, sum_class, asg_b, asg_c) -> Optional[Amalgam]:
     b_chain, c_chain = s.left.target, s.right.target
     # each left image of an apex component: its right image and the component
     anchors = {b: (c, i) for i, (b, c) in enumerate(zip(s.left.index_map, s.right.index_map))}
-    items = sum_class.items
     kinds = []
     b_index_map, b_scales = [], []
     c_index_map, c_scales = [], []
@@ -441,7 +442,7 @@ def _assemble(s: Span, sum_class, asg_b, asg_c) -> Optional[Amalgam]:
         raise AssertionError("slot kinds must be non-trivial")
     left = ChainMap(b_chain, target, tuple(b_index_map), tuple(b_scales))
     right = ChainMap(c_chain, target, tuple(c_index_map), tuple(c_scales))
-    return Amalgam(target=target, left=left, right=right)
+    return Amalgam(left=left, right=right)
 
 
 def one_sided_amalgam(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
@@ -462,4 +463,4 @@ def one_sided_amalgam(s: Span, universe: ClassExpr) -> Optional[Amalgam]:
     if core is None:
         return None
     right = CollapsingMap(source=s.right.target, collapse=ess.theta0, embed=core.right)
-    return Amalgam(target=core.target, left=core.left, right=right)
+    return Amalgam(left=core.left, right=right)

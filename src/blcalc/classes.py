@@ -1,7 +1,7 @@
 """Classes of finite-index chains described by bracket/star expressions, and
 the membership engine for finitely generated varieties.
 
-A class expression is a union of sum classes; a sum class is a sequence of
+A class expression is a union of sum classes; a sum class is a tuple of
 items, each either one plain kind (consuming at most one non-trivial
 component), a starred kind (any number), or a starred group of kinds (any
 number, each drawn from any kind of the group).  A kind admits a component
@@ -36,12 +36,9 @@ class Item:
 
 
 @dataclass(frozen=True)
-class SumClass:
-    items: tuple
-
-
-@dataclass(frozen=True)
 class ClassExpr:
+    """A union of sum classes, each a tuple of ``Item``s."""
+
     sums: tuple
     bottom: bool = False  # designated bounds, as on ``Chain``
 
@@ -52,21 +49,26 @@ class ClassExpr:
 
 
 def class_expr(sums, bottom: bool = False) -> ClassExpr:
-    """Validated constructor: with designated bounds, each sum class starts
-    with one unstarred kind, its head; a ``T`` head stands alone, as it
-    holds the trivial chain only."""
-    sums = tuple(sums)
+    """Validated constructor: each item holds a kind, and only a starred one
+    a group of kinds; with designated bounds, each sum class starts with one
+    unstarred kind, its head; a ``T`` head stands alone, as it holds the
+    trivial chain only."""
+    sums = tuple(map(tuple, sums))
     if not sums:
         raise ValueError("a class expression needs at least one sum class")
     for s in sums:
-        if not s.items:
+        if not s:
             raise ValueError("a sum class needs at least one item")
-        if bottom and (s.items[0].star or len(s.items[0].kinds) != 1):
+        if not all(it.kinds for it in s):
+            raise ValueError("an item needs at least one kind")
+        if bottom and (s[0].star or len(s[0].kinds) != 1):
             raise ValueError("a designated-bounds head cannot be starred or grouped")
-        if bottom and not s.items[0].kinds[0].bounded:
+        if bottom and not s[0].kinds[0].bounded:
             raise ValueError("a designated-bounds head needs a bounded kind")
-        if bottom and s.items[0].kinds[0].tag == TRIV and len(s.items) > 1:
+        if bottom and s[0].kinds[0].tag == TRIV and len(s) > 1:
             raise ValueError("a designated-bounds T head cannot have further items")
+        if any(len(it.kinds) > 1 and not it.star for it in s):
+            raise ValueError("a group of kinds must be starred")
     return ClassExpr(sums, bottom)
 
 
@@ -129,10 +131,10 @@ def _match(
         yield from _match(comps, items, ci, ii + 1, asg, bottom)
 
 
-def match_assignments(c: Chain, s: SumClass) -> Iterator[tuple]:
-    """Assignments of the chain's components to the sum's items, if any;
-    the trivial chain has the empty one."""
-    yield from _match(c.components, s.items, 0, 0, [], c.bottom)
+def match_assignments(c: Chain, items: tuple) -> Iterator[tuple]:
+    """Assignments of the chain's components to a sum class's items, if
+    any; the trivial chain has the empty one."""
+    yield from _match(c.components, items, 0, 0, [], c.bottom)
 
 
 def member(c: Chain, e: ClassExpr) -> bool:
@@ -148,8 +150,8 @@ def member(c: Chain, e: ClassExpr) -> bool:
     bottom = c.bottom
     if bottom != e.bottom:  # inline first: this is the hot path
         same_bounds(c, e)
-    for s in e.sums:
-        items, p = s.items, 0
+    for items in e.sums:
+        p = 0
         for comp in c.components:
             p = greedy_step(items, p, comp, bottom)
             if p is None:
@@ -178,12 +180,8 @@ def generated_by(*chains: Chain) -> ClassExpr:
     if not chains:
         raise ValueError("need at least one generator")
     bottom = same_bounds(*chains)
-    sums = [
-        SumClass(tuple(Item((k,)) for k in g.components))
-        for g in chains
-        if not g.is_trivial
-    ]
-    return class_expr(sums or [SumClass((Item((TRIVIAL,)),))], bottom)
+    sums = [tuple(Item((k,)) for k in g.components) for g in chains if not g.is_trivial]
+    return class_expr(sums or [(Item((TRIVIAL,)),)], bottom)
 
 
 def normalize_kinds(kinds) -> tuple:
@@ -320,14 +318,14 @@ def canonical(e: ClassExpr) -> ClassExpr:
        with equal reduced forms by step 4.
     """
     bottom = e.bottom
-    sums = [_reduced_sum(s.items, bottom) for s in e.sums]
+    sums = [_reduced_sum(s, bottom) for s in e.sums]
     if len(sums) > 1:
         sums = list(dict.fromkeys(sums))
         maximal = (
             a for a in sums if not any(b is not a and _sum_included(a, b, bottom) for b in sums)
         )
         sums = sorted(maximal, key=_sum_key)
-    return ClassExpr(tuple(map(SumClass, sums)), bottom)
+    return ClassExpr(tuple(sums), bottom)
 
 
 def vfc_membership(x: Chain, v: ClassExpr) -> bool:
@@ -348,7 +346,7 @@ def witness_basis(e: ClassExpr, n: int) -> list:
     out = []
     for s in e.sums:
         kinds = []
-        for it in s.items:
+        for it in s:
             if it.star:
                 kinds += tuple(dict.fromkeys(it.kinds)) * n
             else:
@@ -360,7 +358,7 @@ def witness_basis(e: ClassExpr, n: int) -> list:
 def scan_count(e: ClassExpr) -> int:
     """The number of greedy scan positions of ``e``: ``len(items) + 1`` per
     sum class."""
-    return sum(len(s.items) + 1 for s in e.sums)
+    return sum(len(s) + 1 for s in e.sums)
 
 
 def _first_outside(a: ClassExpr, b: ClassExpr) -> Optional[Chain]:
@@ -425,6 +423,6 @@ def class_includes(e1: ClassExpr, e2: ClassExpr) -> bool:
     classes.  Step 5 is also why neither union needs its maximal sum
     classes or its order."""
     bottom = same_bounds(e1, e2)
-    targets = [_reduced_sum(s.items, bottom) for s in e2.sums]
+    targets = [_reduced_sum(s, bottom) for s in e2.sums]
     return all(any(_sum_included(a, t, bottom) for t in targets)
-               for a in (_reduced_sum(s.items, bottom) for s in e1.sums))
+               for a in (_reduced_sum(s, bottom) for s in e1.sums))

@@ -33,7 +33,6 @@ from .core import (
 from .classes import (
     ClassExpr,
     Item,
-    SumClass,
     _first_outside,
     canonical,
     class_expr,
@@ -88,11 +87,7 @@ def _star(*kinds: Kind) -> Item:
     return Item(kinds, star=True)
 
 
-def _sum(*items: Item) -> SumClass:
-    return SumClass(tuple(items))
-
-
-def _expr(*sums: SumClass, bottom: bool = False) -> ClassExpr:
+def _expr(*sums: tuple, bottom: bool = False) -> ClassExpr:
     return class_expr(sums, bottom)
 
 
@@ -107,31 +102,31 @@ def interval(kinds: tuple) -> Optional[IntervalPoset]:
     tags = tuple(k.tag for k in kinds)
     if tags in ((FIN,), (CANC,), (UNIT,)):
         a = kinds[0]
-        return IntervalPoset(name, (_expr(_sum(_plain(a))), _expr(_sum(_star(a)))))
+        return IntervalPoset(name, (_expr((_plain(a),)), _expr((_star(a),))))
     if tags == (LEX,):
         wo = kinds[0]
         w = Kind(FIN, wo.k)
         return IntervalPoset(name, (
-            _expr(_sum(_plain(wo))),
-            _expr(_sum(_star(w), _plain(wo))),
-            _expr(_sum(_star(wo))),
+            _expr((_plain(wo),)),
+            _expr((_star(w), _plain(wo))),
+            _expr((_star(wo),)),
         ))
     if tags == (FIN, CANC):
         w, z = kinds
         nodes = (
-            _expr(_sum(_plain(w)), _sum(_plain(z))),        # 0  [Wn]|[Z]
-            _expr(_sum(_plain(w), _plain(z))),              # 1  [Wn Z]
-            _expr(_sum(_plain(z), _plain(w))),              # 2  [Z Wn]
-            _expr(_sum(_star(w)), _sum(_plain(z))),         # 3  [Wn*]|[Z]
-            _expr(_sum(_plain(w)), _sum(_star(z))),         # 4  [Wn]|[Z*]
-            _expr(_sum(_star(w), _plain(z))),               # 5  [Wn* Z]
-            _expr(_sum(_plain(w), _star(z))),               # 6  [Wn Z*]
-            _expr(_sum(_star(z), _plain(w))),               # 7  [Z* Wn]
-            _expr(_sum(_plain(z), _star(w))),               # 8  [Z Wn*]
-            _expr(_sum(_star(w)), _sum(_star(z))),          # 9  [Wn*]|[Z*]
-            _expr(_sum(_star(w), _star(z))),                # 10 [Wn* Z*]
-            _expr(_sum(_star(z), _star(w))),                # 11 [Z* Wn*]
-            _expr(_sum(_star(w, z))),                       # 12 [(Wn Z)*]
+            _expr((_plain(w),), (_plain(z),)),   # 0  [Wn]|[Z]
+            _expr((_plain(w), _plain(z))),       # 1  [Wn Z]
+            _expr((_plain(z), _plain(w))),       # 2  [Z Wn]
+            _expr((_star(w),), (_plain(z),)),    # 3  [Wn*]|[Z]
+            _expr((_plain(w),), (_star(z),)),    # 4  [Wn]|[Z*]
+            _expr((_star(w), _plain(z))),        # 5  [Wn* Z]
+            _expr((_plain(w), _star(z))),        # 6  [Wn Z*]
+            _expr((_star(z), _plain(w))),        # 7  [Z* Wn]
+            _expr((_plain(z), _star(w))),        # 8  [Z Wn*]
+            _expr((_star(w),), (_star(z),)),     # 9  [Wn*]|[Z*]
+            _expr((_star(w), _star(z))),         # 10 [Wn* Z*]
+            _expr((_star(z), _star(w))),         # 11 [Z* Wn*]
+            _expr((_star(w, z),)),               # 12 [(Wn Z)*]
         )
         return IntervalPoset(name, nodes)
     return None
@@ -192,9 +187,9 @@ def _classify_single(v: ClassExpr, bl: bool, prefix: str) -> Verdict:
     if v.bottom != bl:
         raise ModeMismatchError(f"{v!r} has the wrong signature")
     for s in v.sums:
-        if len(s.items) != 1 or s.items[0].star or len(s.items[0].kinds) != 1:
+        if len(s) != 1 or s[0].star or len(s[0].kinds) != 1:
             raise ValueError(f"{v!r} is not a union of single-generator classes")
-    kinds = normalize_kinds(s.items[0].kinds[0] for s in v.sums)
+    kinds = normalize_kinds(s[0].kinds[0] for s in v.sums)
     if not kinds:
         return Verdict(ap=True, interval="Trivial")
     poset = interval(kinds)
@@ -216,7 +211,7 @@ def classify_ap_wh(v: ClassExpr) -> Verdict:
 
 
 def _component_kinds(v: ClassExpr) -> tuple:
-    return normalize_kinds(k for s in v.sums for it in s.items for k in it.kinds)
+    return normalize_kinds(k for s in v.sums for it in s for k in it.kinds)
 
 
 def _by_form(nodes) -> dict:
@@ -276,8 +271,8 @@ def _prepend(head_kind: Kind, node: Optional[ClassExpr]) -> tuple:
     """Sum classes of an MV head followed by a basic-hoop class's sums."""
     head = _plain(head_kind)
     if node is None:
-        return (_sum(head),)
-    return tuple(SumClass((head,) + s.items) for s in node.sums)
+        return ((head,),)
+    return tuple((head,) + s for s in node.sums)
 
 
 def _bl_case_shapes(a: Kind, basic_node: Optional[ClassExpr]) -> list:
@@ -294,7 +289,7 @@ def _bl_case_shapes(a: Kind, basic_node: Optional[ClassExpr]) -> list:
     # asymmetric union variants over a finite/cancellative tail pair
     m = Kind(FIN, a.k)
     shapes.append(
-        ("BL-case-3", _expr(*_prepend(m, basic_node), _sum(_plain(a)), bottom=True))
+        ("BL-case-3", _expr(*_prepend(m, basic_node), (_plain(a),), bottom=True))
     )
     # the two-sum tails are nodes 0, 3, 4 and 9 of I(W n,Z), the W sum first
     if len(basic_node.sums) == 2:
@@ -321,9 +316,9 @@ def classify_ap_bl(v: ClassExpr) -> Verdict:
     if not v.bottom:
         raise ModeMismatchError("BL classification needs designated-bounds input")
     sums = v.sums
-    tails = [SumClass(s.items[1:]) for s in sums if len(s.items) > 1]
-    basic = ClassExpr(tuple(tails)) if tails else None
-    heads = normalize_kinds(s.items[0].kinds[0] for s in sums)
+    tails = tuple(s[1:] for s in sums if len(s) > 1)
+    basic = ClassExpr(tails) if tails else None
+    heads = normalize_kinds(s[0].kinds[0] for s in sums)
     if not heads:
         return Verdict(ap=True, interval="Trivial")
     if len(heads) > 1:

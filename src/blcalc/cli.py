@@ -108,7 +108,7 @@ def _no_amalgam(reason: str, universe: ClassExpr) -> int:
     """Report that no chain of the universe amalgamates the span.  The
     answer is certified unless the universe has a ``U`` item, which admits
     chains that no kind spells (see the README)."""
-    certified = not any(STD_UNIT in item.kinds for s in universe.sums for item in s.items)
+    certified = not any(STD_UNIT in item.kinds for s in universe.sums for item in s)
     _emit({"result": "no-amalgam", "reason": reason, "certified": certified})
     return 1
 

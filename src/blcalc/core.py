@@ -10,8 +10,10 @@ sharing a single top element.  Five component kinds are representable:
   T     the one-element hoop
 
 Every operation is exact: integers, integer pairs, and Fractions.  Values
-of the infinite kinds are manipulated symbolically; exhaustive subroutines
-work on finite truncation windows.
+of the infinite kinds are manipulated symbolically, and no decision samples
+them on windows: ``enumerate_elements`` lists every element of a fully
+finite chain, and only the test oracles read its finite truncation windows
+of the others.
 """
 
 from __future__ import annotations
@@ -435,7 +437,8 @@ class RunForm:
       x*y  = max(x + y - e, s) when x and y lie in one run, else min(x, y)
       x->y = t when x <= y, else e - x + y when they lie in one run, else y
 
-    and meet and join are min and max.  Building the form costs O(n), and
+    and meet and join are min and max.  ``bottom`` is the chains' designated
+    bounds, as ``same_bounds`` returns them.  Building the form costs O(n), and
     each operation O(1); the operations apply pointwise to equally long
     tuples of indices and return tuples.  Before building anything it
     raises, in this order, ``ModeMismatchError`` for chains that disagree
@@ -443,10 +446,10 @@ class RunForm:
     and ``ValueError`` above ``MAX_FORM_SIZE`` elements in all.
     """
 
-    __slots__ = ("start", "end", "top", "blocks")
+    __slots__ = ("start", "end", "top", "blocks", "bottom")
 
     def __init__(self, chains):
-        same_bounds(*chains)
+        self.bottom = same_bounds(*chains)
         size = sum(c.size for c in chains)
         if size > MAX_FORM_SIZE:
             raise ValueError(f"an index form of {size} elements exceeds MAX_FORM_SIZE = {MAX_FORM_SIZE}")

@@ -27,7 +27,7 @@ from .core import (
     chain,
     element,
 )
-from .classes import ClassExpr, Item, SumClass, class_expr
+from .classes import ClassExpr, Item, class_expr
 
 
 class DSLError(ValueError):
@@ -180,7 +180,7 @@ def parse_class_expr(text: str) -> ClassExpr:
         take("]")
         if not items:
             raise DSLError("empty sum class", start)
-        return SumClass(tuple(items)), start, bounds
+        return tuple(items), start, bounds
 
     sums = [parse_sum()]
     while peek() == "|":
@@ -225,7 +225,7 @@ def pretty_item(item: Item, head: bool = False) -> str:
 
 def pretty_class_expr(e: ClassExpr) -> str:
     return "|".join(
-        "[" + " ".join(pretty_item(it, e.bottom and not i) for i, it in enumerate(s.items)) + "]"
+        "[" + " ".join(pretty_item(it, e.bottom and not i) for i, it in enumerate(s)) + "]"
         for s in e.sums
     )
 

@@ -210,19 +210,19 @@ def formula_vars(f: Formula) -> frozenset:
 _BLOCK_ROWS = 4096
 
 
-def _valuation_blocks(names: Sequence[str], gens: Sequence[Chain], form: RunForm):
+def _valuation_blocks(names: Sequence[str], form: RunForm):
     """Yield (generator index, first row, columns) for the valuations of
-    ``names`` into each generator, in generator order and then product
-    order, at most ``_BLOCK_ROWS`` rows at a time.  ``columns`` maps each
-    name to its values, as indices of ``form = RunForm(gens)``, and the
-    constant 1, and 0 on a bounded generator, to theirs."""
+    ``names`` into each generator of ``form = RunForm(gens)``, in generator
+    order and then product order, at most ``_BLOCK_ROWS`` rows at a time.
+    ``columns`` maps each name to its values, as indices of ``form``, and
+    the constant 1, and 0 when the generators are bounded, to theirs."""
     for gi, block in enumerate(form.blocks):
         valuations = product(block, repeat=len(names))
         row = 0
         while rows := list(islice(valuations, _BLOCK_ROWS)):
             columns = dict(zip(names, zip(*rows)))
             columns["1"] = (block[-1],) * len(rows)
-            if gens[gi].bottom:
+            if form.bottom:
                 columns["0"] = (block[0],) * len(rows)
             yield gi, row, columns
             row += len(rows)
@@ -258,7 +258,7 @@ def consequence(
     """
     names = sorted(formula_vars(premise) | formula_vars(conclusion))
     form = RunForm(gens)
-    for gi, _, columns in _valuation_blocks(names, gens, form):
+    for gi, _, columns in _valuation_blocks(names, form):
         rows = zip(
             _values(premise, columns, form),
             _values(conclusion, columns, form),
@@ -331,15 +331,14 @@ def term_closure(shared: Sequence[str], gens: Sequence[Chain]):
     if len(set(shared)) != len(shared):
         raise ValueError(f"repeated shared variable names in {list(shared)}")
     form = RunForm(gens)
-    bounded = bool(gens) and gens[0].bottom
-    yield from _closure(form, _points(shared, form), shared, bounded)
+    yield from _closure(form, _points(shared, form), shared)
 
 
-def _closure(form: RunForm, points: list, shared: Sequence[str], bounded: bool):
+def _closure(form: RunForm, points: list, shared: Sequence[str]):
     """``term_closure``'s loop over the given ``points`` of ``form``, 0 a
-    seed when ``bounded``."""
+    seed when ``form.bottom``."""
     seeds = [(tuple(block[-1] for block, _ in points), Const("1"))]
-    if bounded:
+    if form.bottom:
         seeds.append((tuple(block[0] for block, _ in points), Const("0")))
     for vi, name in enumerate(shared):
         seeds.append((tuple(combo[vi] for _, combo in points), Var(name)))
@@ -392,9 +391,7 @@ def _closure(form: RunForm, points: list, shared: Sequence[str], bounded: bool):
         i += 1
 
 
-def _separated(
-    form: RunForm, points: list, shared: Sequence[str], bounded: bool, m: int, q: int
-) -> bool:
+def _separated(form: RunForm, points: list, shared: Sequence[str], m: int, q: int) -> bool:
     """Whether some term function in the shared variables is top at point m
     and below top at point q, points of ``_points``.
 
@@ -402,14 +399,14 @@ def _separated(
     in m's chain and the second in q's, and it commutes with the
     connectives.  So the pairs reached, ``R(m, q)``, are the vectors of
     ``term_closure``'s loop run on the two points ``[points[m], points[q]]``:
-    its seeds there are the pairs of the seeds 1, 0 when ``bounded``, and
+    its seeds there are the pairs of the seeds 1, 0 when ``form.bottom``, and
     each shared variable, and it applies mul, meet, join and both imps to
     every two pairs it has yielded, skipping only results already yielded.
     ``R(m, q)`` holds at most ``|g_m|·|g_q|`` pairs, and ``any`` stops the
     loop at its first pair ``(top_m, y)`` with ``y != top_q``.
     """
     top_m, top_q = points[m][0][-1], points[q][0][-1]
-    pairs = _closure(form, [points[m], points[q]], shared, bounded)
+    pairs = _closure(form, [points[m], points[q]], shared)
     return any(x == top_m and y != top_q for (x, y), _ in pairs)
 
 
@@ -458,7 +455,6 @@ def find_interpolant(
     shared = sorted(premise_vars & conclusion_vars)
     form = RunForm(gens)
     points = _points(shared, form)
-    bounded = bool(gens) and gens[0].bottom
     tops = [block[-1] for block, _ in points]
     first_point = list(
         accumulate((len(block) ** len(shared) for block in form.blocks), initial=0)
@@ -468,7 +464,7 @@ def find_interpolant(
         # (point, f is top) for every valuation of the shared variables and
         # then f's others; the rows of one point are consecutive
         names = shared + sorted(f_vars.difference(shared))
-        for gi, row, columns in _valuation_blocks(names, gens, form):
+        for gi, row, columns in _valuation_blocks(names, form):
             rows_per_point = len(form.blocks[gi]) ** (len(names) - len(shared))
             values = zip(_values(f, columns, form), columns["1"])
             for r, (x, top) in enumerate(values, row):
@@ -486,13 +482,13 @@ def find_interpolant(
 
     cells = sum(len(block) for block, _ in points)  # values at all points
     check_at = min(limit, cells) + 1
-    for n, (vec, term) in enumerate(_closure(form, points, shared, bounded), 1):
+    for n, (vec, term) in enumerate(_closure(form, points, shared), 1):
         if n <= limit and all(vec[p] == top for p, top in must) and not any(
             vec[p] == top for p, top in must_not
         ):
             return term
         if n == check_at and not all(
-            _separated(form, points, shared, bounded, m, q)
+            _separated(form, points, shared, m, q)
             for m in must_top
             for q in not_may_top
         ):

@@ -73,7 +73,6 @@ from blcalc.amalgam import (
 )
 from blcalc.classes import (
     ClassExpr,
-    SumClass,
     class_includes,
     component_member,
     member,
@@ -256,7 +255,7 @@ def find_amalgam_by_pairs(s, universe, max_index=3, max_k=7, scale_cap=4):
         rights = enumerate_embeddings(s.right.target, target, scale_cap)
         for psi1 in lefts:
             for psi2 in rights:
-                am = Amalgam(target=target, left=psi1, right=psi2)
+                am = Amalgam(left=psi1, right=psi2)
                 if spans_commute(s, am):
                     return am
     return None
@@ -316,13 +315,13 @@ def _assignments(comps, items, ci, ii, asg):
     yield from _assignments(comps, items, ci, ii + 1, asg)
 
 
-def assignments_by_backtracking(c, s):
+def assignments_by_backtracking(c, items):
     """Reference for ``classes.match_assignments``: every assignment of the
-    chain's components to the sum's items, in backtracking order; with
+    chain's components to a sum class's items, in backtracking order; with
     designated bounds the head takes the first component and the rest are
     matched against the other items.  The trivial chain has the empty
     assignment."""
-    items, comps = s.items, c.components
+    comps = c.components
     if not c.bottom or not comps:
         yield from _assignments(comps, items, 0, 0, [])
     elif component_member(comps[0], items[0].kinds[0]):
@@ -343,7 +342,7 @@ def first_outside_by_scan(a, b):
     to ``b``'s number of greedy scan positions (``len(items) + 1`` per sum
     class), with membership by ``member_by_assignments``; ``None`` when
     there is none."""
-    for k in range(1, sum(len(s.items) + 1 for s in b.sums) + 1):
+    for k in range(1, sum(len(s) + 1 for s in b.sums) + 1):
         for c in witness_basis(a, k):
             if not member_by_assignments(c, b):
                 return c
@@ -395,7 +394,7 @@ def universe_chains_by_filter(e, max_index, max_k):
     """Reference for ``amalgam.universe_chains``: every product of the kinds
     some item kind admits, kept when ``member_by_assignments`` holds, after the
     trivial chain of the signature."""
-    item_kinds = [k for s in e.sums for item in s.items for k in item.kinds]
+    item_kinds = [k for s in e.sums for item in s for k in item.kinds]
     candidates = (
         [fin_luk(k) for k in range(1, max_k + 1)]
         + [lex_omega(k) for k in range(1, max_k + 1)]
@@ -691,7 +690,7 @@ def find_interpolant_by_walk(
         # (point, f is top) for every valuation of the shared variables and
         # then f's others; the rows of one point are consecutive
         names = shared + sorted(formula_vars(f) - set(shared))
-        for gi, row, columns in _valuation_blocks(names, gens, form):
+        for gi, row, columns in _valuation_blocks(names, form):
             rows_per_point = len(form.blocks[gi]) ** (len(names) - len(shared))
             values = zip(_values(f, columns, form), columns["1"])
             for r, (x, top) in enumerate(values, row):
@@ -889,7 +888,7 @@ def classify_by_scan(v) -> Verdict:
     compared with the variety in turn, where ``classify`` looks the
     variety's normal form up among them."""
     if not v.bottom:
-        kinds = normalize_kinds(k for s in v.sums for it in s.items for k in it.kinds)
+        kinds = normalize_kinds(k for s in v.sums for it in s for k in it.kinds)
         if not kinds:
             return Verdict(ap=True, interval="Trivial")
         poset = interval(kinds)
@@ -898,8 +897,8 @@ def classify_by_scan(v) -> Verdict:
         return _first_equal(
             v, ((f"{poset.name}:{i}", node) for i, node in enumerate(poset.nodes))
         )
-    tails = [SumClass(s.items[1:]) for s in v.sums if len(s.items) > 1]
-    heads = normalize_kinds(s.items[0].kinds[0] for s in v.sums)
+    tails = [s[1:] for s in v.sums if len(s) > 1]
+    heads = normalize_kinds(s[0].kinds[0] for s in v.sums)
     if not heads:
         return Verdict(ap=True, interval="Trivial")
     if len(heads) > 1:

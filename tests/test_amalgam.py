@@ -465,7 +465,7 @@ def test_exact_commutation_matches_window():
                         for target in targets:
                             for psi1 in enumerate_embeddings(b, target, scale_cap=2):
                                 for psi2 in enumerate_embeddings(c, target, scale_cap=2):
-                                    am = Amalgam(target, psi1, psi2)
+                                    am = Amalgam(psi1, psi2)
                                     exact = spans_commute(s, am)
                                     assert exact == window_commutes(s, am), (s, am)
                                     candidates += 1
@@ -619,7 +619,7 @@ def test_wrong_collapse_filter_does_not_commute():
     s = Span(w1, into_last, into_first)
     am = one_sided_amalgam(s, parse_class_expr("[W1*]"))
     assert am.right.collapse == Filter(1) and spans_commute(s, am)
-    wrong = Amalgam(am.target, am.left, CollapsingMap(g, Filter(0), am.right.embed))
+    wrong = Amalgam(am.left, CollapsingMap(g, Filter(0), am.right.embed))
     assert not spans_commute(s, wrong) and not window_commutes(s, wrong)
     # a cancellative apex inside a lexicographic radical collapses with it
     z, wo = parse_chain("Z"), parse_chain("Wo1")
@@ -627,7 +627,7 @@ def test_wrong_collapse_filter_does_not_commute():
     am = one_sided_amalgam(s, parse_class_expr("[Wo1]"))
     assert am.right.collapse == Filter(1) and spans_commute(s, am)
     for f in (Filter(0), Filter(0, radical=True)):
-        wrong = Amalgam(am.target, am.left, CollapsingMap(wo, f, am.right.embed))
+        wrong = Amalgam(am.left, CollapsingMap(wo, f, am.right.embed))
         assert not spans_commute(s, wrong) and not window_commutes(s, wrong)
 
 

@@ -13,7 +13,6 @@ import blcalc.classes
 from blcalc.classes import (
     ClassExpr,
     Item,
-    SumClass,
     _first_outside,
     canonical,
     class_expr,
@@ -404,14 +403,14 @@ def _random_class(rng, bottom):
             head = rng.choice([k for k in kinds if k.bounded])
             items.append(Item((head,)))
             if head == TRIVIAL:
-                sums.append(SumClass(tuple(items)))
+                sums.append(tuple(items))
                 continue
         for _ in range(rng.randint(0 if bottom else 1, 3)):
             if rng.random() < 0.5:
                 items.append(Item(tuple(rng.sample(kinds, rng.randint(1, 3))), star=True))
             else:
                 items.append(Item((rng.choice(kinds),)))
-        sums.append(SumClass(tuple(items)))
+        sums.append(tuple(items))
     return class_expr(sums, bottom)
 
 
@@ -524,17 +523,23 @@ def test_class_expr_constructor_errors():
     plain = Item((w1,))
     cases = (
         ((), False, "at least one sum class"),
-        ((SumClass(()),), False, "at least one item"),
-        ((SumClass((Item((w1,), star=True),)),), True, "cannot be starred"),
-        ((SumClass((Item((w1, CANC_Z), star=True), plain)),), True, "or grouped"),
-        ((SumClass((Item((w1, CANC_Z)), plain)),), True, "or grouped"),
+        (((),), False, "at least one item"),
+        (((Item((w1,), star=True),),), True, "cannot be starred"),
+        (((Item((w1, CANC_Z), star=True), plain),), True, "or grouped"),
+        (((Item((w1, CANC_Z)), plain),), True, "or grouped"),
         # as for a chain, the head of a BL class needs a least element
-        ((SumClass((Item((CANC_Z,)), plain)),), True, "needs a bounded kind"),
+        (((Item((CANC_Z,)), plain),), True, "needs a bounded kind"),
+        # the DSL spells neither: an item without a kind, in either
+        # signature, and an unstarred group, which would print as a star
+        (((plain, Item(())),), False, "an item needs at least one kind"),
+        (((Item(()), plain),), True, "an item needs at least one kind"),
+        (((Item((w1, CANC_Z)),),), False, "a group of kinds must be starred"),
+        (((plain, Item((w1, CANC_Z))),), True, "a group of kinds must be starred"),
     )
     for sums, bottom, message in cases:
         with pytest.raises(ValueError, match=message):
             class_expr(sums, bottom)
-    assert class_expr([SumClass((plain, plain))], bottom=True).bottom
+    assert class_expr([(plain, plain)], bottom=True).bottom
 
 
 def test_bounded_trivial_head_stands_alone():
@@ -543,10 +548,10 @@ def test_bounded_trivial_head_stands_alone():
     t = Item((TRIVIAL,))
     for rest in (Item((lex_omega(1),), star=True), Item((fin_luk(1),))):
         with pytest.raises(ValueError, match="T head cannot have further items"):
-            class_expr([SumClass((t, rest))], bottom=True)
-        assert not class_expr([SumClass((t, rest))]).bottom
+            class_expr([(t, rest)], bottom=True)
+        assert not class_expr([(t, rest)]).bottom
     trivial = generated_by(Chain((), bottom=True))
-    assert trivial == ClassExpr((SumClass((t,)),), bottom=True)
+    assert trivial == ClassExpr(((t,),), bottom=True)
     assert pretty_class_expr(trivial) == "[T]"
 
 

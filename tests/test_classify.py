@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from blcalc.amalgam import Span, one_sided_amalgam, universe_chains
 from blcalc.classes import (
     Item,
-    SumClass,
     class_expr,
     generated_by,
     normalize_kinds,
@@ -292,9 +291,9 @@ def test_classify_matches_the_scan_on_every_small_class():
     # over tails that hit.  The SHA-256 of each list's JSON pins its bytes
     kinds = (fin_luk(1), lex_omega(1), CANC_Z)
     items = [Item((k,), star) for k in kinds for star in (False, True)]
-    sums = [SumClass(t) for r in (1, 2) for t in product(items, repeat=r)]
+    sums = [t for r in (1, 2) for t in product(items, repeat=r)]
     heads = (fin_luk(1), lex_omega(1))
-    bl_tails = [t for r in (1, 2) for t in combinations(sums + [SumClass(())], r)]
+    bl_tails = [t for r in (1, 2) for t in combinations(sums + [()], r)]
     for cases, size, digest in (
         (
             [class_expr(t) for r in (1, 2) for t in combinations(sums, r)],
@@ -302,7 +301,7 @@ def test_classify_matches_the_scan_on_every_small_class():
             "2a6fc7d680c473cb4d6ed69cd1968b1a0244a74b9842cfbc54e17b48458a8f14",
         ),
         (
-            [class_expr([SumClass((Item((h,)),) + s.items) for h, s in zip(hs, t)], True)
+            [class_expr([(Item((h,)),) + s for h, s in zip(hs, t)], True)
              for t in bl_tails for hs in product(heads, repeat=len(t))],
             3698,
             "376ffbe8e67339243cc930a9ea5aece68f9c651827f73d0c7812144d021573f2",
@@ -327,12 +326,12 @@ def test_single_generator_forms_are_the_normalized_kinds():
         pool = [k for k in kinds if k.bounded or not bottom]
         for r in (1, 2, 3):
             for combo in product(pool, repeat=r):
-                v = class_expr([SumClass((Item((k,)),)) for k in combo], bottom)
+                v = class_expr([(Item((k,)),) for k in combo], bottom)
                 verdict = classify(v)
                 seen.add(verdict.ap)
                 if verdict.ap and normalize_kinds(combo):
                     assert verdict.canonical == class_expr(
-                        [SumClass((Item((k,)),)) for k in normalize_kinds(combo)], bottom
+                        [(Item((k,)),) for k in normalize_kinds(combo)], bottom
                     ), repr(v)
                 else:
                     assert verdict.canonical is None, repr(v)

@@ -377,7 +377,7 @@ def test_separated_matches_pair_closure_oracle():
         bounded = gens[0].bottom
         got = []
         for m, q in product(range(len(points)), repeat=2):
-            got.append(blcalc.formulas._separated(form, points, shared, bounded, m, q))
+            got.append(blcalc.formulas._separated(form, points, shared, m, q))
             assert got[-1] == separated_by_pairs(form, points, bounded, m, q), (texts, m, q)
         assert got.count(False) == not_separated, texts
 

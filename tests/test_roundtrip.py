@@ -1,6 +1,6 @@
 """Printing then parsing gives back the same object: ``parse(pretty(x)) == x``
-for chains, class expressions, the window elements of a chain, and random
-formulas.
+for chains, class expressions (random ones and every catalog shape), the
+window elements of a chain, and random formulas.
 
 The bounded trivial chain is left out: it prints as ``T``, which parses as
 the trivial hoop chain, and it has no spelling of its own.  For the same
@@ -10,7 +10,8 @@ reason a head is never ``T``.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blcalc.classes import Item, SumClass, class_expr
+from blcalc.classes import Item, canonical, class_expr
+from blcalc.classify import enumerate_catalog
 from blcalc.core import CANC_Z, STD_UNIT, TRIVIAL, chain, enumerate_elements, fin_luk, lex_omega
 from blcalc.dsl import (
     parse_chain,
@@ -56,7 +57,7 @@ def class_exprs(draw, kinds=kinds, bounded_kinds=bounded_kinds):
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         head = [Item((draw(bounded_kinds),))] if bl_mode else []
         rest = draw(st.lists(items(kinds), min_size=0 if bl_mode else 1, max_size=3))
-        sums.append(SumClass(tuple(head + rest)))
+        sums.append(tuple(head + rest))
     return class_expr(sums, bl_mode)
 
 
@@ -88,3 +89,18 @@ def test_window_element_round_trip(c, caps):
 def test_random_formula_round_trip(rng, depth, allow_zero):
     f = random_formula(rng, ["p", "q", "r"], depth, allow_zero)
     assert parse_formula(pretty_formula(f)) == f
+
+
+def test_catalog_class_expr_round_trip():
+    # every catalog shape, as listed and in normal form, through the DSL:
+    # the sum classes' item tuples come back equal
+    exprs = [
+        x
+        for mode in ("bh", "bl")
+        for e, _, _ in enumerate_catalog(mode, 3)
+        if e is not None
+        for x in (e, canonical(e))
+    ]
+    assert len(exprs) == 1434
+    for e in exprs:
+        assert parse_class_expr(repr(e)) == e, repr(e)
