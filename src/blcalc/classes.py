@@ -414,6 +414,19 @@ def vfc_equals(v: ClassExpr, e: ClassExpr):
     return "v_strictly_smaller", _first_outside(e, v)
 
 
+def _reduced_sums(e: ClassExpr) -> list:
+    """The reduce step of ``class_includes``: each sum class of ``e`` by
+    ``_reduced_sum``."""
+    bottom = e.bottom
+    return [_reduced_sum(s, bottom) for s in e.sums]
+
+
+def _sums_included(a: list, b: list, bottom: bool) -> bool:
+    """The decide step of ``class_includes``: whether each reduced sum
+    class of ``a`` passes ``_sum_included`` into one of ``b``."""
+    return all(any(_sum_included(s, t, bottom) for t in b) for s in a)
+
+
 def class_includes(e1: ClassExpr, e2: ClassExpr) -> bool:
     """Whether the class ``e1`` lies in ``e2``: whether each reduced sum
     class of ``e1`` passes ``_sum_included`` into a reduced sum class of
@@ -421,8 +434,8 @@ def class_includes(e1: ClassExpr, e2: ClassExpr) -> bool:
     by its step 2 the pass decides inclusion of reduced sum classes, and by
     its step 5 a sum class inside a union lies inside one of its sum
     classes.  Step 5 is also why neither union needs its maximal sum
-    classes or its order."""
+    classes or its order.  A caller comparing many pairs reduces each
+    expression once (``_reduced_sums``) and decides each pair by
+    ``_sums_included``."""
     bottom = same_bounds(e1, e2)
-    targets = [_reduced_sum(s, bottom) for s in e2.sums]
-    return all(any(_sum_included(a, t, bottom) for t in targets)
-               for a in (_reduced_sum(s, bottom) for s in e1.sums))
+    return _sums_included(_reduced_sums(e1), _reduced_sums(e2), bottom)

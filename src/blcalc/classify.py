@@ -29,11 +29,14 @@ from .core import (
     Kind,
     ModeMismatchError,
     chain,
+    same_bounds,
 )
 from .classes import (
     ClassExpr,
     Item,
     _first_outside,
+    _reduced_sums,
+    _sums_included,
     canonical,
     class_expr,
     class_includes,
@@ -70,9 +73,12 @@ class IntervalPoset:
     @property
     def covers(self) -> tuple:
         """The Hasse relation as sorted (lower, upper) index pairs: the
-        transitive reduction of ``class_includes`` over pairs i < j."""
-        below = {(i, j) for j, b in enumerate(self.nodes)
-                 for i, a in enumerate(self.nodes[:j]) if class_includes(a, b)}
+        transitive reduction of ``class_includes`` over pairs i < j, with
+        each node reduced once."""
+        bottom = same_bounds(*self.nodes)
+        forms = [_reduced_sums(e) for e in self.nodes]
+        below = {(i, j) for j, b in enumerate(forms)
+                 for i, a in enumerate(forms[:j]) if _sums_included(a, b, bottom)}
         return tuple(sorted(
             (i, j) for i, j in below
             if not any((i, k) in below and (k, j) in below for k in range(i + 1, j))

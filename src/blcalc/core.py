@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, compress, count, repeat
+from operator import and_, getitem, ne
 from typing import Optional, Union
 
 FIN = "W"
@@ -368,6 +369,12 @@ class RawChain:
 
     Element order is index order; index n-1 is the unit (and top); meet and
     join are min and max of indices.
+
+    The rows are stored as tuples.  Each table is checked after it is
+    copied, ``mul`` first: its shape, then that every entry has type
+    ``int``, then that every entry is an index.  Each check reads a row at
+    a time in C, and the type check comes first because ``True`` and
+    ``1.0`` equal the index 1.
     """
 
     size: int
@@ -380,12 +387,14 @@ class RawChain:
         n = self.size
         if type(n) is not int or n < 1:
             raise ValueError("size must be an integer >= 1")
+        ints, indices = {int}, frozenset(range(n))
         for name in ("mul", "imp"):
-            tab = tuple(tuple(row) for row in getattr(self, name))
+            tab = tuple(map(tuple, getattr(self, name)))
             object.__setattr__(self, name, tab)
-            if len(tab) != n or any(len(row) != n for row in tab):
+            if len(tab) != n or set(map(len, tab)) != {n}:
                 raise ValueError(f"{name} table is not {n}x{n}")
-            if any(not (type(v) is int and 0 <= v < n) for row in tab for v in row):
+            if not (all(ints.issuperset(map(type, row)) for row in tab)
+                    and all(map(indices.issuperset, tab))):
                 raise ValueError(f"{name} table has entries outside the indices 0..{n - 1}")
 
     @property
@@ -543,7 +552,7 @@ def is_ordinal_sum_table(t: RawChain, runs) -> bool:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of the exhaustive law checks on a raw chain."""
+    """Outcome of the law checks on a raw chain."""
 
     commutative_monoid: bool
     residuation: bool
@@ -584,55 +593,125 @@ class AxiomReport:
         }
 
 
+def _first_difference(rows, wanted) -> Optional[tuple]:
+    """The first (row number, column) at which the rows of ``rows``, any
+    iterables, differ from the tuples of ``wanted``, or ``None`` when every
+    pair agrees; each pair of rows is compared as tuples, in C."""
+    for k, row, want in zip(count(), map(tuple, rows), wanted):
+        if row != want:
+            return k, next(compress(count(), map(ne, row, want)))
+    return None
+
+
+def _generators(mul: tuple) -> list:
+    """A generating set of the commutative magma ``mul``, taken greedily
+    from the top down: each element that the ones taken before it do not
+    generate.  The generated set grows a row at a time: each element it
+    gains is multiplied in one pass by every element gained so far, so the
+    closure costs n^2 lookups; by commutativity row ``a`` read at ``b``
+    is the product in either order."""
+    gens, seen = [], set()
+    for g in reversed(range(len(mul))):
+        if g not in seen:
+            gens.append(g)
+            new = {g}
+            while new:
+                seen |= new
+                new = set().union(*(map(mul[a].__getitem__, seen) for a in new)) - seen
+    return gens
+
+
+def _associativity_witness(mul: tuple) -> Optional[tuple]:
+    """The first (x, y, z) in scan order with (x y) z != x (y z) in the
+    commutative ``mul``, or ``None``.
+
+    Light's test decides (Clifford and Preston 1961, section 1.2): the
+    elements g with (x g) y = x (g y) for all x and y are closed under
+    products, so the law holds when every generator passes, at one row
+    comparison per x and generator.  Only a table that fails is scanned,
+    one row comparison per (x, y): (x y) z against x (y z) over z."""
+    if all(_first_difference((map(row.__getitem__, mul[g]) for row in mul),
+                             (mul[row[g]] for row in mul)) is None
+           for g in _generators(mul)):
+        return None
+    k, z = _first_difference((map(row.__getitem__, r) for row in mul for r in mul),
+                             (mul[v] for row in mul for v in row))
+    return (*divmod(k, len(mul)), z)
+
+
+def _residuation_witness(mul: tuple, imp: tuple) -> Optional[tuple]:
+    """The first (x, y, z) in scan order with (x y <= z) != (x <= y -> z),
+    or ``None``, in one pass per row of ``mul``.
+
+    For v = x y, the law holds at (x, y) for every z exactly when the
+    entries of row y of ``imp`` lie below x before column v and not from v
+    on: max(imp[y][:v]) < x <= min(imp[y][v:]).  The prefix maxima and the
+    suffix minima of the rows, n^2 entries each built in C, make that two
+    lookups, and only the first failing (x, y) is scanned over z."""
+    n = len(mul)
+    before = [tuple(accumulate(row, max, initial=-1)) for row in imp]
+    after = [tuple(accumulate(reversed(row), min))[::-1] for row in imp]
+    pair = _first_difference(
+        (map(and_, map(x.__gt__, map(getitem, before, row)), map(x.__le__, map(getitem, after, row)))
+         for x, row in enumerate(mul)),
+        repeat((True,) * n))
+    if pair is None:
+        return None
+    x, y = pair
+    v = mul[x][y]
+    return x, y, next(z for z in range(n) if (v <= z) != (x <= imp[y][z]))
+
+
 def check_axioms(t: RawChain) -> AxiomReport:
     """Check the residuated-chain laws on a raw table.
 
     Finite basic-hoop chains are exactly the finite ordinal sums of finite
     Lukasiewicz chains (Agliano and Montagna, 2003), so on a table equal to
     the ordinal sum its component runs spell, the monoid, residuation,
-    integrality, divisibility and prelinearity laws hold unscanned; only
-    the MV identity and cancellativity are scanned.  Any other table gets
-    every scan.  Failure witnesses are the first ones found in scan order.
+    integrality, divisibility and prelinearity laws hold unchecked; only
+    the MV identity and cancellativity are checked.  Any other table gets
+    every check.  Each law of two variables is one pass over the rows that
+    compares row x with what the law asks of it, in C, so it costs n^2
+    entries.  Associativity is decided by Light's test, at n^2 entries per
+    generator, and residuation by one pass per row; only an associativity
+    failure scans for its witness, at up to n^3 entries.  Failure witnesses
+    are the first counterexamples in scan order: x, then y, then z.
     """
     recognised = is_ordinal_sum_table(t, component_runs(t))
-    top = t.top
-    rng = range(t.size)
-    mul, imp = t.mul, t.imp
+    n, top, mul, imp = t.size, t.top, t.mul, t.imp
+    rng = range(n)
+    idx = tuple(rng)
     failures = []
 
-    def holds(law, counterexamples) -> bool:
-        """Record the first counterexample a lazy scan yields, if any;
-        whether the law holds."""
-        witness = next(counterexamples, None)
+    def holds(law, witness, keep=None) -> bool:
+        """Record the first ``keep`` coordinates of a counterexample, if
+        any; whether the law holds."""
         if witness is not None:
-            failures.append((law, witness))
+            failures.append((law, witness[:keep]))
         return witness is None
 
-    def pairs():
-        return product(rng, rng)
-
-    def triples():
-        return product(rng, rng, rng)
+    def mins():
+        """Row x of min(x, y), for each x."""
+        return (idx[:x] + (x,) * (n - x) for x in rng)
 
     monoid = recognised or (
-        holds("commutativity", ((x, y) for x, y in pairs() if mul[x][y] != mul[y][x]))
-        and holds("unit", ((x,) for x in rng if mul[x][top] != x))
-        and holds("associativity", (
-            (x, y, z) for x, y, z in triples() if mul[mul[x][y]][z] != mul[x][mul[y][z]]))
+        holds("commutativity", _first_difference(mul, zip(*mul)))
+        and holds("unit", _first_difference(((row[top],) for row in mul), ((x,) for x in rng)), 1)
+        and holds("associativity", _associativity_witness(mul))
     )
-    residuation = recognised or holds("residuation", (
-        (x, y, z) for x, y, z in triples() if (mul[x][y] <= z) != (x <= imp[y][z])))
+    residuation = recognised or holds("residuation", _residuation_witness(mul, imp))
     # integrality is reported without a witness
-    integrality = recognised or holds("integrality", (
-        () for x, y in pairs() if mul[x][y] > min(x, y)))
-    divisibility = recognised or holds("divisibility", (
-        (x, y) for x, y in pairs() if mul[x][imp[x][y]] != min(x, y)))
-    prelinearity = recognised or holds("prelinearity", (
-        (x, y) for x, y in pairs() if max(imp[x][y], imp[y][x]) != top))
-    mv_identity = holds("mv_identity", (
-        (x, y) for x, y in pairs() if imp[imp[x][y]][y] != max(x, y)))
-    cancellativity = holds("cancellativity", (
-        (x, y) for x, y in pairs() if imp[x][mul[x][y]] != y))
+    integrality = recognised or holds("integrality", _first_difference(
+        (map(min, row, m) for row, m in zip(mul, mins())), mul), 0)
+    divisibility = recognised or holds("divisibility", _first_difference(
+        (map(m.__getitem__, i) for m, i in zip(mul, imp)), mins()))
+    prelinearity = recognised or holds("prelinearity", _first_difference(
+        (map(max, row, col) for row, col in zip(imp, zip(*imp))), repeat((top,) * n)))
+    mv_identity = holds("mv_identity", _first_difference(
+        (map(getitem, map(imp.__getitem__, row), rng) for row in imp),
+        ((x,) * x + idx[x:] for x in rng)))
+    cancellativity = holds("cancellativity", _first_difference(
+        (map(i.__getitem__, m) for m, i in zip(mul, imp)), repeat(idx)))
 
     return AxiomReport(
         commutative_monoid=monoid,

@@ -13,7 +13,8 @@ and embedding on the map's data alone.
 The table-level oracles work directly on raw operation tables and never call
 the structural engine they are used to check; the scan axiom check runs the
 cubic associativity and residuation scans that ``check_axioms`` skips on
-recognised ordinal sums, the chain-op flattening evaluates every entry
+recognised ordinal sums and replaces by Light's test and one pass per row
+on other tables, the chain-op flattening evaluates every entry
 through ``chain_op`` instead of tabulating the rules of ``core.RunForm``,
 as every table of the package does, and the scan decomposition runs the
 exhaustive axiom check and per-block tests that ``decompose`` replaces
@@ -49,10 +50,12 @@ component classifier compares a block entry by entry with the finite
 Lukasiewicz table, as ``decompose`` does with one whole-table comparison.
 The rotation table is the disconnected rotation of a cancellative kind,
 written as its own case table, against which acceptance criterion 4 checks
-the lexicographic chains of ``core.component_op``.  The element closure,
-sweeps and consequence compute every vector entry through ``chain_op`` and
-every valuation through ``eval_formula``, one at a time, where ``formulas``
-computes on the integer indices of ``core.RunForm``.  The walk-only
+the lexicographic chains of ``core.component_op``.  The element closure
+reads each generator's operations from tables filled once through
+``chain_op``, and the sweeps and consequence compute every vector entry
+through ``chain_op`` and every valuation through ``eval_formula``, one at a
+time, where ``formulas`` computes on the integer indices of
+``core.RunForm``.  The walk-only
 interpolant search certifies that none exists only by exhausting the
 closure, where ``formulas.find_interpolant`` decides it on pairs of points;
 the pair closure closes the seed pairs of two points on its own, where
@@ -588,15 +591,32 @@ def valuation_points(shared, gens) -> list:
 
 def term_closure_by_chain_op(shared, gens):
     """Reference for ``formulas.term_closure``: the same seeds and the same
-    smallest-first order, with every vector a tuple of elements computed
-    through ``chain_op``."""
+    smallest-first order, with every vector a tuple of elements.  Each
+    generator's four operations are tabulated once through ``chain_op``,
+    over the positions of its elements in ``finite_elements``, and the walk
+    reads the tables."""
     points = valuation_points(shared, gens)
-    chains = [gens[gi] for gi, _ in points]
-    seeds = [(tuple(TOP for _ in points), Const("1"))]
+    elements = [finite_elements(g) for g in gens]
+    position = [{x: i for i, x in enumerate(xs)} for xs in elements]
+    tables = [
+        {op: [[pos[chain_op(g, op, x, y)] for y in xs] for x in xs]
+         for op in ("mul", "meet", "join", "imp")}
+        for g, xs, pos in zip(gens, elements, position)
+    ]
+    point_gens = [gi for gi, _ in points]
+    point_tables = [tables[gi] for gi in point_gens]
+
+    def seed(values):
+        return tuple(position[gi][x] for gi, x in zip(point_gens, values))
+
+    def as_elements(vec):
+        return tuple(elements[gi][i] for gi, i in zip(point_gens, vec))
+
+    seeds = [(seed(TOP for _ in points), Const("1"))]
     if gens and gens[0].bottom:
-        seeds.append((tuple(bottom_element(g) for g in chains), Const("0")))
+        seeds.append((seed(bottom_element(gens[gi]) for gi in point_gens), Const("0")))
     for vi, name in enumerate(shared):
-        seeds.append((tuple(combo[vi] for _, combo in points), Var(name)))
+        seeds.append((seed(combo[vi] for _, combo in points), Var(name)))
 
     queue = []
     seen = set()
@@ -604,7 +624,7 @@ def term_closure_by_chain_op(shared, gens):
         if vec not in seen:
             seen.add(vec)
             queue.append((vec, term))
-            yield vec, term
+            yield as_elements(vec), term
     i = 0
     while i < len(queue):
         vec_i, term_i = queue[i]
@@ -617,12 +637,12 @@ def term_closure_by_chain_op(shared, gens):
                 ("imp", vec_i, vec_j, term_i, term_j),
                 ("imp", vec_j, vec_i, term_j, term_i),
             ):
-                vec = tuple(chain_op(g, op, x, y) for g, x, y in zip(chains, a, b))
+                vec = tuple(t[op][x][y] for t, x, y in zip(point_tables, a, b))
                 if vec not in seen:
                     seen.add(vec)
                     term = BinOp(op, ta, tb)
                     queue.append((vec, term))
-                    yield vec, term
+                    yield as_elements(vec), term
         i += 1
 
 

@@ -395,6 +395,26 @@ def test_interval_covers_rederived_from_inclusions():
         assert p.covers == recompute_cover_relation(p), p.name
 
 
+def test_interval_covers_reduce_each_node_once(monkeypatch):
+    # 13 nodes with 17 sum classes in all: each sum class is reduced once,
+    # where deciding each of the 78 pairs by class_includes reduces both
+    # nodes again
+    import blcalc.classes
+
+    reductions = []
+    reduce = blcalc.classes._reduced_sum
+
+    def counted(items, bottom):
+        reductions.append(items)
+        return reduce(items, bottom)
+
+    p = interval((fin_luk(2), CANC_Z))
+    monkeypatch.setattr(blcalc.classes, "_reduced_sum", counted)
+    assert len(p.covers) == 22
+    assert len(p.nodes) == 13
+    assert len(reductions) == sum(len(e.sums) for e in p.nodes) == 17
+
+
 def test_interval_nodes_classify_to_themselves():
     # fixed point: every node, fed back, lands at its own position
     for p in [interval((fin_luk(2),)), interval((lex_omega(1),)),
