@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
-from operator import and_, getitem, ne
+from itertools import accumulate, compress, count, pairwise, repeat
+from operator import and_, eq, getitem, ne
 from typing import Optional, Union
 
 FIN = "W"
@@ -525,29 +525,26 @@ def table_rows(c: Chain) -> tuple:
     return tuple(mul), tuple(imp)
 
 
-def in_one_component(t: RawChain, a: int, b: int) -> bool:
-    """(a -> b) -> b = (b -> a) -> a, without argument checks: on a
-    basic-hoop chain, whether non-top a and b lie in one Wajsberg component."""
-    imp = t.imp
-    return imp[imp[a][b]][b] == imp[imp[b][a]][a]
+def ordinal_sum_of(t: RawChain) -> Optional[Chain]:
+    """The ordinal sum of finite Lukasiewicz chains whose table ``t`` is,
+    with ``t``'s designated bounds, or ``None``.
 
-
-def component_runs(t: RawChain) -> tuple:
-    """Maximal runs of neighbouring non-top elements that lie in one
-    component by ``in_one_component``, ascending."""
-    runs = []
-    for e in range(t.size - 1):
-        if runs and in_one_component(t, runs[-1][-1], e):
-            runs[-1].append(e)
-        else:
-            runs.append([e])
-    return tuple(tuple(r) for r in runs)
-
-
-def is_ordinal_sum_table(t: RawChain, runs) -> bool:
-    """Whether ``t`` is the table of the ordinal sum its runs spell.  The
-    rows compare as they stand, since ``RawChain`` admits int entries only."""
-    return table_rows(chain(fin_luk(len(r)) for r in runs)) == (t.mul, t.imp)
+    The candidate's runs are cut by ``RunForm``'s rule read at x -> x - 1:
+    a run starts at 0 and at each non-top x >= 1 with x -> x - 1 = x - 1,
+    and the last run ends at the top; a one-element table has no run.  The
+    candidate is returned exactly when its ``table_rows`` equal ``t``'s
+    rows, which compare as they stand, since ``RawChain`` admits int
+    entries only.  The cut is exact: for non-top x >= 1 of a sum with x in
+    the run s .. e - 1, x -> x - 1 is x - 1 when x - 1 < s, and
+    e - 1 >= x when x - 1 >= s, so the runs cut from a sum's table are
+    that sum's.  The candidate has ``t.size`` elements, so ``table_rows``
+    raises ``ValueError`` above ``MAX_TABLE_SIZE``."""
+    n = t.size
+    # x -> x - 1 against x - 1, for x = 1 .. n - 2
+    cuts = compress(count(1), map(eq, map(getitem, t.imp[1:-1], count()), count()))
+    starts = [0, *cuts] if n > 1 else []
+    c = chain((fin_luk(e - s) for s, e in pairwise(starts + [n - 1])), bottom=t.bottom)
+    return c if table_rows(c) == (t.mul, t.imp) else None
 
 
 @dataclass(frozen=True)
@@ -666,18 +663,18 @@ def check_axioms(t: RawChain) -> AxiomReport:
     """Check the residuated-chain laws on a raw table.
 
     Finite basic-hoop chains are exactly the finite ordinal sums of finite
-    Lukasiewicz chains (Agliano and Montagna, 2003), so on a table equal to
-    the ordinal sum its component runs spell, the monoid, residuation,
-    integrality, divisibility and prelinearity laws hold unchecked; only
-    the MV identity and cancellativity are checked.  Any other table gets
-    every check.  Each law of two variables is one pass over the rows that
+    Lukasiewicz chains (Agliano and Montagna, 2003), so on a table that
+    ``ordinal_sum_of`` recognises, the monoid, residuation, integrality,
+    divisibility and prelinearity laws hold unchecked; only the MV
+    identity and cancellativity are checked.  Any other table gets every
+    check.  Each law of two variables is one pass over the rows that
     compares row x with what the law asks of it, in C, so it costs n^2
     entries.  Associativity is decided by Light's test, at n^2 entries per
     generator, and residuation by one pass per row; only an associativity
     failure scans for its witness, at up to n^3 entries.  Failure witnesses
     are the first counterexamples in scan order: x, then y, then z.
     """
-    recognised = is_ordinal_sum_table(t, component_runs(t))
+    recognised = ordinal_sum_of(t) is not None
     n, top, mul, imp = t.size, t.top, t.mul, t.imp
     rng = range(n)
     idx = tuple(rng)

@@ -1,19 +1,18 @@
 """Decompose finite chains given by tables into ordinal sums of finite
-Wajsberg components, and flatten structural chains back to tables."""
+Wajsberg components, as ``core.ordinal_sum_of`` recognises them, and flatten
+structural chains back to tables by ``core.table_rows``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 from .core import (
     Chain,
     RawChain,
-    chain,
     check_axioms,
-    component_runs,
     enumerate_elements,
-    fin_luk,
-    is_ordinal_sum_table,
+    ordinal_sum_of,
     table_rows,
 )
 
@@ -38,9 +37,13 @@ def flatten(c: Chain) -> RawChain:
 class Decomposition:
     """Partition of a finite chain into its ordinal-sum components."""
 
-    source: RawChain
     chain: Chain
-    blocks: tuple  # tuple of tuples of element indices, ascending, top excluded
+
+    @property
+    def blocks(self) -> tuple:
+        """The element indices of each component, ascending, top excluded."""
+        ends = accumulate((kind.k for kind in self.chain.components), initial=0)
+        return tuple(tuple(range(s, e)) for s, e in pairwise(ends))
 
     def to_json(self) -> dict:
         return {
@@ -54,21 +57,18 @@ class Decomposition:
 
 
 def decompose(t: RawChain) -> Decomposition:
-    """Split a finite chain into maximal runs of neighbouring same-component
-    elements and read each run of length m as the finite Lukasiewicz chain
-    W m.
+    """The ordinal sum of finite Lukasiewicz chains whose table ``t`` is,
+    as ``core.ordinal_sum_of`` cuts and recognises it.
 
-    One table comparison decides validity.  Finite basic-hoop chains are
-    exactly the finite ordinal sums of finite Lukasiewicz chains (Agliano
-    and Montagna, 2003), so a table is a basic-hoop chain exactly when it
-    equals the ordinal-sum table its runs spell.  Any other table
-    raises the failures that ``check_axioms`` reports for it.
+    Finite basic-hoop chains are exactly the finite ordinal sums of finite
+    Lukasiewicz chains (Agliano and Montagna, 2003), so a table that
+    ``ordinal_sum_of`` does not recognise is no basic-hoop chain; it raises
+    ``ValueError`` with the failures that ``check_axioms`` reports for it.
     """
-    blocks = component_runs(t)
-    c = chain((fin_luk(len(block)) for block in blocks), bottom=t.bottom)
-    if not is_ordinal_sum_table(t, blocks):
+    c = ordinal_sum_of(t)
+    if c is None:
         report = check_axioms(t)
         if report.is_basic_hoop_chain:
-            raise AssertionError(f"a basic-hoop chain table is not the flattening of {c!r}")
+            raise AssertionError("a basic-hoop chain table is not an ordinal sum of its runs")
         raise ValueError(f"axiom check failed: {report.failures!r}")
-    return Decomposition(source=t, chain=c, blocks=blocks)
+    return Decomposition(c)

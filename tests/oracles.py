@@ -18,8 +18,10 @@ on other tables, the chain-op flattening evaluates every entry
 through ``chain_op`` instead of tabulating the rules of ``core.RunForm``,
 as every table of the package does, and the scan decomposition runs the
 exhaustive axiom check and per-block tests that ``decompose`` replaces
-with one table comparison.  The window oracles evaluate maps point by point
-instead of composing them or reading legality off their data.  The pair
+with one table comparison, over the blocks of the component predicate
+``in_one_component``, which the package does not read.  The window oracles
+evaluate maps point by point instead of composing them or reading legality
+off their data.  The pair
 search tests every pair of legs of every target, as the codomain-guided
 walk and the composite join of the brute-force search avoid doing, and the
 greedy kind embedding decides each finished target on its own, where
@@ -113,7 +115,6 @@ from blcalc.core import (
     element,
     enumerate_elements,
     fin_luk,
-    in_one_component,
     kind_embeds,
     lex_omega,
     local_top,
@@ -813,6 +814,26 @@ def classify_component(t: RawChain, block) -> Kind:
     return kind
 
 
+def in_one_component(t: RawChain, a: int, b: int) -> bool:
+    """(a -> b) -> b = (b -> a) -> a, without argument checks: on a
+    basic-hoop chain, whether non-top a and b lie in one Wajsberg component."""
+    imp = t.imp
+    return imp[imp[a][b]][b] == imp[imp[b][a]][a]
+
+
+def component_runs(t: RawChain) -> tuple:
+    """Maximal runs of neighbouring non-top elements that lie in one
+    component by ``in_one_component``, ascending: the runs that
+    ``core.ordinal_sum_of`` cuts at x -> x - 1 instead."""
+    runs = []
+    for e in range(t.size - 1):
+        if runs and in_one_component(t, runs[-1][-1], e):
+            runs[-1].append(e)
+        else:
+            runs.append([e])
+    return tuple(tuple(r) for r in runs)
+
+
 def decompose_by_scans(t: RawChain) -> Decomposition:
     """Reference for ``decompose.decompose``: split a finite chain into
     maximal same-component blocks and identify each as a finite Lukasiewicz
@@ -825,20 +846,7 @@ def decompose_by_scans(t: RawChain) -> Decomposition:
     report = check_axioms_by_scans(t)
     if not report.is_basic_hoop_chain:
         raise ValueError(f"axiom check failed: {report.failures!r}")
-    n = t.size
-    if n == 1:
-        return Decomposition(source=t, chain=chain((), bottom=t.bottom), blocks=())
-
-    blocks = []
-    current = [0]
-    for e in range(1, n - 1):
-        if in_one_component(t, current[-1], e):
-            current.append(e)
-        else:
-            blocks.append(tuple(current))
-            current = [e]
-    blocks.append(tuple(current))
-
+    blocks = component_runs(t)
     for block in blocks:
         for a in block:
             for b in block:
@@ -856,11 +864,9 @@ def decompose_by_scans(t: RawChain) -> Decomposition:
                         )
 
     kinds = tuple(classify_component(t, block) for block in blocks)
-    return Decomposition(
-        source=t,
-        chain=chain(kinds, bottom=t.bottom),
-        blocks=tuple(blocks),
-    )
+    d = Decomposition(chain(kinds, bottom=t.bottom))
+    assert d.blocks == blocks, t
+    return d
 
 
 def pairwise_bl_catalog(n_max: int) -> list:

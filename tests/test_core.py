@@ -19,18 +19,18 @@ from blcalc.core import (
     chain_op,
     check_axioms,
     component_op,
-    component_runs,
     element,
     enumerate_elements,
     fin_luk,
-    is_ordinal_sum_table,
     lex_omega,
+    ordinal_sum_of,
 )
 from blcalc import core
-from blcalc.decompose import flatten
+from blcalc.decompose import decompose, flatten
 from blcalc.dsl import parse_chain
 from oracles import (
     check_axioms_by_scans,
+    component_runs,
     differential_tables,
     flatten_by_chain_op,
     order_le,
@@ -357,13 +357,13 @@ def test_raw_chain_checks_mul_before_imp_and_shape_before_entries():
 
 
 def test_row_comparison_matches_rebuilt_table():
-    # is_ordinal_sum_table compares rows; the route it replaced rebuilt and
-    # compared a whole RawChain
+    # ordinal_sum_of cuts runs at x -> x - 1 and compares rows; this reads
+    # the runs of the oracle's in_one_component and compares whole RawChains
     recognised = 0
     for t in differential_tables():
-        runs = component_runs(t)
-        rebuilt = flatten(chain((fin_luk(len(r)) for r in runs), t.bottom)) == t
-        assert is_ordinal_sum_table(t, runs) == rebuilt, t
+        c = chain((fin_luk(len(r)) for r in component_runs(t)), t.bottom)
+        rebuilt = flatten(c) == t
+        assert ordinal_sum_of(t) == (c if rebuilt else None), t
         recognised += rebuilt
     assert recognised == 36
 
@@ -432,6 +432,21 @@ def test_table_size_limit(monkeypatch):
         flatten(parse_chain("W10"))
     with pytest.raises(ValueError, match="parameter >= 1"):
         flatten(chain(map(fin_luk, [2, -1])))
+
+
+def test_check_and_decompose_refuse_tables_above_the_limit(monkeypatch):
+    # recognition builds a candidate of the table's size, so an 11-element
+    # table is refused at a limit of 10 before any law is checked: the
+    # table of an ordinal sum, and one whose top -> top - 1 is changed
+    t = flatten(parse_chain("W4+W6"))
+    imp = [list(r) for r in t.imp]
+    imp[t.top][t.top - 1] = 0
+    mutant = RawChain(t.size, t.mul, imp, t.bottom)
+    monkeypatch.setattr(core, "MAX_TABLE_SIZE", 10)
+    for table in (t, mutant):
+        for fn in (check_axioms, decompose):
+            with pytest.raises(ValueError, match="MAX_TABLE_SIZE"):
+                fn(table)
 
 
 def test_run_form_size_limit(monkeypatch):

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blcalc.core import RawChain, chain, fin_luk, in_one_component
+from blcalc.core import RawChain, chain, fin_luk, ordinal_sum_of
 from blcalc.decompose import (
     decompose,
     finite_elements,
@@ -16,6 +18,7 @@ from oracles import (
     decompose_by_scans,
     differential_tables,
     flatten_by_chain_op,
+    in_one_component,
     order_le,
     small_chains,
 )
@@ -182,3 +185,36 @@ def test_decompose_matches_scan_oracle():
         checked += 1
         valid += not isinstance(got, str)
     assert (checked, valid) == (4674, 36)
+
+
+@st.composite
+def luk_sums_and_mutants(draw):
+    """The table of a sum of W1 .. W6 of at most 30 elements, flattened,
+    as it stands or with one entry changed: a symmetric mul pair, an imp
+    entry x -> x - 1 that the cut rule reads, or any other imp entry."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=6), max_size=10)
+                 .filter(lambda ks: sum(ks) < 30))
+    t = flatten(chain((fin_luk(k) for k in sizes), bottom=draw(st.booleans())))
+    n, mul, imp = t.size, [list(r) for r in t.mul], [list(r) for r in t.imp]
+    index = st.integers(min_value=0, max_value=n - 1)
+    change = draw(st.sampled_from(("none", "mul", "imp_cut", "imp")))
+    if change == "mul":
+        x, y = draw(index), draw(index)
+        mul[x][y] = mul[y][x] = draw(index)
+    elif change == "imp_cut" and n > 1:
+        x = draw(st.integers(min_value=1, max_value=n - 1))
+        imp[x][x - 1] = draw(index)
+    elif change == "imp":
+        x = draw(index)
+        imp[x][draw(index.filter(lambda y: y != x - 1))] = draw(index)
+    return RawChain(n, mul, imp, t.bottom)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(luk_sums_and_mutants())
+def test_ordinal_sum_of_matches_scan_oracle(t):
+    try:
+        expected = decompose_by_scans(t).chain
+    except ValueError:
+        expected = None
+    assert ordinal_sum_of(t) == expected
