@@ -30,7 +30,7 @@ from .classify import (
     emit_poset,
     interval_by_name,
 )
-from .core import STD_UNIT, RawChain, chain_op, check_axioms
+from .core import STD_UNIT, RawChain, TableError, chain_op, check_axioms
 from .decompose import decompose, flatten
 from .dsl import (
     parse_chain,
@@ -65,9 +65,9 @@ def _read_table(path: str) -> RawChain:
             with open(path) as fh:
                 data = json.load(fh)
     except OSError as exc:
-        raise ValueError(str(exc)) from None
+        raise TableError(str(exc)) from None
     except RecursionError:
-        raise ValueError("table JSON nests too deeply") from None
+        raise TableError("table JSON nests too deeply") from None
     return RawChain.from_json(data)
 
 

@@ -14,6 +14,13 @@ of the infinite kinds are manipulated symbolically, and no decision samples
 them on windows: ``enumerate_elements`` lists every element of a fully
 finite chain, and only the test oracles read its finite truncation windows
 of the others.
+
+Fully finite chains also come as operation tables, ``RawChain``s, over the
+indices of their elements.  ``RunForm`` states the ordinal-sum rules on
+those indices, ``table_rows`` writes a chain's table from them as slices of
+the index tuple, ``ordinal_sum_of`` recognises a sum's table by building
+its candidate's rows, and ``check_axioms`` checks the laws on any table.  A
+table that cannot be read or is no ``RawChain`` raises ``TableError``.
 """
 
 from __future__ import annotations
@@ -363,6 +370,12 @@ def enumerate_elements(c: Chain, caps: int = 3) -> list:
 # ---------------------------------------------------------------------------
 
 
+class TableError(ValueError):
+    """A table that is no ``RawChain``: a size, shape, entry or JSON schema
+    that the checks refuse, a table above ``MAX_TABLE_SIZE``, or a table
+    file that cannot be read."""
+
+
 @dataclass(frozen=True)
 class RawChain:
     """A finite chain presented by mul/imp tables over indices 0..n-1.
@@ -374,7 +387,7 @@ class RawChain:
     copied, ``mul`` first: its shape, then that every entry has type
     ``int``, then that every entry is an index.  Each check reads a row at
     a time in C, and the type check comes first because ``True`` and
-    ``1.0`` equal the index 1.
+    ``1.0`` equal the index 1.  Each check raises ``TableError``.
     """
 
     size: int
@@ -386,16 +399,16 @@ class RawChain:
         # bool is a subclass of int, but true and false are not indices
         n = self.size
         if type(n) is not int or n < 1:
-            raise ValueError("size must be an integer >= 1")
+            raise TableError("size must be an integer >= 1")
         ints, indices = {int}, frozenset(range(n))
         for name in ("mul", "imp"):
             tab = tuple(map(tuple, getattr(self, name)))
             object.__setattr__(self, name, tab)
             if len(tab) != n or set(map(len, tab)) != {n}:
-                raise ValueError(f"{name} table is not {n}x{n}")
+                raise TableError(f"{name} table is not {n}x{n}")
             if not (all(ints.issuperset(map(type, row)) for row in tab)
                     and all(map(indices.issuperset, tab))):
-                raise ValueError(f"{name} table has entries outside the indices 0..{n - 1}")
+                raise TableError(f"{name} table has entries outside the indices 0..{n - 1}")
 
     @property
     def top(self) -> int:
@@ -412,14 +425,14 @@ class RawChain:
     @staticmethod
     def from_json(data: dict) -> "RawChain":
         if not isinstance(data, dict) or not {"size", "mul", "imp"} <= data.keys():
-            raise ValueError("table JSON must be an object with size, mul and imp")
+            raise TableError("table JSON must be an object with size, mul and imp")
         bottom = data.get("bottom_designated", False)
         if type(bottom) is not bool:
-            raise ValueError("table JSON bottom_designated must be true or false")
+            raise TableError("table JSON bottom_designated must be true or false")
         try:
             return RawChain(size=data["size"], mul=data["mul"], imp=data["imp"], bottom=bottom)
         except TypeError:
-            raise ValueError("table JSON mul and imp must be lists of rows") from None
+            raise TableError("table JSON mul and imp must be lists of rows") from None
 
 
 # A table of n elements holds 2 n^2 entries; the limit keeps a mistyped size
@@ -433,8 +446,9 @@ MAX_FORM_SIZE = 1_000_000
 class RunForm:
     """Fully finite chains side by side on one index space, operated on by
     the rules of the ordinal sum of finite Lukasiewicz chains, with no table.
-    This is the one statement of those rules: a table is a one-chain form
-    tabulated by ``table_rows``.
+    This is the one statement of those rules on index tuples, and
+    ``table_rows`` is their row form: it writes the table of one chain as
+    the rows these rules give, from slices of the index tuple.
 
     Each chain takes the next block of indices, its elements ascending with
     its top last, so ``blocks[i]`` is the range of chain ``i``.  Index x
@@ -500,29 +514,37 @@ class RunForm:
 
 
 def table_rows(c: Chain) -> tuple:
-    """The mul and imp rows of a fully finite chain, tabulated from its
-    ``RunForm``; index order is element order.  Row x, for x in the run
-    s .. e - 1 (a top stores s = e), is the indices below s, then x against
-    each index of the run, then x for mul and the top for imp up to the end.
-    The form is applied once per run, to every pair of its indices.
+    """The mul and imp rows of a fully finite chain: the row form of
+    ``RunForm``'s rules, index order being element order.
 
-    Raises ``ValueError`` above ``MAX_TABLE_SIZE`` elements, before building
+    Each row is written from slices of idx = (0, 1, .., n - 1), the runs
+    s .. e - 1 read off ``c.components``.  For x in the run s .. e - 1,
+    the form's rules give y in both tables against an index y < s of an
+    earlier run, and against an index of a later run or the top, x for mul
+    and the top for imp.  Inside the run, x*y = max(x + y - e, s) is s for
+    the first e - x + 1 indices y = s .. e + s - x (the whole run when
+    x = s) and then runs s + 1 .. x - 1; x->y = e - x + y runs
+    e + s - x .. e - 1 for y = s .. x - 1, and x->y is the top from y = x
+    on.  So, the last s of the run's mul entries being idx[s],
+
+      mul row x = idx[:s] + (s,) * (e - x) + idx[s:x] + (x,) * (n - e)
+      imp row x = idx[:s] + idx[s + e - x:e] + (top,) * (n - x)
+
+    and both rows of the top are idx: top*y = y, top->y = y below the top,
+    and top->top = top.  That is O(n) Python steps and n^2 entries copied
+    in C, with no work per pair of indices.
+
+    Raises ``TableError`` above ``MAX_TABLE_SIZE`` elements, before building
     anything."""
-    if c.size > MAX_TABLE_SIZE:
-        raise ValueError(f"a table of {c.size} elements exceeds MAX_TABLE_SIZE = {MAX_TABLE_SIZE}")
-    form = RunForm([c])
-    n = len(form.start)
-    top = n - 1
+    n = c.size
+    if n > MAX_TABLE_SIZE:
+        raise TableError(f"a table of {n} elements exceeds MAX_TABLE_SIZE = {MAX_TABLE_SIZE}")
+    idx, top = tuple(range(n)), n - 1
     mul, imp = [], []
-    for x, s, e in zip(range(n), form.start, form.end):
-        if x == s:  # the first index of a run, or the top
-            below, run, m = tuple(range(s)), range(s, e), e - s
-            xs, ys = tuple([v for v in run for _ in run]), tuple(run) * m
-            run_mul, run_imp = form.mul(xs, ys), form.imp(xs, ys)
-        i = (x - s) * m
-        mul.append(below + run_mul[i:i + m] + (x,) * (n - e))
-        imp.append(below + run_imp[i:i + m] + (top,) * (n - e))
-    return tuple(mul), tuple(imp)
+    for s, e in pairwise(accumulate((kind.k for kind in c.components), initial=0)):
+        mul += [idx[:s] + (s,) * (e - x) + idx[s:x] + (x,) * (n - e) for x in range(s, e)]
+        imp += [idx[:s] + idx[s + e - x:e] + (top,) * (n - x) for x in range(s, e)]
+    return (*mul, idx), (*imp, idx)
 
 
 def ordinal_sum_of(t: RawChain) -> Optional[Chain]:
@@ -532,13 +554,14 @@ def ordinal_sum_of(t: RawChain) -> Optional[Chain]:
     The candidate's runs are cut by ``RunForm``'s rule read at x -> x - 1:
     a run starts at 0 and at each non-top x >= 1 with x -> x - 1 = x - 1,
     and the last run ends at the top; a one-element table has no run.  The
-    candidate is returned exactly when its ``table_rows`` equal ``t``'s
-    rows, which compare as they stand, since ``RawChain`` admits int
+    candidate is returned exactly when its ``table_rows``, written from
+    slices of the index tuple, equal ``t``'s rows, one tuple comparison per
+    row in C; they compare as they stand, since ``RawChain`` admits int
     entries only.  The cut is exact: for non-top x >= 1 of a sum with x in
     the run s .. e - 1, x -> x - 1 is x - 1 when x - 1 < s, and
     e - 1 >= x when x - 1 >= s, so the runs cut from a sum's table are
     that sum's.  The candidate has ``t.size`` elements, so ``table_rows``
-    raises ``ValueError`` above ``MAX_TABLE_SIZE``."""
+    raises ``TableError`` above ``MAX_TABLE_SIZE``."""
     n = t.size
     # x -> x - 1 against x - 1, for x = 1 .. n - 2
     cuts = compress(count(1), map(eq, map(getitem, t.imp[1:-1], count()), count()))
@@ -626,14 +649,30 @@ def _associativity_witness(mul: tuple) -> Optional[tuple]:
     elements g with (x g) y = x (g y) for all x and y are closed under
     products, so the law holds when every generator passes, at one row
     comparison per x and generator.  Only a table that fails is scanned,
-    one row comparison per (x, y): (x y) z against x (y z) over z."""
+    one row comparison per (x, y): (x y) z against x (y z) over z, and only
+    over y, z >= x.
+
+    That scan finds the first witness.  If (x, y, z) fails, so does
+    (z, y, x), since (z y) x = x (y z) and z (y x) = (x y) z by
+    commutativity; and so does (y, x, z) or (y, z, x), since if both held,
+
+      (x y) z = (y x) z = y (x z) = y (z x) = (y z) x = x (y z).
+
+    So every element of a failing triple is the first element of a failing
+    triple.  For the least x that is the first element of one, every
+    failing (x, y, z) then has y, z >= x, and no triple with a smaller
+    first element fails, so the scan meets no witness before x and the
+    first in scan order at x."""
     if all(_first_difference((map(row.__getitem__, mul[g]) for row in mul),
                              (mul[row[g]] for row in mul)) is None
            for g in _generators(mul)):
         return None
-    k, z = _first_difference((map(row.__getitem__, r) for row in mul for r in mul),
-                             (mul[v] for row in mul for v in row))
-    return (*divmod(k, len(mul)), z)
+    for x, row in enumerate(mul):
+        found = _first_difference((map(row.__getitem__, r[x:]) for r in mul[x:]),
+                                  (mul[v][x:] for v in row[x:]))
+        if found is not None:
+            return x, x + found[0], x + found[1]
+    raise AssertionError("Light's test failed on an associative table")
 
 
 def _residuation_witness(mul: tuple, imp: tuple) -> Optional[tuple]:

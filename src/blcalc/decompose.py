@@ -28,7 +28,7 @@ def flatten(c: Chain) -> RawChain:
     """Tabulate a fully finite chain by ``core.table_rows``; index order is
     element order.
 
-    Raises ``ValueError`` above ``core.MAX_TABLE_SIZE`` elements."""
+    Raises ``core.TableError`` above ``core.MAX_TABLE_SIZE`` elements."""
     mul, imp = table_rows(c)
     return RawChain(size=len(mul), mul=mul, imp=imp, bottom=c.bottom)
 

@@ -15,8 +15,10 @@ the structural engine they are used to check; the scan axiom check runs the
 cubic associativity and residuation scans that ``check_axioms`` skips on
 recognised ordinal sums and replaces by Light's test and one pass per row
 on other tables, the chain-op flattening evaluates every entry
-through ``chain_op`` instead of tabulating the rules of ``core.RunForm``,
-as every table of the package does, and the scan decomposition runs the
+through ``chain_op`` and the form tabulation applies the rules of
+``core.RunForm`` to every pair of a run, where ``core.table_rows`` writes
+each row of every table of the package from slices of the index tuple,
+and the scan decomposition runs the
 exhaustive axiom check and per-block tests that ``decompose`` replaces
 with one table comparison, over the blocks of the component predicate
 ``in_one_component``, which the package does not read.  The window oracles
@@ -104,6 +106,7 @@ from blcalc.core import (
     Element,
     Kind,
     LocalValue,
+    MAX_TABLE_SIZE,
     ModeMismatchError,
     TOP,
     RawChain,
@@ -578,6 +581,31 @@ def flatten_by_chain_op(c) -> RawChain:
         tuple(pos[chain_op(c, "imp", x, y)] for y in elems) for x in elems
     )
     return RawChain(size=n, mul=mul, imp=imp, bottom=c.bottom)
+
+
+def table_rows_by_form(c: Chain) -> tuple:
+    """Reference for ``core.table_rows``: the mul and imp rows of a fully
+    finite chain, tabulated from its ``RunForm``; index order is element
+    order.  Row x, for x in the run s .. e - 1 (a top stores s = e), is the
+    indices below s, then x against each index of the run, then x for mul
+    and the top for imp up to the end.  The form is applied once per run,
+    to every pair of its indices, where ``table_rows`` writes each row from
+    slices of the index tuple."""
+    if c.size > MAX_TABLE_SIZE:
+        raise ValueError(f"a table of {c.size} elements exceeds MAX_TABLE_SIZE = {MAX_TABLE_SIZE}")
+    form = RunForm([c])
+    n = len(form.start)
+    top = n - 1
+    mul, imp = [], []
+    for x, s, e in zip(range(n), form.start, form.end):
+        if x == s:  # the first index of a run, or the top
+            below, run, m = tuple(range(s)), range(s, e), e - s
+            xs, ys = tuple([v for v in run for _ in run]), tuple(run) * m
+            run_mul, run_imp = form.mul(xs, ys), form.imp(xs, ys)
+        i = (x - s) * m
+        mul.append(below + run_mul[i:i + m] + (x,) * (n - e))
+        imp.append(below + run_imp[i:i + m] + (top,) * (n - e))
+    return tuple(mul), tuple(imp)
 
 
 def valuation_points(shared, gens) -> list:

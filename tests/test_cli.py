@@ -12,7 +12,7 @@ import pytest
 
 from blcalc import cli
 from blcalc.cli import main
-from blcalc.core import MAX_FORM_SIZE, MAX_TABLE_SIZE
+from blcalc.core import MAX_FORM_SIZE, MAX_TABLE_SIZE, TableError
 from blcalc.decompose import flatten
 from blcalc.dsl import parse_chain
 from blcalc.formulas import MAX_FORMULA_DEPTH
@@ -96,6 +96,8 @@ def test_chain_deeply_nested_json_exit_2(tmp_path, monkeypatch, capsys):
             monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
             code, out, err = run(capsys, "chain", sub, "--table", source)
             assert (code, out, err) == (2, "", "error: table JSON nests too deeply\n")
+    with pytest.raises(TableError, match="^table JSON nests too deeply$"):
+        cli._read_table(str(path))
 
 
 def test_internal_error_exit_3(monkeypatch, capsys):
@@ -143,6 +145,8 @@ def test_chain_check_scalar_rows_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "chain", "check", "--table", str(path))
     assert code == 2 and out == ""
     assert err == "error: table JSON mul and imp must be lists of rows\n"
+    with pytest.raises(TableError, match="^table JSON mul and imp must be lists of rows$"):
+        cli._read_table(str(path))
 
 
 def test_chain_flatten_above_size_limit_exit_2(capsys):
@@ -150,12 +154,16 @@ def test_chain_flatten_above_size_limit_exit_2(capsys):
     code, out, err = run(capsys, "chain", "flatten", f"W{MAX_TABLE_SIZE}")
     assert code == 2 and out == ""
     assert "MAX_TABLE_SIZE" in err and err.count("\n") == 1
+    with pytest.raises(TableError, match="MAX_TABLE_SIZE"):
+        flatten(parse_chain(f"W{MAX_TABLE_SIZE}"))
 
 
 def test_chain_missing_table_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "chain", "check", "--table", str(tmp_path / "none.json"))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    with pytest.raises(TableError, match="none.json"):
+        cli._read_table(str(tmp_path / "none.json"))
 
 
 def test_stdout_closed_early_exit_141():

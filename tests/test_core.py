@@ -15,6 +15,7 @@ from blcalc.core import (
     TRIVIAL,
     RawChain,
     RunForm,
+    TableError,
     chain,
     chain_op,
     check_axioms,
@@ -329,6 +330,34 @@ def test_check_axioms_on_a_w400_mutant_pinned():
     }
 
 
+def test_check_axioms_on_a_w300_symmetric_mutant_pinned():
+    # mul[225][150] = mul[150][225] = 3 in W300: the table stays
+    # commutative, Light's test fails, and the witness scan reads only
+    # y, z >= x.  The report was recorded once from check_axioms_by_scans
+    t = flatten(parse_chain("W300"))
+    mul = [list(r) for r in t.mul]
+    mul[225][150] = mul[150][225] = 3
+    assert check_axioms(RawChain(t.size, mul, t.imp)).to_json() == {
+        "commutative_monoid": False,
+        "residuation": False,
+        "integrality": True,
+        "divisibility": False,
+        "prelinearity": True,
+        "mv_identity": True,
+        "cancellativity": False,
+        "bounded": False,
+        "basic_hoop_chain": False,
+        "bl_chain": False,
+        "mv_chain": False,
+        "failures": [
+            ["associativity", [150, 225, 226]],
+            ["residuation", [150, 225, 3]],
+            ["divisibility", [150, 75]],
+            ["cancellativity", [0, 0]],
+        ],
+    }
+
+
 @pytest.mark.parametrize("entry", [True, 1.0, -1, 2, "0", None])
 def test_raw_chain_rejects_entries_that_are_not_indices(entry):
     # W1 has the indices 0 and 1; the entry replaces 1 -> 0 or 1 * 0
@@ -337,11 +366,14 @@ def test_raw_chain_rejects_entries_that_are_not_indices(entry):
         tables = {"mul": [list(r) for r in w1.mul], "imp": [list(r) for r in w1.imp]}
         tables[name][1][0] = entry
         message = f"{name} table has entries outside the indices 0..1"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
             RawChain(2, tables["mul"], tables["imp"])
 
 
 def test_raw_chain_checks_mul_before_imp_and_shape_before_entries():
+    # every refusal at the table boundary is a TableError, which the CLI
+    # reports as the ValueError it is: one stderr line and exit code 2
+    assert issubclass(TableError, ValueError)
     w1 = flatten(parse_chain("W1"))
     ragged, bad_entry = ((0, 0), (0,)), ((0, 0), (0, None))
     for mul, imp, message in (
@@ -352,7 +384,7 @@ def test_raw_chain_checks_mul_before_imp_and_shape_before_entries():
         (bad_entry, ragged, "mul table has entries outside the indices 0..1"),
         (((0, None), (0,)), w1.imp, "mul table is not 2x2"),
     ):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
             RawChain(2, mul, imp)
 
 
@@ -375,7 +407,7 @@ def test_from_json_rejects_entries_equal_to_indices():
     assert ((0, 0), (0, 1.0)) == w1.mul == ((0, 0), (0, True))
     for entry in ("1.0", "true"):
         text = f'{{"size": 2, "mul": [[0, 0], [0, {entry}]], "imp": [[1, 0], [0, 1]]}}'
-        with pytest.raises(ValueError, match="entries outside the indices"):
+        with pytest.raises(TableError, match="entries outside the indices"):
             RawChain.from_json(json.loads(text))
 
 
@@ -426,9 +458,9 @@ def test_table_size_limit(monkeypatch):
     # without building a large table
     monkeypatch.setattr(core, "MAX_TABLE_SIZE", 10)
     assert flatten(chain(map(fin_luk, [4, 5]))).size == 10
-    with pytest.raises(ValueError, match="MAX_TABLE_SIZE"):
+    with pytest.raises(TableError, match="MAX_TABLE_SIZE"):
         flatten(chain(map(fin_luk, [4, 6])))
-    with pytest.raises(ValueError, match="MAX_TABLE_SIZE"):
+    with pytest.raises(TableError, match="MAX_TABLE_SIZE"):
         flatten(parse_chain("W10"))
     with pytest.raises(ValueError, match="parameter >= 1"):
         flatten(chain(map(fin_luk, [2, -1])))
@@ -445,7 +477,7 @@ def test_check_and_decompose_refuse_tables_above_the_limit(monkeypatch):
     monkeypatch.setattr(core, "MAX_TABLE_SIZE", 10)
     for table in (t, mutant):
         for fn in (check_axioms, decompose):
-            with pytest.raises(ValueError, match="MAX_TABLE_SIZE"):
+            with pytest.raises(TableError, match="MAX_TABLE_SIZE"):
                 fn(table)
 
 
@@ -500,8 +532,15 @@ def test_raw_chain_json_bottom_must_be_boolean():
     assert RawChain.from_json(base).bottom is False
     assert RawChain.from_json({**base, "bottom_designated": True}).bottom is True
     for flag in ("no", 0, 1, None, [True]):
-        with pytest.raises(ValueError, match="bottom_designated"):
+        with pytest.raises(TableError, match="bottom_designated"):
             RawChain.from_json({**base, "bottom_designated": flag})
+
+
+def test_raw_chain_json_schema_errors_are_table_errors():
+    message = "table JSON must be an object with size, mul and imp"
+    for data in ([], {"size": 1, "mul": [[0]]}):
+        with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
+            RawChain.from_json(data)
 
 
 def test_chain_op_agrees_with_flatten_tables():

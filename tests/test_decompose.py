@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blcalc.core import RawChain, chain, fin_luk, ordinal_sum_of
+from blcalc.core import RawChain, chain, fin_luk, ordinal_sum_of, table_rows
 from blcalc.decompose import (
     decompose,
     finite_elements,
@@ -21,6 +21,7 @@ from oracles import (
     in_one_component,
     order_le,
     small_chains,
+    table_rows_by_form,
 )
 
 
@@ -85,6 +86,20 @@ def test_flatten_matches_chain_op_oracle():
     for c in chains:
         assert flatten(c) == flatten_by_chain_op(c), pretty_chain(c)
     assert max(c.size for c in chains) >= 41
+
+
+def test_table_rows_match_run_form():
+    # table_rows writes each row from slices of the index tuple; entry by
+    # entry they are RunForm's rules applied to every pair of a run, and
+    # the chain_op tables, on every sum of W1..W5 up to 12 elements in
+    # both signatures and on W300
+    chains = [c for bottom in (False, True) for c in small_chains(12, bottom)
+              if all(kind.k <= 5 for kind in c.components)]
+    chains.append(parse_chain("W300"))
+    for c in chains:
+        assert table_rows(c) == table_rows_by_form(c), pretty_chain(c)
+        assert flatten(c) == flatten_by_chain_op(c), pretty_chain(c)
+    assert len(chains) == 3713
 
 
 def test_classify_component():
