@@ -11,9 +11,9 @@ sharing a single top element.  Five component kinds are representable:
 
 Every operation is exact: integers, integer pairs, and Fractions.  Values
 of the infinite kinds are manipulated symbolically, and no decision samples
-them on windows: ``enumerate_elements`` lists every element of a fully
-finite chain, and only the test oracles read its finite truncation windows
-of the others.
+them on windows: the package evaluates elements only in ``chain_op``, for
+``chain eval``, and names them only by ``element_at``, for a countermodel;
+the element listings and truncation windows live with the test oracles.
 
 Fully finite chains also come as operation tables, ``RawChain``s, over the
 indices of their elements.  ``RunForm`` states the ordinal-sum rules on
@@ -328,41 +328,18 @@ def chain_op(c: Chain, op: str, x: Element, y: Element) -> Element:
     raise ValueError(f"unknown operation {op!r}")
 
 
-def _window_values(kind: Kind, cap: int) -> list:
-    """Local values of one component inside the truncation window, ascending.
-
-    Includes the component bottom where one exists; never the local top.
-    """
-    t = kind.tag
-    if t == FIN:
-        return list(range(kind.k))
-    if t == CANC:
-        return list(range(-cap, 0))
-    if t == LEX:
-        out = []
-        for a in range(kind.k + 1):
-            lo = 0 if a == 0 else -cap
-            hi = -1 if a == kind.k else cap
-            out.extend((a, b) for b in range(lo, hi + 1))
-        return out
-    if t == UNIT:
-        vals = {Fraction(p, q) for q in range(1, cap + 1) for p in range(q)}
-        return sorted(vals)
-    return []  # TRIV
-
-
-def enumerate_elements(c: Chain, caps: int = 3) -> list:
-    """Window of elements of a chain, ascending and ending with the top.
-
-    Finite kinds enumerate completely; Z/Wo/U kinds truncate to ``caps``.
-    """
-    if caps < 1:
-        raise ValueError("caps must be positive")
-    out = []
+def element_at(c: Chain, i: int) -> Element:
+    """The ``i``-th element of a fully finite chain, ascending, top last,
+    found by walking the components, with no list built; reading
+    ``c.size`` refuses a symbolic chain, and an index outside
+    0 .. size - 1 raises ``ValueError``."""
+    if not 0 <= i < c.size:
+        raise ValueError(f"element index {i} out of range for {c!r}")
     for ci, kind in enumerate(c.components):
-        out.extend(Element(ci, v) for v in _window_values(kind, caps))
-    out.append(TOP)
-    return out
+        if i < kind.k:
+            return Element(ci, i)
+        i -= kind.k
+    return TOP
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,14 @@
 """Decompose finite chains given by tables into ordinal sums of finite
 Wajsberg components, as ``core.ordinal_sum_of`` recognises them, and flatten
-structural chains back to tables by ``core.table_rows``."""
+structural chains back to tables by ``core.table_rows``.  This module works
+on tables only and names no element."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
-from .core import (
-    Chain,
-    RawChain,
-    check_axioms,
-    enumerate_elements,
-    ordinal_sum_of,
-    table_rows,
-)
-
-
-def finite_elements(c: Chain) -> list:
-    """All elements of a fully finite chain, ascending (top last); reading
-    ``c.size`` refuses a symbolic chain."""
-    c.size
-    return enumerate_elements(c, caps=1)
+from .core import Chain, RawChain, check_axioms, ordinal_sum_of, table_rows
 
 
 def flatten(c: Chain) -> RawChain:

@@ -42,8 +42,7 @@ from itertools import accumulate, islice, product
 from operator import getitem
 from typing import Optional, Sequence, Union
 
-from .core import Chain, RunForm
-from .decompose import finite_elements
+from .core import Chain, RunForm, element_at
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,8 +265,8 @@ def consequence(
         )
         for r, (x, y, top) in enumerate(rows):
             if x == top and y != top:
-                elems, lo = finite_elements(gens[gi]), form.blocks[gi][0]
-                val = {name: elems[columns[name][r] - lo] for name in names}
+                lo = form.blocks[gi][0]
+                val = {name: element_at(gens[gi], columns[name][r] - lo) for name in names}
                 return ConsequenceResult(False, (gi, val))
     return ConsequenceResult(True)
 

@@ -1,5 +1,7 @@
 """Embeddings between structural chains, their filters and quotients, and
-the essential-embedding machinery.
+the essential-embedding machinery.  Everything here is structural: maps,
+filters and quotients are data over component positions, and no element
+is evaluated.
 
 An embedding of ordinal sums is an order-embedding of component positions
 together with a local embedding per component.  Which kinds embed into
@@ -27,19 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
 
-from .core import (
-    FIN,
-    LEX,
-    Chain,
-    Element,
-    Kind,
-    TOP,
-    chain,
-    element,
-    fin_luk,
-    kind_embeds,
-    same_bounds,
-)
+from .core import FIN, LEX, Chain, Kind, chain, fin_luk, kind_embeds, same_bounds
 
 
 def local_embeddings(src: Kind, dst: Kind, scale_cap: int = 4) -> tuple:
@@ -200,27 +190,16 @@ def filters(c: Chain) -> tuple:
     return tuple(out)
 
 
-def filter_contains(c: Chain, f: Filter, x: Element) -> bool:
-    if x.is_top:
-        return True
-    if x.ci > f.cut:
-        return True
-    if x.ci == f.cut:
-        if not f.radical:
-            return True
-        return x.value[0] == c.components[f.cut].k
-    return False
+def quotient_by_filter(c: Chain, f: Filter) -> Chain:
+    """Collapse a filter to the top: the quotient chain.
 
-
-def quotient_by_filter(c: Chain, f: Filter):
-    """Collapse a filter to the top.
-
-    Returns the quotient chain and the projection on elements.  Components
-    above the cut vanish; the cut component vanishes too unless the filter
-    is its radical, in which case it degrades to the finite chain on its
-    first coordinate.
+    Components above the cut vanish; the cut component vanishes too unless
+    the filter is its radical, in which case it degrades to the finite chain
+    on its first coordinate.  A cut outside the chain, or a radical filter
+    of no lexicographic component, raises ``ValueError``.
     """
-    if not (0 <= f.cut <= c.index):
+    # a radical filter needs a component at its cut
+    if not 0 <= f.cut <= c.index - f.radical:
         raise ValueError(f"invalid filter {f!r} for {c!r}")
     comps = list(c.components[: f.cut])
     if f.radical:
@@ -228,16 +207,7 @@ def quotient_by_filter(c: Chain, f: Filter):
         if kind.tag != LEX:
             raise ValueError(f"{kind} has no internal radical filter")
         comps.append(fin_luk(kind.k))
-    q = chain(comps, bottom=c.bottom)
-
-    def project(x: Element) -> Element:
-        if x.is_top or filter_contains(c, f, x):
-            return TOP
-        if f.radical and x.ci == f.cut:
-            return element(q, x.ci, x.value[0])
-        return Element(x.ci, x.value)
-
-    return q, project
+    return chain(comps, bottom=c.bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +243,7 @@ def collapse_after(m: ChainMap, f: Filter) -> Optional[ChainMap]:
         last = m.source.components[-1]
         if not (f.cut == m.index_map[-1] and f.radical and last.tag == FIN):
             return None
-    q, _ = quotient_by_filter(m.target, f)
-    return ChainMap(m.source, q, m.index_map, m.scales)
+    return ChainMap(m.source, quotient_by_filter(m.target, f), m.index_map, m.scales)
 
 
 @dataclass(frozen=True)

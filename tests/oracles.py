@@ -1,8 +1,18 @@
 """Independent oracles shared by the test modules.
 
+The element listings and filter projections name the elements that the
+structural package leaves unnamed: ``_window_values`` and
+``enumerate_elements`` list a chain's elements, every one of a finite kind
+and a truncation window of each infinite kind; ``finite_elements`` lists
+every element of a fully finite chain, the listing that ``core.element_at``
+is checked against, index by index; ``filter_contains`` tests an element
+for membership in a filter, and ``filter_projection`` maps the elements of
+a chain onto its quotient by a filter, the chain that
+``maps.quotient_by_filter`` returns.
+
 The element evaluators work on one symbolic element at a time: ``order_le``
 compares two elements of a chain, the order that the meet of ``chain_op``
-and the listing of ``decompose.finite_elements`` are checked against;
+and the listing of ``finite_elements`` are checked against;
 ``eval_formula`` evaluates a formula through ``chain_op``, the constant 0
 as ``bottom_element`` (built from ``local_bottom``), and checks the
 ``core.RunForm`` index route of ``formulas``; ``apply_map``, with the local
@@ -116,17 +126,12 @@ from blcalc.core import (
     chain_op,
     component_op,
     element,
-    enumerate_elements,
     fin_luk,
     kind_embeds,
     lex_omega,
     local_top,
 )
-from blcalc.decompose import (
-    Decomposition,
-    finite_elements,
-    flatten,
-)
+from blcalc.decompose import Decomposition, flatten
 from blcalc.dsl import parse_class_expr
 from blcalc.formulas import (
     BinOp,
@@ -144,12 +149,84 @@ from blcalc.formulas import (
 )
 from blcalc.maps import (
     ChainMap,
+    Filter,
     enumerate_embeddings,
-    filter_contains,
     filters,
     quotient_by_filter,
     verify_embedding,
 )
+
+
+def _window_values(kind: Kind, cap: int) -> list:
+    """Local values of one component inside the truncation window, ascending.
+
+    Includes the component bottom where one exists; never the local top.
+    """
+    t = kind.tag
+    if t == FIN:
+        return list(range(kind.k))
+    if t == CANC:
+        return list(range(-cap, 0))
+    if t == LEX:
+        out = []
+        for a in range(kind.k + 1):
+            lo = 0 if a == 0 else -cap
+            hi = -1 if a == kind.k else cap
+            out.extend((a, b) for b in range(lo, hi + 1))
+        return out
+    if t == UNIT:
+        vals = {Fraction(p, q) for q in range(1, cap + 1) for p in range(q)}
+        return sorted(vals)
+    return []  # TRIV
+
+
+def enumerate_elements(c: Chain, caps: int = 3) -> list:
+    """Window of elements of a chain, ascending and ending with the top.
+
+    Finite kinds enumerate completely; Z/Wo/U kinds truncate to ``caps``.
+    """
+    if caps < 1:
+        raise ValueError("caps must be positive")
+    out = []
+    for ci, kind in enumerate(c.components):
+        out.extend(Element(ci, v) for v in _window_values(kind, caps))
+    out.append(TOP)
+    return out
+
+
+def finite_elements(c: Chain) -> list:
+    """All elements of a fully finite chain, ascending (top last); reading
+    ``c.size`` refuses a symbolic chain."""
+    c.size
+    return enumerate_elements(c, caps=1)
+
+
+def filter_contains(c: Chain, f: Filter, x: Element) -> bool:
+    if x.is_top:
+        return True
+    if x.ci > f.cut:
+        return True
+    if x.ci == f.cut:
+        if not f.radical:
+            return True
+        return x.value[0] == c.components[f.cut].k
+    return False
+
+
+def filter_projection(c: Chain, f: Filter):
+    """The projection of ``c``'s elements onto ``maps.quotient_by_filter(c, f)``:
+    the filter goes to the top, and a radical cut component to its first
+    coordinate."""
+    q = quotient_by_filter(c, f)
+
+    def project(x: Element) -> Element:
+        if x.is_top or filter_contains(c, f, x):
+            return TOP
+        if f.radical and x.ci == f.cut:
+            return element(q, x.ci, x.value[0])
+        return Element(x.ci, x.value)
+
+    return project
 
 
 def local_bottom(kind: Kind) -> LocalValue:
@@ -236,8 +313,7 @@ def eval_formula(f: Formula, c: Chain, valuation: Mapping[str, Element]) -> Elem
 def apply_completion(m, x):
     """Evaluate a completion, collapsing first when it is a ``CollapsingMap``."""
     if isinstance(m, CollapsingMap):
-        _, project = quotient_by_filter(m.source, m.collapse)
-        return apply_map(m.embed, project(x))
+        return apply_map(m.embed, filter_projection(m.source, m.collapse)(x))
     return apply_map(m, x)
 
 

@@ -9,6 +9,7 @@ import time
 
 from oracles import (
     RotationChain,
+    _window_values,
     oracle_membership,
     recompute_cover_relation,
     rot_le,
@@ -36,7 +37,6 @@ from blcalc.core import (
     CANC_Z,
     STD_UNIT,
     TRIVIAL,
-    _window_values,
     chain,
     component_op,
     fin_luk,

@@ -11,6 +11,7 @@ from oracles import (
     apply_completion,
     apply_map,
     embeddings_by_verification,
+    enumerate_elements,
     find_amalgam_by_pairs,
     join_kinds_by_cases,
     kind_embeds_by_greedy,
@@ -39,7 +40,6 @@ from blcalc.core import (
     STD_UNIT,
     ModeMismatchError,
     chain,
-    enumerate_elements,
     fin_luk,
     kind_embeds,
     lex_omega,

@@ -2,12 +2,20 @@
 of Wo k and the rotation of the cancellative chain into Wo k."""
 
 import pytest
-from oracles import RotationChain, apply_map, order_le, rot_le, rot_op, rotation_embed
+from oracles import (
+    RotationChain,
+    _window_values,
+    apply_map,
+    filter_contains,
+    order_le,
+    rot_le,
+    rot_op,
+    rotation_embed,
+)
 
 from blcalc.core import (
     CANC_Z,
     TRIVIAL,
-    _window_values,
     chain_op,
     component_op,
     element,
@@ -16,8 +24,8 @@ from blcalc.core import (
 from blcalc.dsl import parse_chain
 from blcalc.maps import (
     Filter,
+    collapse_after,
     enumerate_embeddings,
-    filter_contains,
     filters,
     quotient_by_filter,
 )
@@ -30,6 +38,14 @@ def test_radical():
         assert not any(f.radical for f in filters(c))
         with pytest.raises(ValueError):
             quotient_by_filter(c, Filter(0, radical=True))
+    # a radical filter needs a component at its cut, in the quotient and
+    # in a collapse after an embedding alike
+    wo1 = parse_chain("Wo1")
+    beyond = Filter(wo1.index, radical=True)
+    into_wo1 = enumerate_embeddings(parse_chain("W1"), wo1)[0]
+    for collapse in (lambda: quotient_by_filter(wo1, beyond), lambda: collapse_after(into_wo1, beyond)):
+        with pytest.raises(ValueError, match=r"^invalid filter F\(1r\) for Wo1$"):
+            collapse()
     wo2 = parse_chain("Wo2")
     rad = Filter(0, radical=True)
     assert rad in filters(wo2)
@@ -40,7 +56,7 @@ def test_radical():
     z = parse_chain("Z")
     assert apply_map(into_radical, element(z, 0, -5)) == element(wo2, 0, (2, -5))
     # and collapsing it leaves the finite chain on the first coordinate
-    assert quotient_by_filter(wo2, rad)[0] == parse_chain("W2")
+    assert quotient_by_filter(wo2, rad) == parse_chain("W2")
 
 
 def test_radical_is_filter_on_windows():

@@ -21,7 +21,7 @@ from blcalc.core import (
     check_axioms,
     component_op,
     element,
-    enumerate_elements,
+    element_at,
     fin_luk,
     lex_omega,
     ordinal_sum_of,
@@ -30,9 +30,12 @@ from blcalc import core
 from blcalc.decompose import decompose, flatten
 from blcalc.dsl import parse_chain
 from oracles import (
+    _window_values,
     check_axioms_by_scans,
     component_runs,
     differential_tables,
+    enumerate_elements,
+    finite_elements,
     flatten_by_chain_op,
     order_le,
     small_chains,
@@ -60,8 +63,6 @@ def test_component_op_top_is_unit():
 
 
 def _window(kind, cap=3):
-    from blcalc.core import _window_values
-
     return _window_values(kind, cap)
 
 
@@ -547,13 +548,26 @@ def test_chain_op_agrees_with_flatten_tables():
     # structural operations and tabulated operations coincide bit-exactly
     c = parse_chain("L1+W2+W1")
     t = flatten(c)
-    from blcalc.decompose import finite_elements
-
     elems = finite_elements(c)
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
             assert elems.index(chain_op(c, "mul", x, y)) == t.mul[i][j]
             assert elems.index(chain_op(c, "imp", x, y)) == t.imp[i][j]
+
+
+def test_element_at_names_the_listed_elements():
+    # element_at walks the components to the i-th element; on every sum of
+    # W1..W5 up to 12 elements in both signatures it names the element at
+    # each index of the listing of finite_elements
+    chains = [c for bottom in (False, True) for c in small_chains(12, bottom)
+              if all(kind.k <= 5 for kind in c.components)]
+    for c in chains:
+        assert [element_at(c, i) for i in range(c.size)] == finite_elements(c), c
+    assert len(chains) == 3712
+    for c in (chain(()), parse_chain("W2+W1"), parse_chain("L3")):
+        for i in (-1, c.size):
+            with pytest.raises(ValueError, match=rf"^element index {i} out of range for "):
+                element_at(c, i)
 
 
 def test_run_form_matches_tables():

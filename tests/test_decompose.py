@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from blcalc.core import RawChain, chain, fin_luk, ordinal_sum_of, table_rows
 from blcalc.decompose import (
     decompose,
-    finite_elements,
     flatten,
 )
 from blcalc.dsl import parse_chain, pretty_chain
@@ -17,6 +16,7 @@ from oracles import (
     classify_component,
     decompose_by_scans,
     differential_tables,
+    finite_elements,
     flatten_by_chain_op,
     in_one_component,
     order_le,

@@ -1,18 +1,19 @@
 """Formula evaluation, consequence, and interpolant search."""
 
 import random
+import tracemalloc
 from itertools import islice, product
 
 import pytest
 
 import blcalc.formulas
 from blcalc.classes import generated_by
-from blcalc.core import MAX_TABLE_SIZE, TOP, NotLocallyFiniteError, element
-from blcalc.decompose import finite_elements
+from blcalc.core import MAX_TABLE_SIZE, TOP, Element, NotLocallyFiniteError, element
 from blcalc.dsl import parse_chain, parse_class_expr
 from blcalc.formulas import (
     BinOp,
     ClosureLimitError,
+    ConsequenceResult,
     Const,
     MAX_FORMULA_DEPTH,
     FormulaError,
@@ -33,6 +34,7 @@ from oracles import (
     eval_formula,
     find_interpolant_by_chain_op,
     find_interpolant_by_walk,
+    finite_elements,
     separated_by_pairs,
     term_closure_by_chain_op,
 )
@@ -139,6 +141,20 @@ def test_consequence_has_no_size_cap():
     assert consequence(parse_formula("p"), parse_formula("p \\/ p"), [big]).holds
     res = consequence(parse_formula("p -> p * p"), parse_formula("p"), [big])
     assert res.countermodel == (0, {"p": element(big, 0, 0)})
+
+
+def test_countermodel_values_are_named_by_index():
+    # a failing consequence names each value of its countermodel by its
+    # index, through core.element_at, with no list of the generator's
+    # elements: the peak stays near the index form's own lists
+    tracemalloc.start()
+    try:
+        res = consequence(parse_formula("1"), parse_formula("p"), [parse_chain("W200000")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == ConsequenceResult(False, (0, {"p": Element(0, 0)}))
+    assert peak < 16 * 2**20, peak
 
 
 def test_consequence_rejects_symbolic():

@@ -6,7 +6,6 @@ from blcalc.core import (
     TOP,
     chain,
     check_axioms,
-    enumerate_elements,
     fin_luk,
 )
 from blcalc.decompose import decompose, flatten
@@ -21,7 +20,9 @@ from blcalc.maps import (
 from oracles import (
     apply_map,
     check_axioms_by_scans,
+    enumerate_elements,
     essential_by_filter_definition,
+    filter_projection,
     small_chains,
 )
 
@@ -76,7 +77,7 @@ def test_essentialize_output_is_essential_and_maximal():
                 fc = filters(m.target)
                 larger = [f for f in fc if fc.index(f) < fc.index(ess.theta0)]
                 for f in larger:
-                    _, project = quotient_by_filter(m.target, f)
+                    project = filter_projection(m.target, f)
                     src = enumerate_elements(a, 1)
                     images = {project(apply_map(m, x)) for x in src}
                     assert len(images) < len(src)
@@ -86,7 +87,7 @@ def test_quotient_shapes_are_prefix_plus_quotient():
     # collapsing any filter keeps a prefix and degrades at most the cut
     for c in small_sums(4, 2) + [parse_chain("W1+Wo2+W2"), parse_chain("Wo1+Wo2")]:
         for f in filters(c):
-            q, _ = quotient_by_filter(c, f)
+            q = quotient_by_filter(c, f)
             assert q.components[: f.cut] == c.components[: f.cut]
             if f.radical:
                 assert q.index == f.cut + 1
@@ -111,9 +112,8 @@ def test_dsl_absorbs_trivial_summands():
 def test_closure_is_operation_closed():
     # the interpolation closure is a fixed point under all four connectives
     from blcalc.core import chain_op
-    from blcalc.decompose import finite_elements
     from blcalc.formulas import parse_formula
-    from oracles import valuation_points
+    from oracles import finite_elements, valuation_points
 
     L2 = parse_chain("L2")
     prem, conc = parse_formula("p /\\ q"), parse_formula("q \\/ r")

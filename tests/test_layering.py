@@ -42,6 +42,17 @@ def test_modules_import_only_lower_layers():
 
 
 
+def test_structural_modules_import_no_element_names():
+    """``maps`` and ``decompose`` work on component positions and tables,
+    and ``formulas`` on the indices of ``core.RunForm``, naming a
+    countermodel's values by ``core.element_at``; none of them imports the
+    element model, at its top level or inside a function."""
+    for stem in ("maps", "decompose", "formulas"):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
+        names = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not names & {"Element", "TOP", "element", "enumerate_elements"}, stem
+
+
 def test_package_root_imports_nothing():
     """The package root holds only ``__version__``; every name is imported
     from its module, so no re-export counts as a read of a name that

@@ -10,24 +10,31 @@ from blcalc.core import (
     chain,
     chain_op,
     element,
-    enumerate_elements,
     fin_luk,
 )
-from blcalc.decompose import finite_elements, flatten
+from blcalc.decompose import flatten
 from blcalc.dsl import parse_chain
 from blcalc.maps import (
     ChainMap,
     Filter,
     enumerate_embeddings,
     essentialize,
-    filter_contains,
     filters,
     is_essential_embedding,
     local_embeddings,
     quotient_by_filter,
     verify_embedding,
 )
-from oracles import apply_map, essential_by_filter_definition, order_le, window_embedding
+from oracles import (
+    apply_map,
+    enumerate_elements,
+    essential_by_filter_definition,
+    filter_contains,
+    filter_projection,
+    finite_elements,
+    order_le,
+    window_embedding,
+)
 
 
 def identity_map(c):
@@ -288,14 +295,15 @@ def test_filters_match_upset_scan():
 
 def test_quotient_by_filter():
     c = parse_chain("W1+W2")
-    q, project = quotient_by_filter(c, Filter(1))
+    q = quotient_by_filter(c, Filter(1))
     assert q.components == (fin_luk(1),)
     lex = parse_chain("Wo2")
-    q, project = quotient_by_filter(lex, Filter(0, radical=True))
+    q = quotient_by_filter(lex, Filter(0, radical=True))
+    project = filter_projection(lex, Filter(0, radical=True))
     assert q.components == (fin_luk(2),)
     assert project(element(lex, 0, (1, 7))) == element(q, 0, 1)
     assert project(element(lex, 0, (2, -3))) == TOP
-    q, _ = quotient_by_filter(c, Filter(c.index))
+    q = quotient_by_filter(c, Filter(c.index))
     assert q == c
 
 
@@ -319,7 +327,8 @@ def test_radical_filter_of_wo2_is_closed():
 def test_quotient_matches_table_quotient():
     # collapsing the tail filter of the flattened table gives the same chain
     c = parse_chain("W1+W2")
-    q, project = quotient_by_filter(c, Filter(1))
+    q = quotient_by_filter(c, Filter(1))
+    project = filter_projection(c, Filter(1))
     elems = finite_elements(c)
     t = flatten(c)
     keep = [i for i, x in enumerate(elems) if project(x) != TOP]
@@ -400,7 +409,7 @@ def test_essentialize_is_maximal():
     ess = essentialize(m)
     assert ess.theta0 == Filter(2)
     larger = Filter(1)
-    _, project = quotient_by_filter(c, larger)
+    project = filter_projection(c, larger)
     images = {project(apply_map(m, x)) for x in finite_elements(w1)}
     assert len(images) < len(finite_elements(w1))
 

@@ -14,10 +14,11 @@ from blcalc.core import (
     ModeMismatchError,
     NotLocallyFiniteError,
     RunForm,
+    element_at,
     same_bounds,
     table_rows,
 )
-from blcalc.decompose import finite_elements, flatten
+from blcalc.decompose import flatten
 from blcalc.dsl import parse_chain, parse_class_expr
 from blcalc.formulas import (
     closure_size,
@@ -62,7 +63,7 @@ FINITE_ENTRY_POINTS = {
     "RunForm": lambda c: RunForm([c]),
     "table_rows": table_rows,
     "flatten": flatten,
-    "finite_elements": finite_elements,
+    "element_at": lambda c: element_at(c, 0),
     "consequence": lambda c: consequence(P, P, [c]),
     "find_interpolant": lambda c: find_interpolant(P, P, [c]),
     "closure_size": lambda c: closure_size(P, P, [c]),

@@ -9,10 +9,11 @@ reason a head is never ``T``.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import enumerate_elements
 
 from blcalc.classes import Item, canonical, class_expr
 from blcalc.classify import enumerate_catalog
-from blcalc.core import CANC_Z, STD_UNIT, TRIVIAL, chain, enumerate_elements, fin_luk, lex_omega
+from blcalc.core import CANC_Z, STD_UNIT, TRIVIAL, chain, fin_luk, lex_omega
 from blcalc.dsl import (
     parse_chain,
     parse_class_expr,
